@@ -1,30 +1,31 @@
 //! A generic set-associative cache of line metadata with LRU replacement.
 //!
-//! Only metadata is stored — tags, MESI state, LRU timestamps — because the
-//! simulator never needs line *contents* (workloads compute on native Rust
-//! data). One structure serves both L1s (which ignore the MESI field beyond
+//! Only metadata is stored — tags and MESI state — because the simulator
+//! never needs line *contents* (workloads compute on native Rust data). One
+//! structure serves both L1s (which ignore the MESI field beyond
 //! valid/invalid) and the coherent L2s.
 //!
-//! ## Two storage layouts, gated on intended lifetime
+//! ## Packed, recency-ordered sets
 //!
-//! * **Per-run** ([`Cache::new`]): per-set `Vec<Line>` grown lazily. A
-//!   one-shot simulation builds a fresh hierarchy per run and touches a
-//!   sparse fraction of the paper L2's 12288 sets, so paying allocation
-//!   only for sets actually used wins — preallocating everything would be
-//!   pure constructor overhead that the run never amortizes.
-//! * **Resident** ([`Cache::new_resident`]): flat structure-of-arrays set
-//!   storage — one contiguous `addrs` array and one `metas` array, each
-//!   `n_sets × ways`, with per-set occupancy counts. A long-lived
-//!   hierarchy probed millions of times (the serve path's shared resident
-//!   state) amortizes the up-front footprint immediately, and the 4-wide
-//!   tag compare then streams *contiguous* 8-byte tags instead of
-//!   striding over 16-byte AoS lines: half the bytes per probed way, and
-//!   a layout the compiler can keep in vector registers.
+//! Every set is `ways` consecutive `u64` words in one flat `n_sets × ways`
+//! array. A resident line is the word `addr << 3 | VALID | mesi`; an empty
+//! way is `0`, so the array is one zeroed allocation, and when the allocator
+//! maps it fresh the pages of sets a run never touches are never faulted
+//! in. Each set keeps its most recently used word first and its empty ways
+//! at the tail, which makes LRU a word's *position* rather than a stored
+//! stamp:
 //!
-//! Both layouts implement identical semantics — same LRU stamps, same
-//! eviction choices (the resident layout's swap-into-victim-slot compaction
-//! is exactly `Vec::swap_remove`) — which the parity test drives with a
-//! randomized operation trace.
+//! * `touch`, `touch_or_insert` and `insert` move the line to the front;
+//! * `peek`, `set_state`, `replace_state` and `insert_if_absent` on a
+//!   resident line leave it where it is;
+//! * the eviction victim is the last word of a full set;
+//! * `remove` shifts the rest of the set left over the hole.
+//!
+//! Position order is the order per-line LRU stamps would give — stamps are
+//! unique, monotone and only ever compared within one set — so every victim
+//! is the one stamp-based LRU picks; the tests drive the cache against such
+//! a reference model. A probe reads one contiguous run of 8-byte words — on
+//! the paper's 8-way L2, 64 bytes — with no per-set header to chase.
 
 use crate::config::CacheConfig;
 use crate::mesi::MesiState;
@@ -50,16 +51,8 @@ pub struct EvictedLine {
     pub state: MesiState,
 }
 
-/// One resident line, packed to 16 bytes: the MESI state lives in the low
-/// two bits of `meta`, the LRU stamp in the high bits. Whole-word `meta`
-/// comparison orders lines by recency (stamps are unique — every probe
-/// that stamps bumps the cache clock), which keeps the victim scan a bare
-/// `u64` minimum.
-#[derive(Debug, Clone)]
-struct Line {
-    addr: u64,
-    meta: u64,
-}
+/// Set in every resident way word, so that an empty way is `0`.
+const VALID: u64 = 0b100;
 
 #[inline]
 fn encode_state(state: MesiState) -> u64 {
@@ -72,8 +65,8 @@ fn encode_state(state: MesiState) -> u64 {
 }
 
 #[inline]
-fn decode_state(meta: u64) -> MesiState {
-    match meta & 3 {
+fn decode_state(word: u64) -> MesiState {
+    match word & 3 {
         0 => MesiState::Modified,
         1 => MesiState::Exclusive,
         2 => MesiState::Shared,
@@ -81,296 +74,59 @@ fn decode_state(meta: u64) -> MesiState {
     }
 }
 
+/// The way word of `addr` with its MESI bits cleared — what a resident
+/// word of that line equals under `& !3`.
 #[inline]
-fn pack_meta(state: MesiState, stamp: u64) -> u64 {
-    (stamp << 2) | encode_state(state)
+fn tag_of(addr: LineAddr) -> u64 {
+    // `CacheConfig::validate` requires `line_size >= 8`, so a line address
+    // derived from a 64-bit physical address fits in 61 bits.
+    debug_assert!(addr.0 >> 61 == 0, "line address {addr:?} exceeds 61 bits");
+    (addr.0 << 3) | VALID
 }
 
-/// Position of the first index `i < n` with `tag(i) == addr`, scanning
-/// four tags per iteration.
-///
-/// The four compares are evaluated unconditionally and OR-combined before
-/// the single branch, u64x4-style: the compiler keeps all four (strided)
-/// tag loads in flight instead of chaining a load→compare→branch per way,
-/// which measurably beats the scalar scan on the paper's 8-way L2 (see the
-/// `tag_compare` benchmark). Tag order inside a set is unrelated to
-/// recency (LRU lives in `meta`), so returning the first match preserves
-/// behaviour exactly. On the resident SoA layout the tags are contiguous
-/// `u64`s, so the four loads sit in one or two cache lines.
-#[inline(always)]
-fn scan4(n: usize, addr: u64, tag: impl Fn(usize) -> u64) -> Option<usize> {
-    let mut i = 0;
-    while i + 4 <= n {
-        let h0 = tag(i) == addr;
-        let h1 = tag(i + 1) == addr;
-        let h2 = tag(i + 2) == addr;
-        let h3 = tag(i + 3) == addr;
-        if h0 | h1 | h2 | h3 {
-            let off = if h0 {
-                0
-            } else if h1 {
-                1
-            } else if h2 {
-                2
-            } else {
-                3
-            };
-            return Some(i + off);
-        }
-        i += 4;
-    }
-    while i < n {
-        if tag(i) == addr {
-            return Some(i);
-        }
-        i += 1;
-    }
-    None
-}
-
-/// Way index of `addr` within `set`, if resident (4-wide unrolled scan).
-#[inline(always)]
-fn find_way(set: &[Line], addr: u64) -> Option<usize> {
-    scan4(set.len(), addr, |i| set[i].addr)
-}
-
-/// Scalar way scan over `(tag, meta)` pairs — the pre-unroll baseline,
-/// exposed only so the `tag_compare` benchmark can A/B it against
-/// [`way_scan_unrolled`] on the exact 16-byte line layout the caches use.
-#[doc(hidden)]
-pub fn way_scan_scalar(set: &[(u64, u64)], addr: u64) -> Option<usize> {
-    set.iter().position(|&(tag, _)| tag == addr)
-}
-
-/// Unrolled way scan over `(tag, meta)` pairs — the same 4-wide compare
-/// the caches run internally, exposed for the `tag_compare` benchmark.
-#[doc(hidden)]
-pub fn way_scan_unrolled(set: &[(u64, u64)], addr: u64) -> Option<usize> {
-    scan4(set.len(), addr, |i| set[i].0)
-}
-
-/// Set storage, chosen by the cache's intended lifetime (see the module
-/// docs). Every operation is expressed against this narrow interface so
-/// the two layouts cannot drift semantically.
-#[derive(Debug, Clone)]
-enum SetStore {
-    /// Lazily-grown per-set AoS vectors (per-run default).
-    PerRun { sets: Vec<Vec<Line>> },
-    /// Flat SoA arrays preallocated to `n_sets × ways` (resident).
-    /// Occupied ways of a set are packed at the front of its lane; a
-    /// removal swaps the last occupied way into the hole, mirroring
-    /// `Vec::swap_remove` exactly.
-    Resident {
-        ways: usize,
-        /// Occupied ways per set.
-        occ: Vec<u32>,
-        /// `addrs[set * ways + way]` — contiguous tags per set lane.
-        addrs: Vec<u64>,
-        /// `metas[set * ways + way]` — stamps + states, same indexing.
-        metas: Vec<u64>,
-    },
-}
-
-impl SetStore {
-    fn per_run(n_sets: usize) -> Self {
-        SetStore::PerRun {
-            sets: vec![Vec::new(); n_sets],
-        }
-    }
-
-    fn resident(n_sets: usize, ways: usize) -> Self {
-        SetStore::Resident {
-            ways,
-            occ: vec![0; n_sets],
-            addrs: vec![u64::MAX; n_sets * ways],
-            metas: vec![0; n_sets * ways],
-        }
-    }
-
-    /// Occupied ways in `set`.
-    #[inline]
-    fn len(&self, set: usize) -> usize {
-        match self {
-            SetStore::PerRun { sets } => sets[set].len(),
-            SetStore::Resident { occ, .. } => occ[set] as usize,
-        }
-    }
-
-    /// Way holding `addr` in `set`, if any (4-wide tag compare).
-    #[inline]
-    fn find(&self, set: usize, addr: u64) -> Option<usize> {
-        match self {
-            SetStore::PerRun { sets } => find_way(&sets[set], addr),
-            SetStore::Resident {
-                ways, occ, addrs, ..
-            } => {
-                let lane = &addrs[set * ways..set * ways + occ[set] as usize];
-                scan4(lane.len(), addr, |i| lane[i])
-            }
-        }
-    }
-
-    #[inline]
-    fn meta(&self, set: usize, way: usize) -> u64 {
-        match self {
-            SetStore::PerRun { sets } => sets[set][way].meta,
-            SetStore::Resident { ways, metas, .. } => metas[set * ways + way],
-        }
-    }
-
-    #[inline]
-    fn set_meta(&mut self, set: usize, way: usize, meta: u64) {
-        match self {
-            SetStore::PerRun { sets } => sets[set][way].meta = meta,
-            SetStore::Resident { ways, metas, .. } => metas[set * *ways + way] = meta,
-        }
-    }
-
-    /// Way with the minimal `meta` (the LRU victim) in a non-empty set.
-    #[inline]
-    fn min_meta_way(&self, set: usize) -> usize {
-        match self {
-            SetStore::PerRun { sets } => {
-                sets[set]
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.meta)
-                    .expect("full set is non-empty")
-                    .0
-            }
-            SetStore::Resident {
-                ways, occ, metas, ..
-            } => {
-                let lane = &metas[set * ways..set * ways + occ[set] as usize];
-                lane.iter()
-                    .enumerate()
-                    .min_by_key(|(_, m)| **m)
-                    .expect("full set is non-empty")
-                    .0
-            }
-        }
-    }
-
-    /// Remove `way` from `set`, swapping the last occupied way into the
-    /// hole. Returns the removed `(addr, meta)`.
-    #[inline]
-    fn swap_remove(&mut self, set: usize, way: usize) -> (u64, u64) {
-        match self {
-            SetStore::PerRun { sets } => {
-                let line = sets[set].swap_remove(way);
-                (line.addr, line.meta)
-            }
-            SetStore::Resident {
-                ways,
-                occ,
-                addrs,
-                metas,
-            } => {
-                let base = set * *ways;
-                let last = occ[set] as usize - 1;
-                let removed = (addrs[base + way], metas[base + way]);
-                addrs[base + way] = addrs[base + last];
-                metas[base + way] = metas[base + last];
-                addrs[base + last] = u64::MAX;
-                occ[set] = last as u32;
-                removed
-            }
-        }
-    }
-
-    /// Append a line to `set`. The caller guarantees a free way.
-    #[inline]
-    fn push(&mut self, set: usize, addr: u64, meta: u64) {
-        match self {
-            SetStore::PerRun { sets } => sets[set].push(Line { addr, meta }),
-            SetStore::Resident {
-                ways,
-                occ,
-                addrs,
-                metas,
-            } => {
-                let n = occ[set] as usize;
-                debug_assert!(n < *ways, "push into a full set");
-                let slot = set * *ways + n;
-                addrs[slot] = addr;
-                metas[slot] = meta;
-                occ[set] = (n + 1) as u32;
-            }
-        }
-    }
-
-    fn occupancy(&self) -> usize {
-        match self {
-            SetStore::PerRun { sets } => sets.iter().map(Vec::len).sum(),
-            SetStore::Resident { occ, .. } => occ.iter().map(|&n| n as usize).sum(),
-        }
-    }
+#[inline]
+fn word_addr(word: u64) -> LineAddr {
+    LineAddr(word >> 3)
 }
 
 /// Set-associative cache of line metadata.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// Per-set line storage; layout gated on intended lifetime.
-    store: SetStore,
+    /// `words[set * ways ..][..ways]`: one set, most recent line first,
+    /// empty (`0`) ways at the tail. See the module docs.
+    words: Vec<u64>,
     n_sets: usize,
     /// `n_sets - 1` when the set count is a power of two, else `usize::MAX`.
     /// Lets the per-access index computation use a mask instead of a
     /// hardware divide.
     set_mask: usize,
-    /// Lemire fastmod magic, `⌈2^64 / n_sets⌉`, for non-power-of-two set
-    /// counts (the paper's 12288-set L2): `addr % n_sets` becomes two
-    /// multiplies for any 32-bit line address.
-    modmul: u64,
-    clock: u64,
-    /// Address of the most recently stamped line (`u64::MAX` when unset),
-    /// with its current state. Because this line holds the globally
-    /// maximal LRU stamp, a repeat probe may return its state without
-    /// re-stamping: bumping the maximum again cannot change the relative
-    /// stamp order that replacement decisions depend on. Back-to-back
-    /// probes of the same line — the common case under spatial locality —
-    /// then skip the set scan entirely.
+    /// Address of the most recently used line (`u64::MAX` when unset),
+    /// with its current state. That line is at the front of its set, so a
+    /// repeat probe may return its state without moving anything. Back-to-
+    /// back probes of the same line — the common case under spatial
+    /// locality — then skip the set-index divide and the set scan.
     hot_addr: u64,
     hot_state: MesiState,
 }
 
 impl Cache {
-    /// Create an empty cache with lazily-grown per-run set storage — the
-    /// right layout when the cache lives for one simulated run.
+    /// Create an empty cache.
     ///
     /// # Panics
     /// Panics if the configuration is invalid (see [`CacheConfig::validate`]).
     pub fn new(config: CacheConfig) -> Self {
-        Cache::with_store(config, SetStore::per_run)
-    }
-
-    /// Create an empty cache with preallocated flat SoA set storage — the
-    /// right layout when the cache is resident: built once and probed for
-    /// the lifetime of a process (the serve path's shared hierarchy). The
-    /// full `sets × ways` footprint is paid up front; tag scans then run
-    /// over contiguous `u64` arrays. Semantics are identical to
-    /// [`Cache::new`].
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid (see [`CacheConfig::validate`]).
-    pub fn new_resident(config: CacheConfig) -> Self {
-        Cache::with_store(config, |n_sets| SetStore::resident(n_sets, config.ways))
-    }
-
-    fn with_store(config: CacheConfig, store: impl FnOnce(usize) -> SetStore) -> Self {
         config.validate();
         let n_sets = config.sets();
         Cache {
             config,
-            store: store(n_sets),
+            words: vec![0; n_sets * config.ways],
             n_sets,
             set_mask: if n_sets.is_power_of_two() {
                 n_sets - 1
             } else {
                 usize::MAX
             },
-            modmul: (u64::MAX / n_sets as u64).wrapping_add(1),
-            clock: 0,
             hot_addr: u64::MAX,
             hot_state: MesiState::Invalid,
         }
@@ -381,22 +137,54 @@ impl Cache {
         &self.config
     }
 
-    /// Whether this cache uses the resident (SoA, preallocated) layout.
-    pub fn is_resident(&self) -> bool {
-        matches!(self.store, SetStore::Resident { .. })
-    }
-
     #[inline]
     fn set_index(&self, addr: LineAddr) -> usize {
         if self.set_mask != usize::MAX {
             (addr.0 as usize) & self.set_mask
-        } else if addr.0 <= u32::MAX as u64 {
-            // Lemire's fastmod: exact `addr % n_sets` for 32-bit operands.
-            let low = self.modmul.wrapping_mul(addr.0);
-            ((low as u128 * self.n_sets as u128) >> 64) as usize
         } else {
-            (addr.0 as usize) % self.n_sets
+            (addr.0 % self.n_sets as u64) as usize
         }
+    }
+
+    /// Index of the first word of `addr`'s set.
+    #[inline]
+    fn base(&self, addr: LineAddr) -> usize {
+        self.set_index(addr) * self.config.ways
+    }
+
+    /// Way of `addr` within the set starting at word `base`, if resident.
+    #[inline]
+    fn find(&self, base: usize, addr: LineAddr) -> Option<usize> {
+        let tag = tag_of(addr);
+        self.words[base..base + self.config.ways]
+            .iter()
+            .position(|&w| w & !3 == tag)
+    }
+
+    /// Shift the first `way` words of the set at `base` one place towards
+    /// the tail and put `word` first.
+    #[inline]
+    fn move_to_front(&mut self, base: usize, way: usize, word: u64) {
+        let mut carry = word;
+        for slot in &mut self.words[base..=base + way] {
+            carry = std::mem::replace(slot, carry);
+        }
+    }
+
+    /// Put the absent `addr` with `state` at the front of the set at
+    /// `base`, evicting the set's last (least recently used) line if the
+    /// set is full.
+    #[inline]
+    fn install(&mut self, base: usize, addr: LineAddr, state: MesiState) -> Option<EvictedLine> {
+        let last = self.config.ways - 1;
+        let victim = self.words[base + last];
+        self.move_to_front(base, last, tag_of(addr) | encode_state(state));
+        self.hot_addr = addr.0;
+        self.hot_state = state;
+        (victim != 0).then(|| EvictedLine {
+            addr: word_addr(victim),
+            state: decode_state(victim),
+        })
     }
 
     /// State of `addr` if resident, touching LRU.
@@ -405,16 +193,13 @@ impl Cache {
         if addr.0 == self.hot_addr {
             return Some(self.hot_state);
         }
-        self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_index(addr);
-        let way = self.store.find(set, addr.0)?;
-        let meta = self.store.meta(set, way);
-        let state = decode_state(meta);
-        self.store.set_meta(set, way, (clock << 2) | (meta & 3));
+        let base = self.base(addr);
+        let way = self.find(base, addr)?;
+        let word = self.words[base + way];
+        self.move_to_front(base, way, word);
         self.hot_addr = addr.0;
-        self.hot_state = state;
-        Some(state)
+        self.hot_state = decode_state(word);
+        Some(self.hot_state)
     }
 
     /// State of `addr` if resident, without touching LRU (snoop path).
@@ -423,27 +208,14 @@ impl Cache {
         if addr.0 == self.hot_addr {
             return Some(self.hot_state);
         }
-        let set = self.set_index(addr);
-        self.store
-            .find(set, addr.0)
-            .map(|way| decode_state(self.store.meta(set, way)))
+        let base = self.base(addr);
+        self.find(base, addr)
+            .map(|way| decode_state(self.words[base + way]))
     }
 
     /// Change the state of a resident line. Returns `false` if absent.
     pub fn set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
-        debug_assert_ne!(state, MesiState::Invalid, "use remove() to invalidate");
-        let set = self.set_index(addr);
-        if let Some(way) = self.store.find(set, addr.0) {
-            let meta = self.store.meta(set, way);
-            self.store
-                .set_meta(set, way, (meta & !3) | encode_state(state));
-            if addr.0 == self.hot_addr {
-                self.hot_state = state;
-            }
-            true
-        } else {
-            false
-        }
+        self.replace_state(addr, state).is_some()
     }
 
     /// Change the state of a resident line, returning its previous state
@@ -453,31 +225,15 @@ impl Cache {
     #[inline]
     pub fn replace_state(&mut self, addr: LineAddr, state: MesiState) -> Option<MesiState> {
         debug_assert_ne!(state, MesiState::Invalid, "use remove() to invalidate");
-        let set = self.set_index(addr);
-        let way = self.store.find(set, addr.0)?;
-        let meta = self.store.meta(set, way);
-        let old = decode_state(meta);
-        self.store
-            .set_meta(set, way, (meta & !3) | encode_state(state));
+        let base = self.base(addr);
+        let way = self.find(base, addr)?;
+        let word = &mut self.words[base + way];
+        let old = decode_state(*word);
+        *word = (*word & !3) | encode_state(state);
         if addr.0 == self.hot_addr {
             self.hot_state = state;
         }
         Some(old)
-    }
-
-    /// Evict the LRU way of a full `set`, clearing the hot-line memo if it
-    /// was the victim.
-    #[inline]
-    fn evict_lru(&mut self, set: usize) -> EvictedLine {
-        let victim_way = self.store.min_meta_way(set);
-        let (vaddr, vmeta) = self.store.swap_remove(set, victim_way);
-        if vaddr == self.hot_addr {
-            self.hot_addr = u64::MAX;
-        }
-        EvictedLine {
-            addr: LineAddr(vaddr),
-            state: decode_state(vmeta),
-        }
     }
 
     /// Install `addr` with `state`, evicting the LRU line of the set if it
@@ -487,83 +243,39 @@ impl Cache {
     /// Panics (debug) if `addr` is already resident — callers must use
     /// [`Cache::set_state`] for state changes.
     pub fn insert(&mut self, addr: LineAddr, state: MesiState) -> Option<EvictedLine> {
-        self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_index(addr);
+        let base = self.base(addr);
         debug_assert!(
-            self.store.find(set, addr.0).is_none(),
+            self.find(base, addr).is_none(),
             "insert of already-resident line {addr:?}"
         );
-        let evicted = if self.store.len(set) == self.config.ways {
-            Some(self.evict_lru(set))
-        } else {
-            None
-        };
-        self.store.push(set, addr.0, pack_meta(state, clock));
-        self.hot_addr = addr.0;
-        self.hot_state = state;
-        evicted
+        self.install(base, addr, state)
     }
 
-    /// Write-allocate probe: stamp LRU if `addr` is resident, else install
-    /// it with `state` (evicting the set's LRU line if full). One set scan
-    /// instead of the touch-then-insert pair; the relative order of LRU
-    /// stamps — all that replacement decisions depend on — is identical.
-    /// Returns whether the line was already resident, plus any eviction.
+    /// Write-allocate probe: move `addr` to the front of its set if it is
+    /// resident, else install it with `state` (evicting the set's LRU line
+    /// if full). Returns whether the line was already resident, plus any
+    /// eviction.
     #[inline]
     pub fn touch_or_insert(
         &mut self,
         addr: LineAddr,
         state: MesiState,
     ) -> (bool, Option<EvictedLine>) {
-        if addr.0 == self.hot_addr {
+        if self.touch(addr).is_some() {
             return (true, None);
         }
-        self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_index(addr);
-        if let Some(way) = self.store.find(set, addr.0) {
-            let meta = self.store.meta(set, way);
-            let resident = decode_state(meta);
-            self.store.set_meta(set, way, (clock << 2) | (meta & 3));
-            self.hot_addr = addr.0;
-            self.hot_state = resident;
-            return (true, None);
-        }
-        let evicted = if self.store.len(set) == self.config.ways {
-            Some(self.evict_lru(set))
-        } else {
-            None
-        };
-        self.store.push(set, addr.0, pack_meta(state, clock));
-        self.hot_addr = addr.0;
-        self.hot_state = state;
-        (false, evicted)
+        (false, self.install(self.base(addr), addr, state))
     }
 
     /// Install `addr` with `state` unless it is already resident; a
-    /// resident line is left untouched (no LRU stamp — the peek-then-insert
-    /// pair this replaces did not stamp either). Returns any eviction.
+    /// resident line is left where it is (the peek-then-insert pair this
+    /// replaces did not touch LRU either). Returns any eviction.
     #[inline]
     pub fn insert_if_absent(&mut self, addr: LineAddr, state: MesiState) -> Option<EvictedLine> {
-        if addr.0 == self.hot_addr {
+        if self.peek(addr).is_some() {
             return None;
         }
-        let set = self.set_index(addr);
-        if self.store.find(set, addr.0).is_some() {
-            return None;
-        }
-        self.clock += 1;
-        let clock = self.clock;
-        let evicted = if self.store.len(set) == self.config.ways {
-            Some(self.evict_lru(set))
-        } else {
-            None
-        };
-        self.store.push(set, addr.0, pack_meta(state, clock));
-        self.hot_addr = addr.0;
-        self.hot_state = state;
-        evicted
+        self.install(self.base(addr), addr, state)
     }
 
     /// Remove `addr` (coherence invalidation or back-invalidation). Returns
@@ -573,43 +285,33 @@ impl Cache {
         if addr.0 == self.hot_addr {
             self.hot_addr = u64::MAX;
         }
-        let set = self.set_index(addr);
-        let way = self.store.find(set, addr.0)?;
-        let (_, meta) = self.store.swap_remove(set, way);
-        Some(decode_state(meta))
+        let base = self.base(addr);
+        let way = self.find(base, addr)?;
+        let set = &mut self.words[base..base + self.config.ways];
+        let word = set[way];
+        set.copy_within(way + 1.., way);
+        set[set.len() - 1] = 0;
+        Some(decode_state(word))
     }
 
     /// Number of resident lines.
     pub fn occupancy(&self) -> usize {
-        self.store.occupancy()
+        self.words.iter().filter(|&&w| w != 0).count()
     }
 
     /// Iterate over all resident lines as `(addr, state)`.
     pub fn lines(&self) -> impl Iterator<Item = (LineAddr, MesiState)> + '_ {
-        let iter: Box<dyn Iterator<Item = (LineAddr, MesiState)> + '_> = match &self.store {
-            SetStore::PerRun { sets } => Box::new(
-                sets.iter()
-                    .flatten()
-                    .map(|l| (LineAddr(l.addr), decode_state(l.meta))),
-            ),
-            SetStore::Resident {
-                ways,
-                occ,
-                addrs,
-                metas,
-            } => Box::new((0..occ.len()).flat_map(move |set| {
-                let base = set * ways;
-                (0..occ[set] as usize)
-                    .map(move |w| (LineAddr(addrs[base + w]), decode_state(metas[base + w])))
-            })),
-        };
-        iter
+        self.words
+            .iter()
+            .filter(|&&w| w != 0)
+            .map(|&w| (word_addr(w), decode_state(w)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tiny() -> Cache {
         // 4 sets × 2 ways of 64-byte lines.
@@ -691,9 +393,10 @@ mod tests {
     }
 
     #[test]
-    fn fastmod_matches_modulo_for_non_pow2_sets() {
-        // The paper's L2 geometry: 12288 sets (3 · 4096) takes the Lemire
-        // fastmod path for 32-bit line addresses and `%` above that.
+    fn set_index_is_modulo_for_wide_line_addresses() {
+        // The paper's L2 geometry: 12288 sets (3 · 4096). Engine line
+        // addresses come from scrambled 64-bit frame numbers and are about
+        // 58 bits wide, so sample that whole range, not just 32 bits.
         let c = Cache::new(CacheConfig {
             size_bytes: 64 * 12288 * 8,
             line_size: 64,
@@ -701,32 +404,25 @@ mod tests {
             latency: 15,
         });
         assert_eq!(c.n_sets, 12288);
-        let samples = [
-            0u64,
+        let mut x = 0x1234_5678_9ABC_DEF0u64;
+        let samples = (0..10_000).map(|_| {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 6
+        });
+        for a in [
+            0,
             1,
             12287,
             12288,
             12289,
-            0xDEAD_BEEF,
-            u32::MAX as u64 - 1,
-            u32::MAX as u64,
             u32::MAX as u64 + 1,
-            u64::MAX / 2,
-            u64::MAX,
-        ];
-        let mut x = 0x1234_5678_9ABC_DEF0u64;
-        for i in 0..10_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let a = if i % 2 == 0 { x >> 32 } else { x };
-            assert_eq!(
-                c.set_index(LineAddr(a)),
-                (a % 12288) as usize,
-                "addr {a:#x}"
-            );
-        }
-        for a in samples {
+            (1 << 58) - 1,
+        ]
+        .into_iter()
+        .chain(samples)
+        {
             assert_eq!(
                 c.set_index(LineAddr(a)),
                 (a % 12288) as usize,
@@ -742,69 +438,150 @@ mod tests {
         assert_eq!(LineAddr::of(0x1080, 6), LineAddr(0x42));
     }
 
-    #[test]
-    fn resident_layout_preallocates_and_reports_itself() {
-        let per_run = tiny();
-        assert!(!per_run.is_resident());
-        let resident = Cache::new_resident(CacheConfig {
-            size_bytes: 64 * 8,
-            line_size: 64,
-            ways: 2,
-            latency: 1,
-        });
-        assert!(resident.is_resident());
-        assert_eq!(resident.occupancy(), 0);
+    /// Stamp-based LRU, the reference model for the proptest below: each
+    /// line carries the cache clock of its last use and the victim is the
+    /// set's oldest stamp.
+    struct StampLru {
+        ways: usize,
+        clock: u64,
+        /// Per set: `(addr, state, stamp)` in no particular order.
+        sets: Vec<Vec<(u64, MesiState, u64)>>,
     }
 
-    /// Drive both layouts through the same randomized operation trace and
-    /// demand bit-identical observable behavior: return values, eviction
-    /// choices, occupancy, and the final resident-line sets.
-    #[test]
-    fn resident_layout_matches_per_run_semantics_exactly() {
-        let cfg = CacheConfig {
-            // 8 sets × 4 ways — small enough to force constant eviction.
-            size_bytes: 64 * 32,
-            line_size: 64,
-            ways: 4,
-            latency: 1,
-        };
-        let mut aos = Cache::new(cfg);
-        let mut soa = Cache::new_resident(cfg);
-        let states = [MesiState::Modified, MesiState::Exclusive, MesiState::Shared];
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for step in 0..50_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            // 40 distinct lines over 8 sets keeps sets full and LRU busy.
-            let addr = LineAddr((x >> 16) % 40);
-            let state = states[(x >> 40) as usize % 3];
-            match (x >> 60) % 6 {
-                0 => assert_eq!(aos.touch(addr), soa.touch(addr), "touch @{step}"),
-                1 => assert_eq!(aos.peek(addr), soa.peek(addr), "peek @{step}"),
-                2 => assert_eq!(
-                    aos.replace_state(addr, state),
-                    soa.replace_state(addr, state),
-                    "replace_state @{step}"
-                ),
-                3 => assert_eq!(
-                    aos.touch_or_insert(addr, state),
-                    soa.touch_or_insert(addr, state),
-                    "touch_or_insert @{step}"
-                ),
-                4 => assert_eq!(
-                    aos.insert_if_absent(addr, state),
-                    soa.insert_if_absent(addr, state),
-                    "insert_if_absent @{step}"
-                ),
-                _ => assert_eq!(aos.remove(addr), soa.remove(addr), "remove @{step}"),
-            }
-            assert_eq!(aos.occupancy(), soa.occupancy(), "occupancy @{step}");
+    impl StampLru {
+        fn set(&mut self, addr: LineAddr) -> &mut Vec<(u64, MesiState, u64)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(addr.0 % n) as usize]
         }
-        let mut left: Vec<_> = aos.lines().collect();
-        let mut right: Vec<_> = soa.lines().collect();
-        left.sort_by_key(|&(a, s)| (a, encode_state(s)));
-        right.sort_by_key(|&(a, s)| (a, encode_state(s)));
-        assert_eq!(left, right, "final resident lines diverge");
+
+        fn lookup(&mut self, addr: LineAddr, stamp: bool) -> Option<MesiState> {
+            self.clock += 1;
+            let clock = self.clock;
+            let line = self.set(addr).iter_mut().find(|l| l.0 == addr.0)?;
+            if stamp {
+                line.2 = clock;
+            }
+            Some(line.1)
+        }
+
+        fn replace_state(&mut self, addr: LineAddr, state: MesiState) -> Option<MesiState> {
+            let line = self.set(addr).iter_mut().find(|l| l.0 == addr.0)?;
+            Some(std::mem::replace(&mut line.1, state))
+        }
+
+        fn install(&mut self, addr: LineAddr, state: MesiState) -> Option<EvictedLine> {
+            self.clock += 1;
+            let (clock, ways) = (self.clock, self.ways);
+            let set = self.set(addr);
+            let evicted = (set.len() == ways).then(|| {
+                let oldest = (0..ways).min_by_key(|&i| set[i].2).unwrap();
+                let (vaddr, vstate, _) = set.swap_remove(oldest);
+                EvictedLine {
+                    addr: LineAddr(vaddr),
+                    state: vstate,
+                }
+            });
+            set.push((addr.0, state, clock));
+            evicted
+        }
+
+        fn remove(&mut self, addr: LineAddr) -> Option<MesiState> {
+            let set = self.set(addr);
+            let i = set.iter().position(|l| l.0 == addr.0)?;
+            Some(set.swap_remove(i).1)
+        }
+    }
+
+    /// Each set of `cache` must hold exactly the reference set's lines,
+    /// packed at the front in most-recent-first order with unique tags and
+    /// an all-empty tail.
+    fn check_sets(cache: &Cache, model: &StampLru) -> Result<(), String> {
+        for (i, lines) in model.sets.iter().enumerate() {
+            let set = &cache.words[i * cache.config.ways..(i + 1) * cache.config.ways];
+            let mut expect = lines.clone();
+            expect.sort_by_key(|l| std::cmp::Reverse(l.2));
+            let got: Vec<_> = set[..expect.len()]
+                .iter()
+                .map(|&w| (word_addr(w).0, decode_state(w)))
+                .collect();
+            let want: Vec<_> = expect.iter().map(|l| (l.0, l.1)).collect();
+            if got != want {
+                return Err(format!(
+                    "set {i}: {got:x?} is not {want:x?} (most recent first)"
+                ));
+            }
+            let mut tags: Vec<_> = set.iter().filter(|&&w| w != 0).map(|&w| w >> 3).collect();
+            let resident = tags.len();
+            tags.sort_unstable();
+            tags.dedup();
+            if tags.len() != resident
+                || resident != expect.len()
+                || set[resident..].iter().any(|&w| w != 0)
+            {
+                return Err(format!("set {i} is not packed with unique tags: {set:x?}"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The packed, recency-ordered layout behaves exactly like
+        /// stamp-based LRU on every operation, including 1-way sets,
+        /// non-power-of-two set counts and 58-bit line addresses.
+        #[test]
+        fn packed_layout_matches_stamp_lru(
+            (n_sets, ways) in prop::sample::select(vec![(1, 1), (4, 1), (3, 1), (1, 4), (4, 2), (6, 3), (5, 4), (12, 8)]),
+            base in prop::sample::select(vec![0u64, 0x2AB_CDEF_0123_4567, (1 << 58) - 64]),
+            ops in prop::collection::vec((0u8..7, 0u64..40, 0usize..3), 1..400),
+        ) {
+            let mut cache = Cache::new(CacheConfig {
+                size_bytes: 64 * (n_sets * ways) as u64,
+                line_size: 64,
+                ways,
+                latency: 1,
+            });
+            let mut model = StampLru { ways, clock: 0, sets: vec![Vec::new(); n_sets] };
+            let states = [MesiState::Modified, MesiState::Exclusive, MesiState::Shared];
+            for (step, &(op, offset, s)) in ops.iter().enumerate() {
+                let (addr, state) = (LineAddr(base + offset), states[s]);
+                match op {
+                    0 => prop_assert_eq!(cache.touch(addr), model.lookup(addr, true), "touch @{}", step),
+                    1 => prop_assert_eq!(cache.peek(addr), model.lookup(addr, false), "peek @{}", step),
+                    2 => prop_assert_eq!(
+                        cache.replace_state(addr, state),
+                        model.replace_state(addr, state),
+                        "replace_state @{}", step
+                    ),
+                    3 => {
+                        let want = match model.lookup(addr, true) {
+                            Some(_) => (true, None),
+                            None => (false, model.install(addr, state)),
+                        };
+                        prop_assert_eq!(cache.touch_or_insert(addr, state), want, "touch_or_insert @{}", step);
+                    }
+                    4 => {
+                        let want = match model.lookup(addr, false) {
+                            Some(_) => None,
+                            None => model.install(addr, state),
+                        };
+                        prop_assert_eq!(cache.insert_if_absent(addr, state), want, "insert_if_absent @{}", step);
+                    }
+                    5 => {
+                        // `insert` requires an absent line.
+                        if model.lookup(addr, false).is_none() {
+                            prop_assert_eq!(cache.insert(addr, state), model.install(addr, state), "insert @{}", step);
+                        }
+                    }
+                    _ => prop_assert_eq!(cache.remove(addr), model.remove(addr), "remove @{}", step),
+                }
+                let occupancy: usize = model.sets.iter().map(Vec::len).sum();
+                prop_assert_eq!(cache.occupancy(), occupancy, "occupancy @{}", step);
+                if let Err(msg) = check_sets(&cache, &model) {
+                    return Err(format!("after step {step}: {msg}"));
+                }
+            }
+        }
     }
 }

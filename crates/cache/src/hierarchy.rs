@@ -14,7 +14,7 @@
 //!   invalidation-miss reduction of Section III-A is directly observable.
 
 use crate::cache::{Cache, LineAddr};
-use crate::config::{CacheConfig, HierarchyConfig};
+use crate::config::HierarchyConfig;
 use crate::lineset::LineMap;
 use crate::mesi::MesiState;
 use crate::stats::{CacheStats, MissKind};
@@ -90,29 +90,11 @@ pub struct MemoryHierarchy {
 }
 
 impl MemoryHierarchy {
-    /// Build an empty hierarchy with per-run (lazily grown) set storage —
-    /// the right layout for a hierarchy built fresh for one simulated run.
+    /// Build an empty hierarchy.
     ///
     /// # Panics
     /// Panics if the configuration is invalid.
     pub fn new(cfg: HierarchyConfig) -> Self {
-        Self::with_cache_ctor(cfg, Cache::new)
-    }
-
-    /// Build an empty hierarchy with resident (preallocated SoA) set
-    /// storage — the right layout for a hierarchy that lives for a whole
-    /// process and is probed millions of times, e.g. the serve path's
-    /// shared state. Semantics are identical to [`MemoryHierarchy::new`];
-    /// only the memory layout of the set storage differs (see
-    /// [`Cache::new_resident`]).
-    ///
-    /// # Panics
-    /// Panics if the configuration is invalid.
-    pub fn new_resident(cfg: HierarchyConfig) -> Self {
-        Self::with_cache_ctor(cfg, Cache::new_resident)
-    }
-
-    fn with_cache_ctor(cfg: HierarchyConfig, ctor: fn(CacheConfig) -> Cache) -> Self {
         cfg.validate();
         let n_cores = cfg.num_cores();
         let n_l2 = cfg.num_l2();
@@ -127,9 +109,9 @@ impl MemoryHierarchy {
             }
         }
         MemoryHierarchy {
-            l1i: (0..n_cores).map(|_| ctor(cfg.l1i)).collect(),
-            l1d: (0..n_cores).map(|_| ctor(cfg.l1d)).collect(),
-            l2: (0..n_l2).map(|_| ctor(cfg.l2)).collect(),
+            l1i: (0..n_cores).map(|_| Cache::new(cfg.l1i)).collect(),
+            l1d: (0..n_cores).map(|_| Cache::new(cfg.l1d)).collect(),
+            l2: (0..n_l2).map(|_| Cache::new(cfg.l2)).collect(),
             core_to_l2,
             stats: CacheStats::default(),
             l1_sibling_invalidations: 0,

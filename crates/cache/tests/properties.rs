@@ -136,27 +136,6 @@ proptest! {
         }
     }
 
-    /// The resident (preallocated SoA) cache layout must be observably
-    /// identical to the per-run layout through the full MESI protocol:
-    /// same per-access outcomes, same counters, same miss taxonomy.
-    #[test]
-    fn resident_layout_is_protocol_identical(steps in prop::collection::vec(step(), 1..300)) {
-        let mut per_run = MemoryHierarchy::new(small_config());
-        let mut resident = MemoryHierarchy::new_resident(small_config());
-        for s in &steps {
-            let op = if s.write { MemOp::Write } else { MemOp::Read };
-            let kind = if s.instr { AccessKind::Instr } else { AccessKind::Data };
-            let a = per_run.access(s.core, s.addr, op, kind);
-            let b = resident.access(s.core, s.addr, op, kind);
-            prop_assert_eq!(a, b, "outcome diverged at {:?}", s);
-        }
-        prop_assert_eq!(per_run.stats(), resident.stats());
-        prop_assert_eq!(
-            per_run.l1_sibling_invalidations(),
-            resident.l1_sibling_invalidations()
-        );
-    }
-
     /// Writing threads placed behind the same L2 never cause interconnect
     /// invalidations; the same accesses split across chips can.
     #[test]

@@ -113,6 +113,29 @@ fn malformed_frame_gets_an_error_and_the_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_frame_is_refused_and_the_server_keeps_serving() {
+    let handle = start(ServeConfig::new());
+    let addr = handle.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+
+    // Half a megabyte of `[`: the parser must refuse it at its nesting cap
+    // rather than recurse once per byte on the event-loop thread.
+    let payload = vec![b'['; 500_000];
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    client.send_raw(&frame).unwrap();
+    match client.read_response().unwrap() {
+        tlbmap_serve::Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame),
+        other => panic!("expected a bad_frame error, got {other:?}"),
+    }
+
+    let mut fresh = Client::connect(&addr).unwrap();
+    fresh.health().unwrap();
+    fresh.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
 fn queue_saturation_answers_overloaded() {
     // One worker, one queue slot: a slow request occupies the worker, a
     // second fills the queue, a third must bounce.
