@@ -16,9 +16,7 @@ use tlbmap_core::{
 };
 use tlbmap_mapping::baselines;
 use tlbmap_mapping::HierarchicalMapper;
-use tlbmap_sim::{
-    simulate, simulate_with_plan, ExecPlan, Mapping, NoHooks, RunStats, SimConfig, Topology,
-};
+use tlbmap_sim::{simulate, Mapping, NoHooks, RunStats, SimConfig, Topology};
 use tlbmap_workloads::npb::{NpbApp, NpbParams, ProblemScale};
 use tlbmap_workloads::Workload;
 
@@ -41,12 +39,6 @@ pub struct CampaignConfig {
     /// Worker-thread cap for repetition sharding (`--workers N`); `None`
     /// means one worker per available core.
     pub workers: Option<usize>,
-    /// In-run core shards for the measured runs (`--shards N`); 1 keeps
-    /// the serial engine.
-    pub shards: usize,
-    /// Bounded-lag window override (`--lag CYCLES`); `None` picks serial
-    /// for one shard and the engine default otherwise.
-    pub lag: Option<u64>,
 }
 
 impl Default for CampaignConfig {
@@ -67,8 +59,6 @@ impl Default for CampaignConfig {
             seed: 0x71B,
             parallel: true,
             workers: None,
-            shards: 1,
-            lag: None,
         }
     }
 }
@@ -129,15 +119,6 @@ impl CampaignConfig {
                     cfg.workers = Some(need_value(i).parse().expect("--workers takes an integer"));
                     i += 2;
                 }
-                "--shards" => {
-                    cfg.shards = need_value(i).parse().expect("--shards takes an integer");
-                    assert!(cfg.shards >= 1, "--shards must be at least 1");
-                    i += 2;
-                }
-                "--lag" => {
-                    cfg.lag = Some(need_value(i).parse().expect("--lag takes an integer"));
-                    i += 2;
-                }
                 "--sequential" => {
                     cfg.parallel = false;
                     i += 1;
@@ -151,29 +132,9 @@ impl CampaignConfig {
     /// One-line reproducibility banner for experiment outputs.
     pub fn banner(&self) -> String {
         format!(
-            "# config: scale={:?} reps={} sm_threshold={} hm_period={} seed={} shards={} lag={}",
-            self.scale,
-            self.reps,
-            self.sm_threshold,
-            self.hm_period,
-            self.seed,
-            self.shards,
-            self.exec_plan().lag,
+            "# config: scale={:?} reps={} sm_threshold={} hm_period={} seed={}",
+            self.scale, self.reps, self.sm_threshold, self.hm_period, self.seed,
         )
-    }
-
-    /// The execution plan for the measured runs, mirroring the CLI: serial
-    /// by default, the windowed engine with its default lag when sharded,
-    /// any explicit `--lag` verbatim.
-    pub fn exec_plan(&self) -> ExecPlan {
-        match self.lag {
-            Some(lag) => ExecPlan {
-                shards: self.shards,
-                lag,
-            },
-            None if self.shards > 1 => ExecPlan::sharded(self.shards),
-            None => ExecPlan::serial(),
-        }
     }
 
     /// The machine: the paper's 8-core Harpertown pair.
@@ -353,8 +314,7 @@ pub fn run_performance(app: NpbApp, cfg: &CampaignConfig) -> PerfResult {
             1 => sm_mapping.clone(),
             _ => hm_mapping.clone(),
         };
-        simulate_with_plan(&sim, &topo, traces, &mapping, &mut NoHooks, cfg.exec_plan())
-            .expect("campaign plan rejected by the engine")
+        simulate(&sim, &topo, traces, &mapping, &mut NoHooks)
     };
 
     let jobs: Vec<(usize, u8)> = (0..cfg.reps)
@@ -399,8 +359,6 @@ mod tests {
             seed: 7,
             parallel: false,
             workers: None,
-            shards: 1,
-            lag: None,
         }
     }
 

@@ -18,7 +18,6 @@
 
 pub mod cache;
 pub mod config;
-pub mod domain;
 pub mod hierarchy;
 mod lineset;
 pub mod mesi;
@@ -26,7 +25,6 @@ pub mod stats;
 
 pub use cache::{Cache, EvictedLine, LineAddr};
 pub use config::{CacheConfig, HierarchyConfig, L2Group};
-pub use domain::{CohMsg, CoherenceImage, DomainHierarchy};
 pub use hierarchy::{AccessKind, AccessOutcome, MemOp, MemoryHierarchy};
 pub use mesi::MesiState;
 pub use stats::{CacheStats, MissKind};

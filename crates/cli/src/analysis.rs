@@ -17,7 +17,7 @@ use tlbmap_core::{SmConfig, SmDetector};
 use tlbmap_mapping::Mapping;
 use tlbmap_obs::{Json, ObsConfig, ProfId, Recorder, COUNTERS, PROF_NODES};
 use tlbmap_prof::{diff_docs, BenchRecord, DiffReport, Timeline};
-use tlbmap_sim::{simulate_observed_with_plan, SimConfig};
+use tlbmap_sim::{simulate_observed, SimConfig};
 
 /// Width of the sparkline bars in `analyze` tables.
 const BAR_WIDTH: usize = 20;
@@ -301,15 +301,7 @@ pub fn bench(o: Options) -> Result<(), String> {
     .with_recorder(rec.clone());
 
     let start = Instant::now();
-    let stats = simulate_observed_with_plan(
-        &sim,
-        &topo,
-        &workload.traces,
-        &mapping,
-        &mut det,
-        &rec,
-        o.exec_plan(),
-    )?;
+    let stats = simulate_observed(&sim, &topo, &workload.traces, &mapping, &mut det, &rec);
     let wall_nanos = (start.elapsed().as_nanos() as u64).max(1);
 
     let prof_total = rec.prof_total_cycles().max(1);

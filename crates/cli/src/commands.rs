@@ -11,10 +11,7 @@ use tlbmap_mapping::{
 };
 use tlbmap_obs::{Json, ObsConfig, Recorder, COUNTERS, HISTS};
 use tlbmap_prof::{compute_timeline, Timeline, DEFAULT_PHASE_THRESHOLD};
-use tlbmap_sim::{
-    simulate_observed, simulate_observed_with_plan, simulate_with_plan, NoHooks, RunStats,
-    SimConfig, Topology,
-};
+use tlbmap_sim::{simulate, simulate_observed, NoHooks, RunStats, SimConfig, Topology};
 
 fn topology(o: &Options) -> Topology {
     o.topology()
@@ -138,7 +135,6 @@ fn detect_matrix(o: &Options, rec: &Recorder) -> Result<(CommMatrix, RunStats), 
     let n = topo.num_cores();
     let workload = o.workload()?;
     let mapping = Mapping::identity(n);
-    let plan = o.exec_plan();
     match o.mechanism.as_str() {
         "sm" => {
             let sim = SimConfig::paper_software_managed(&topo);
@@ -149,48 +145,21 @@ fn detect_matrix(o: &Options, rec: &Recorder) -> Result<(CommMatrix, RunStats), 
                 },
             )
             .with_recorder(rec.clone());
-            let stats = simulate_observed_with_plan(
-                &sim,
-                &topo,
-                &workload.traces,
-                &mapping,
-                &mut det,
-                rec,
-                plan,
-            )?;
+            let stats = simulate_observed(&sim, &topo, &workload.traces, &mapping, &mut det, rec);
             Ok((det.take_matrix(), stats))
         }
         "hm" => {
             let sim = SimConfig::paper_hardware_managed(&topo).with_tick_period(Some(o.hm_period));
             let mut det =
                 HmDetector::new(n, HmConfig::scaled(o.hm_period)).with_recorder(rec.clone());
-            let stats = simulate_observed_with_plan(
-                &sim,
-                &topo,
-                &workload.traces,
-                &mapping,
-                &mut det,
-                rec,
-                plan,
-            )?;
+            let stats = simulate_observed(&sim, &topo, &workload.traces, &mapping, &mut det, rec);
             Ok((det.take_matrix(), stats))
         }
         "gt" => {
             let sim = SimConfig::paper_software_managed(&topo);
             let mut det = GroundTruthDetector::new(n, GroundTruthConfig::default())
                 .with_recorder(rec.clone());
-            // The exact detector observes every access inline, which the
-            // sharded engine cannot offer — the engine rejects that
-            // combination with a pointer back to `--shards 1`.
-            let stats = simulate_observed_with_plan(
-                &sim,
-                &topo,
-                &workload.traces,
-                &mapping,
-                &mut det,
-                rec,
-                plan,
-            )?;
+            let stats = simulate_observed(&sim, &topo, &workload.traces, &mapping, &mut det, rec);
             Ok((det.matrix().clone(), stats))
         }
         other => Err(format!("unknown mechanism `{other}` (sm|hm|gt)")),
@@ -305,15 +274,7 @@ pub fn simulate_cmd(o: Options) -> Result<(), String> {
     let mapping = parse_mapping(&o, &topo)?;
     println!("mapping (thread -> core): {:?}", mapping.as_slice());
     let sim = SimConfig::paper_hardware_managed(&topo).with_tick_period(None);
-    let stats = simulate_observed_with_plan(
-        &sim,
-        &topo,
-        &workload.traces,
-        &mapping,
-        &mut NoHooks,
-        &rec,
-        o.exec_plan(),
-    )?;
+    let stats = simulate_observed(&sim, &topo, &workload.traces, &mapping, &mut NoHooks, &rec);
     print_stats(&stats);
     // No detector ran, so there is no detected matrix to score: the
     // metrics document carries no timeline.
@@ -369,10 +330,9 @@ pub fn report(o: Options) -> Result<(), String> {
     println!("\n== mapping ==\nthread -> core: {:?}", mapping.as_slice());
 
     let sim = SimConfig::paper_hardware_managed(&topo).with_tick_period(None);
-    let plan = o.exec_plan();
     let baseline = baselines::random(topo.num_cores(), &topo, o.seed);
-    let before = simulate_with_plan(&sim, &topo, &workload.traces, &baseline, &mut NoHooks, plan)?;
-    let after = simulate_with_plan(&sim, &topo, &workload.traces, &mapping, &mut NoHooks, plan)?;
+    let before = simulate(&sim, &topo, &workload.traces, &baseline, &mut NoHooks);
+    let after = simulate(&sim, &topo, &workload.traces, &mapping, &mut NoHooks);
     println!("\n== baseline (random placement, seed {}) ==", o.seed);
     print_stats(&before);
     println!("\n== mapped ==");
@@ -625,54 +585,5 @@ mod tests {
     fn unknown_app_propagates() {
         let o = opts(&["nonsense", "--scale", "test"]);
         assert!(detect(o).is_err());
-    }
-
-    #[test]
-    fn sharded_simulate_metrics_are_byte_identical() {
-        // The tentpole's CLI-level contract: the metrics document of a
-        // windowed run is byte-for-byte the same at any shard count.
-        let dir = std::env::temp_dir().join("tlbmap_cli_shard_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let run = |name: &str, shards: &str| {
-            let path = dir.join(name);
-            let mut o = opts(&[
-                "ring", "--scale", "test", "--shards", shards, "--lag", "8192",
-            ]);
-            o.mapping = "identity".to_string();
-            o.metrics_out = Some(path.to_string_lossy().into_owned());
-            simulate_cmd(o).unwrap();
-            std::fs::read_to_string(&path).unwrap()
-        };
-        let serial = run("shards1.json", "1");
-        let sharded = run("shards4.json", "4");
-        assert_eq!(serial, sharded);
-        assert!(serial.contains("\"shard_barrier_waits\":"));
-        assert!(serial.contains("\"msgq_delivered\":"));
-    }
-
-    #[test]
-    fn ground_truth_refuses_sharding_with_a_pointer_back() {
-        let o = opts(&[
-            "ring",
-            "--scale",
-            "test",
-            "--mechanism",
-            "gt",
-            "--shards",
-            "2",
-        ]);
-        let err = detect(o).unwrap_err();
-        assert!(err.contains("inline"), "unexpected error: {err}");
-        // SM detection only needs the deferred miss replay, so it shards.
-        let o = opts(&[
-            "ring",
-            "--scale",
-            "test",
-            "--sm-threshold",
-            "1",
-            "--shards",
-            "2",
-        ]);
-        assert!(detect(o).is_ok());
     }
 }

@@ -55,13 +55,6 @@ COMMON:
   --seed <u64>                  workload seed             [1819]
   --sm-threshold <u32>          SM sampling threshold     [100]
   --hm-period <u64>             HM tick period (cycles)   [250000]
-  --shards <N>                  OS threads sharding one simulated run
-                                (deterministic: results are identical
-                                at any shard count)       [1]
-  --lag <CYCLES>                bounded-lag window of the sharded
-                                engine; 0 = exact serial engine
-                                (only valid with --shards 1)
-                                [0 serial / 8192 sharded]
 
 ANALYSIS:
   analyze   accuracy timeline, phase boundaries and cycle profile of a
@@ -137,11 +130,6 @@ pub struct Options {
     pub speedscope_out: Option<String>,
     /// Machine size: any power of two >= 4 cores (8 = Harpertown).
     pub cores: usize,
-    /// OS threads sharding one simulated run.
-    pub shards: usize,
-    /// Bounded-lag window; `None` picks 0 (serial) for one shard and the
-    /// engine default for more.
-    pub lag: Option<u64>,
     /// Problem scale.
     pub scale: ProblemScale,
     /// Workload seed.
@@ -174,8 +162,6 @@ impl Options {
             speedscope_out: None,
             out: None,
             cores: 8,
-            shards: 1,
-            lag: None,
             scale: ProblemScale::Workshop,
             seed: 1819,
             sm_threshold: 100,
@@ -276,19 +262,6 @@ impl Options {
                     tlbmap_sim::Topology::scaled(o.cores).map_err(|e| format!("--cores: {e}"))?;
                     i += 2;
                 }
-                "--shards" => {
-                    o.shards = value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?;
-                    if o.shards == 0 {
-                        return Err("--shards must be at least 1".into());
-                    }
-                    i += 2;
-                }
-                "--lag" => {
-                    o.lag = Some(value("--lag")?.parse().map_err(|e| format!("--lag: {e}"))?);
-                    i += 2;
-                }
                 "--scale" => {
                     o.scale = match value("--scale")?.as_str() {
                         "test" => ProblemScale::Test,
@@ -360,20 +333,6 @@ impl Options {
     /// family, with 8 cores being the paper's Harpertown.
     pub fn topology(&self) -> tlbmap_sim::Topology {
         tlbmap_sim::Topology::scaled(self.cores).expect("validated at parse time")
-    }
-
-    /// The execution plan from `--shards`/`--lag`: serial by default, the
-    /// windowed engine with the default window when sharded, any explicit
-    /// `--lag` verbatim (the engine rejects inconsistent combinations).
-    pub fn exec_plan(&self) -> tlbmap_sim::ExecPlan {
-        match self.lag {
-            Some(lag) => tlbmap_sim::ExecPlan {
-                shards: self.shards,
-                lag,
-            },
-            None if self.shards > 1 => tlbmap_sim::ExecPlan::sharded(self.shards),
-            None => tlbmap_sim::ExecPlan::serial(),
-        }
     }
 
     /// Generate the requested workload (one thread per `--cores` core),
@@ -622,41 +581,12 @@ mod tests {
         assert_eq!(o.topology().num_cores(), 8);
         assert!(parse(&["ring", "--cores", "7"]).is_err());
         assert!(parse(&["ring", "--cores", "abc"]).is_err());
-        // Any power of two >= 4 works now — the A/B study's sizes included.
+        // Any power of two >= 4 works, the scaling study's sizes included.
         for n in ["64", "128", "256"] {
             let o = parse(&["ring", "--cores", n]).unwrap();
             assert_eq!(o.topology().num_cores(), n.parse::<usize>().unwrap());
         }
         assert!(parse(&["ring", "--cores", "48"]).is_err());
-    }
-
-    #[test]
-    fn parses_shards_and_lag_into_a_plan() {
-        use tlbmap_sim::{ExecPlan, DEFAULT_LAG};
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.shards, 1);
-        assert_eq!(o.exec_plan(), ExecPlan::serial());
-        let o = parse(&["ring", "--shards", "4"]).unwrap();
-        assert_eq!(
-            o.exec_plan(),
-            ExecPlan {
-                shards: 4,
-                lag: DEFAULT_LAG
-            }
-        );
-        // An explicit lag selects the windowed engine even single-sharded,
-        // so byte-identity can be checked against `--shards N`.
-        let o = parse(&["ring", "--lag", "1024"]).unwrap();
-        assert_eq!(
-            o.exec_plan(),
-            ExecPlan {
-                shards: 1,
-                lag: 1024
-            }
-        );
-        assert!(parse(&["ring", "--shards", "0"]).is_err());
-        assert!(parse(&["ring", "--shards"]).is_err());
-        assert!(parse(&["ring", "--lag", "abc"]).is_err());
     }
 
     #[test]

@@ -108,11 +108,6 @@ impl MatrixSource for CounterEstimator {
 }
 
 impl SimHooks for CounterEstimator {
-    fn needs_inline_access(&self) -> bool {
-        // Models per-access hardware counters: every outcome must be seen.
-        true
-    }
-
     fn on_access_outcome(&mut self, _core: usize, thread: usize, outcome: &AccessOutcome) {
         if outcome.snooped {
             self.activity[thread] += 1;

@@ -113,12 +113,6 @@ impl<D: MatrixSource + SimHooks> WindowedDetector<D> {
 }
 
 impl<D: MatrixSource + SimHooks> SimHooks for WindowedDetector<D> {
-    fn needs_inline_access(&self) -> bool {
-        // Windows are closed by *access count*, so every access must be
-        // seen inline regardless of what the wrapped detector needs.
-        true
-    }
-
     fn on_access(&mut self, core: usize, thread: usize, vaddr: VirtAddr, op: MemOp) {
         self.inner.on_access(core, thread, vaddr, op);
         self.accesses += 1;
@@ -218,10 +212,6 @@ impl<D: MatrixSource + SimHooks> OnlineRemapper<D> {
 }
 
 impl<D: MatrixSource + SimHooks> SimHooks for OnlineRemapper<D> {
-    fn needs_inline_access(&self) -> bool {
-        self.detector.needs_inline_access()
-    }
-
     fn on_access(&mut self, core: usize, thread: usize, vaddr: VirtAddr, op: MemOp) {
         self.detector.on_access(core, thread, vaddr, op);
     }

@@ -125,10 +125,6 @@ impl<T> IterEnumerateMut<T> for Vec<T> {
 }
 
 impl SimHooks for GroundTruthDetector {
-    fn needs_inline_access(&self) -> bool {
-        true
-    }
-
     fn on_access(&mut self, _core: usize, thread: usize, vaddr: VirtAddr, _op: MemOp) {
         self.observe(thread, vaddr);
     }

@@ -200,13 +200,18 @@ impl CommMatrix {
         if rows.len() != n {
             return Err(err("row count does not match n"));
         }
-        let mut data = Vec::with_capacity(n * n);
         for row in rows {
             let cells = row.as_array().ok_or_else(|| err("row is not an array"))?;
             if cells.len() != n {
                 return Err(err("ragged row"));
             }
-            for cell in cells {
+        }
+        // Sized only now that the document really holds n² cells: n rows
+        // of `[]` fit in a small frame, n² reserved cells may not fit in
+        // memory.
+        let mut data = Vec::with_capacity(n * n);
+        for row in rows {
+            for cell in row.as_array().into_iter().flatten() {
                 data.push(cell.as_u64().ok_or_else(|| err("non-integer cell"))?);
             }
         }

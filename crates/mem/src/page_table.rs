@@ -45,19 +45,16 @@ pub struct WalkResult {
     pub allocated: bool,
 }
 
-/// How physical frames are assigned to virtual pages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How physical frames are assigned to virtual pages. First touch is the
+/// only policy; the type exists only because the benchmark harness
+/// (`perfbench/`) builds its page table through
+/// [`PageTable::with_alloc`], and goes with that harness's next change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameAlloc {
     /// Bump counter in first-touch order, scrambled for color diversity.
     /// The frame a page gets depends on *when* it was first touched
     /// relative to every other page.
-    #[default]
     FirstTouch,
-    /// Frame is a pure (bijective) function of the VPN itself. Allocation
-    /// order is irrelevant, so independent page-table replicas — one per
-    /// execution domain in the windowed engine — agree on every
-    /// translation without coordinating.
-    VpnKeyed,
 }
 
 /// A process-wide page table shared by every core running that process.
@@ -66,28 +63,22 @@ pub struct PageTable {
     geo: PageGeometry,
     map: HashMap<Vpn, Pfn>,
     next_frame: u64,
-    alloc: FrameAlloc,
 }
 
 impl PageTable {
     /// Create an empty page table with first-touch frame allocation.
     pub fn new(geo: PageGeometry) -> Self {
-        Self::with_alloc(geo, FrameAlloc::FirstTouch)
-    }
-
-    /// Create an empty page table with the given frame-allocation policy.
-    pub fn with_alloc(geo: PageGeometry, alloc: FrameAlloc) -> Self {
         PageTable {
             geo,
             map: HashMap::new(),
             next_frame: 0,
-            alloc,
         }
     }
 
-    /// The frame-allocation policy in use.
-    pub fn alloc_policy(&self) -> FrameAlloc {
-        self.alloc
+    /// [`PageTable::new`]; exists only for the benchmark harness
+    /// (`perfbench/`) and goes with that harness's next change.
+    pub fn with_alloc(geo: PageGeometry, _alloc: FrameAlloc) -> Self {
+        Self::new(geo)
     }
 
     /// The geometry this table was built for.
@@ -104,15 +95,8 @@ impl PageTable {
                 allocated: false,
             }
         } else {
-            let counter = match self.alloc {
-                FrameAlloc::FirstTouch => {
-                    let c = self.next_frame;
-                    self.next_frame += 1;
-                    c
-                }
-                FrameAlloc::VpnKeyed => vpn.0,
-            };
-            let pfn = Pfn(scramble_frame(counter));
+            let pfn = Pfn(scramble_frame(self.next_frame));
+            self.next_frame += 1;
             self.map.insert(vpn, pfn);
             WalkResult {
                 pfn,
@@ -210,32 +194,5 @@ mod tests {
         let a = pt.walk(Vpn(1)).pfn;
         let b = pt.walk(Vpn(2)).pfn;
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn vpn_keyed_frames_ignore_touch_order() {
-        let geo = PageGeometry::new_4k();
-        let mut a = PageTable::with_alloc(geo, FrameAlloc::VpnKeyed);
-        let mut b = PageTable::with_alloc(geo, FrameAlloc::VpnKeyed);
-        // Opposite first-touch orders, identical translations.
-        let fa: Vec<_> = [3u64, 9, 1, 7]
-            .iter()
-            .map(|&v| a.walk(Vpn(v)).pfn)
-            .collect();
-        let fb: Vec<_> = [7u64, 1, 9, 3]
-            .iter()
-            .map(|&v| b.walk(Vpn(v)).pfn)
-            .collect();
-        let mut fb_rev = fb.clone();
-        fb_rev.reverse();
-        assert_eq!(fa, fb_rev);
-        // First touch still pays the allocation access, replica or not.
-        assert_eq!(a.walk(Vpn(3)).memory_accesses, WALK_LEVELS);
-        assert_eq!(b.walk(Vpn(100)).memory_accesses, WALK_LEVELS + 1);
-        // Distinct VPNs still get distinct frames (bijective scramble).
-        let mut seen: std::collections::HashSet<_> = fa.into_iter().collect();
-        assert_eq!(seen.len(), 4);
-        seen.extend((200..400u64).map(|v| a.walk(Vpn(v)).pfn));
-        assert_eq!(seen.len(), 204);
     }
 }

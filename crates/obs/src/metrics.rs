@@ -93,15 +93,10 @@ pub enum CounterId {
     ServeLoopTicks,
     /// Mapping-service connections accepted by the readiness loop.
     ServeConnsAccepted,
-    /// Windowed-engine epochs completed (each ends in a logical shard
-    /// barrier where domains exchange coherence messages).
-    ShardBarrierWaits,
-    /// Cross-domain coherence messages delivered by the bounded-lag queue.
-    MsgqDelivered,
 }
 
 /// All counters, in registry order.
-pub const COUNTERS: [CounterId; 39] = [
+pub const COUNTERS: [CounterId; 37] = [
     CounterId::Accesses,
     CounterId::TlbMisses,
     CounterId::DetectionSearches,
@@ -139,8 +134,6 @@ pub const COUNTERS: [CounterId; 39] = [
     CounterId::WarmStartFallbacks,
     CounterId::ServeLoopTicks,
     CounterId::ServeConnsAccepted,
-    CounterId::ShardBarrierWaits,
-    CounterId::MsgqDelivered,
 ];
 
 impl CounterId {
@@ -184,8 +177,6 @@ impl CounterId {
             CounterId::WarmStartFallbacks => "warm_start_fallbacks",
             CounterId::ServeLoopTicks => "serve_loop_ticks",
             CounterId::ServeConnsAccepted => "serve_conns_accepted",
-            CounterId::ShardBarrierWaits => "shard_barrier_waits",
-            CounterId::MsgqDelivered => "msgq_delivered",
         }
     }
 }

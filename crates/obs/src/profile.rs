@@ -63,13 +63,10 @@ pub enum ProfId {
     /// One hierarchical-matching level (call counts; mapping runs
     /// off the simulated clock so it charges no cycles).
     MapperLevel,
-    /// Simulated slack at windowed-engine epoch barriers: cycles domains
-    /// sat parked waiting for the window horizon to close.
-    ShardBarrier,
 }
 
 /// All components, in tree order (parents before children).
-pub const PROF_NODES: [ProfId; 13] = [
+pub const PROF_NODES: [ProfId; 12] = [
     ProfId::Engine,
     ProfId::EngineCompute,
     ProfId::EngineAccess,
@@ -80,7 +77,6 @@ pub const PROF_NODES: [ProfId; 13] = [
     ProfId::TickDetectScan,
     ProfId::Barrier,
     ProfId::Migration,
-    ProfId::ShardBarrier,
     ProfId::Mapper,
     ProfId::MapperLevel,
 ];
@@ -101,7 +97,6 @@ impl ProfId {
             ProfId::Migration => "migration",
             ProfId::Mapper => "mapper",
             ProfId::MapperLevel => "level",
-            ProfId::ShardBarrier => "shard_barrier",
         }
     }
 
@@ -113,8 +108,7 @@ impl ProfId {
             | ProfId::EngineAccess
             | ProfId::EngineTick
             | ProfId::Barrier
-            | ProfId::Migration
-            | ProfId::ShardBarrier => Some(ProfId::Engine),
+            | ProfId::Migration => Some(ProfId::Engine),
             ProfId::TlbLookup | ProfId::MissDetectScan | ProfId::CacheAccess => {
                 Some(ProfId::EngineAccess)
             }
@@ -153,20 +147,6 @@ impl Profile {
     #[inline]
     pub fn charge(&self, id: ProfId, cycles: u64) {
         self.calls[id as usize].fetch_add(1, Ordering::Relaxed);
-        if cycles > 0 {
-            self.cycles[id as usize].fetch_add(cycles, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge a pre-aggregated batch: `cycles` exclusive cycles over
-    /// `calls` calls. Lets an engine that accumulates per-shard profile
-    /// sums settle them in one operation with the same end state as
-    /// per-event [`Profile::charge`] calls.
-    #[inline]
-    pub fn charge_many(&self, id: ProfId, cycles: u64, calls: u64) {
-        if calls > 0 {
-            self.calls[id as usize].fetch_add(calls, Ordering::Relaxed);
-        }
         if cycles > 0 {
             self.cycles[id as usize].fetch_add(cycles, Ordering::Relaxed);
         }

@@ -607,17 +607,6 @@ impl Recorder {
         }
     }
 
-    /// Charge a pre-aggregated profile batch: `cycles` over `calls` calls.
-    /// The windowed engine's shards accumulate their profile sums locally
-    /// and settle them here, reaching the same totals as per-event
-    /// [`Recorder::prof_charge`] calls would.
-    #[inline]
-    pub fn prof_charge_many(&self, id: ProfId, cycles: u64, calls: u64) {
-        if let Some(inner) = &self.inner {
-            inner.prof.charge_many(id, cycles, calls);
-        }
-    }
-
     /// Exclusive cycles charged to a profile component.
     pub fn prof_exclusive_cycles(&self, id: ProfId) -> u64 {
         self.inner

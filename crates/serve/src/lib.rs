@@ -88,6 +88,8 @@ pub use loadgen::{
     run_curve, run_loadgen, run_stream_loadgen, stream_delta, CurveConfig, CurvePoint, CurveReport,
     LoadgenConfig, LoadgenReport, SecondStat, StreamConfig, StreamReport,
 };
-pub use protocol::{AdminKind, DeltaDecision, ErrorCode, Request, Response, PROTOCOL_VERSION};
+pub use protocol::{
+    AdminKind, DeltaDecision, ErrorCode, Request, Response, MAX_SESSION_THREADS, PROTOCOL_VERSION,
+};
 pub use server::{Server, ServerHandle};
 pub use session::{DeltaOutcome, SessionRegistry, SessionSummary};

@@ -23,8 +23,8 @@
 //! | `health`        | —                                                                 |
 //! | `stats`         | —                                                                 |
 //! | `admin`         | `kind`: `stats` (live telemetry snapshot), `health` (liveness + uptime), `trace` (slow-request log), `flight` (flight-recorder windows + phases), `sessions` (streaming-session registry) |
-//! | `open_session`  | `topology` (optional, default 2×2×2), `decay_shift` / `drift_threshold_ppm` / `cooldown_deltas` (optional per-session overrides) |
-//! | `delta`         | `session`, `n` (thread count), `cells` (sparse upper-triangle `[i, j, amount]` triples) |
+//! | `open_session`  | `topology` (optional, default 2×2×2, at most [`MAX_SESSION_THREADS`] cores), `decay_shift` / `drift_threshold_ppm` / `cooldown_deltas` (optional per-session overrides) |
+//! | `delta`         | `session`, `n` (thread count, at most [`MAX_SESSION_THREADS`]), `cells` (sparse upper-triangle `[i, j, amount]` triples) |
 //! | `close_session` | `session`                                                         |
 //! | `shutdown`      | —                                                                 |
 //!
@@ -42,6 +42,12 @@ use tlbmap_sim::Topology;
 
 /// Protocol version spoken by this crate.
 pub const PROTOCOL_VERSION: u64 = 1;
+
+/// Largest thread count a streaming session (and so a `delta`) may carry.
+/// A session's window is a dense n² matrix allocated as the frame is
+/// handled, so the cap is what bounds per-session memory; 256 is the
+/// largest machine the repository simulates (`--cores 256`).
+pub const MAX_SESSION_THREADS: usize = 256;
 
 /// Stable error codes carried by error frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,7 +242,7 @@ pub fn topology_to_json(topo: &Topology) -> Json {
 }
 
 /// Parse a wire topology, rejecting zero arities (which `Topology::new`
-/// would panic on).
+/// would panic on) and core counts that overflow `usize`.
 pub fn topology_from_json(json: &Json) -> Result<Topology, String> {
     let field = |name: &str| -> Result<usize, String> {
         let v = json
@@ -248,11 +254,15 @@ pub fn topology_from_json(json: &Json) -> Result<Topology, String> {
         }
         Ok(v as usize)
     };
-    Ok(Topology {
+    let topo = Topology {
         chips: field("chips")?,
         l2_per_chip: field("l2_per_chip")?,
         cores_per_l2: field("cores_per_l2")?,
-    })
+    };
+    match topo.checked_num_cores() {
+        Some(_) => Ok(topo),
+        None => Err("topology: core count overflows".to_string()),
+    }
 }
 
 impl Request {
@@ -366,6 +376,13 @@ impl Request {
                     Some(t) => topology_from_json(t)?,
                     None => Topology::harpertown(),
                 };
+                let cores = topo.num_cores();
+                if cores > MAX_SESSION_THREADS {
+                    return Err(format!(
+                        "open_session request: {cores} cores exceed the session limit \
+                         of {MAX_SESSION_THREADS} threads"
+                    ));
+                }
                 let decay_shift = json
                     .get("decay_shift")
                     .and_then(Json::as_u64)
@@ -387,8 +404,10 @@ impl Request {
                     .get("n")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| "delta request: missing or mistyped field `n`".to_string())?;
-                if n == 0 || n > 1 << 16 {
-                    return Err(format!("delta request: `n` must be in 1..=65536, got {n}"));
+                if n == 0 || n > MAX_SESSION_THREADS as u64 {
+                    return Err(format!(
+                        "delta request: `n` must be in 1..={MAX_SESSION_THREADS}, got {n}"
+                    ));
                 }
                 let n = n as usize;
                 let cells = json.get("cells").and_then(Json::as_array).ok_or_else(|| {

@@ -136,6 +136,44 @@ fn deeply_nested_frame_is_refused_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn oversized_session_frames_are_refused_and_the_server_keeps_serving() {
+    let handle = start(ServeConfig::new());
+    let addr = handle.addr().to_string();
+
+    // Each frame is tiny but names a thread count whose dense n² window
+    // would take gigabytes (or petabytes) to allocate.
+    let mut empty_rows = String::from(r#"{"v":1,"req":"map","matrix":{"n":300000,"rows":["#);
+    empty_rows.push_str(&vec!["[]"; 300_000].join(","));
+    empty_rows.push_str("]}}");
+    let frames = [
+        r#"{"v":1,"req":"open_session","topology":{"chips":1,"l2_per_chip":1,"cores_per_l2":65536}}"#
+            .to_string(),
+        r#"{"v":1,"req":"open_session","topology":{"chips":65536,"l2_per_chip":65536,"cores_per_l2":65536}}"#
+            .to_string(),
+        r#"{"v":1,"req":"delta","session":1,"n":65536,"cells":[]}"#.to_string(),
+        empty_rows,
+    ];
+    for payload in &frames {
+        let mut client = Client::connect(&addr).unwrap();
+        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(payload.as_bytes());
+        client.send_raw(&frame).unwrap();
+        match client.read_response().unwrap() {
+            tlbmap_serve::Response::Error { code, .. } => {
+                assert_eq!(code, ErrorCode::BadRequest, "frame {}", &payload[..60])
+            }
+            other => panic!("expected a bad_request error, got {other:?}"),
+        }
+        let mut fresh = Client::connect(&addr).unwrap();
+        fresh.health().unwrap();
+    }
+
+    let mut client = Client::connect(&addr).unwrap();
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
 fn queue_saturation_answers_overloaded() {
     // One worker, one queue slot: a slow request occupies the worker, a
     // second fills the queue, a third must bounce.

@@ -28,11 +28,9 @@ pub struct SimConfig {
     /// NUMA page placement; `None` models the paper's UMA Harpertown.
     /// Takes effect when the hierarchy's `numa_remote_penalty` is nonzero.
     pub numa: Option<NumaConfig>,
-    /// Physical-frame allocation policy for the serial engine's page
-    /// table. The windowed engine always uses [`FrameAlloc::VpnKeyed`]
-    /// (its per-domain page-table replicas must agree without
-    /// coordinating); setting it here lets a serial run share the same
-    /// physical layout for parity comparisons.
+    /// Physical-frame allocation policy; always first touch. The field
+    /// exists only because the benchmark harness (`perfbench/`) reads it,
+    /// and goes with that harness's next change.
     pub frame_alloc: FrameAlloc,
     /// Clock frequency in Hz, used only to convert cycles to seconds for
     /// Table IV-style "per second" reporting (2 GHz Xeon E5405).
@@ -86,12 +84,6 @@ impl SimConfig {
     pub fn with_numa(mut self, policy: NumaPolicy, remote_penalty: u64) -> Self {
         self.numa = Some(NumaConfig { policy });
         self.hierarchy.numa_remote_penalty = remote_penalty;
-        self
-    }
-
-    /// Override the frame-allocation policy (builder style).
-    pub fn with_frame_alloc(mut self, alloc: FrameAlloc) -> Self {
-        self.frame_alloc = alloc;
         self
     }
 }

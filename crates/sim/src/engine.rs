@@ -26,51 +26,23 @@ use tlbmap_mem::{Mmu, PageTable};
 use tlbmap_obs::{CounterId, ProfId, Recorder};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ThreadState {
+enum ThreadState {
     Running,
     AtBarrier,
     Done,
 }
 
-/// Default bounded-lag window (simulated cycles) for sharded execution:
-/// wide enough that per-domain batches amortize the barrier, narrow
-/// enough that the coherence image stays fresh relative to the paper's
-/// barrier cadence.
-pub const DEFAULT_LAG: u64 = 8192;
-
-/// How a run executes: how many OS threads shard the simulated domains,
-/// and the bounded-lag window they synchronize on.
-///
-/// The metrics a run produces are a pure function of `lag` (and the
-/// workload/config) — `shards` only chunks the per-domain work across OS
-/// threads, so any shard count yields byte-identical results at a fixed
-/// lag. `lag == 0` selects the exact serial engine and requires
-/// `shards == 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecPlan {
-    /// OS threads to shard domains across (1 = in-process, no spawning).
-    pub shards: usize,
-    /// Bounded-lag window in simulated cycles; 0 = exact serial engine.
-    pub lag: u64,
-}
+/// The serial engine's only execution plan. Exists only because the
+/// benchmark harness (`perfbench/`) calls
+/// `simulate_with_plan(…, ExecPlan::serial())`; goes with that harness's
+/// next change.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecPlan;
 
 impl ExecPlan {
-    /// The exact serial engine (today's default).
+    /// The exact serial engine.
     pub fn serial() -> Self {
-        ExecPlan { shards: 1, lag: 0 }
-    }
-
-    /// Windowed execution over `shards` OS threads at [`DEFAULT_LAG`].
-    pub fn sharded(shards: usize) -> Self {
-        ExecPlan {
-            shards,
-            lag: DEFAULT_LAG,
-        }
-    }
-
-    /// Windowed execution with an explicit lag.
-    pub fn windowed(shards: usize, lag: u64) -> Self {
-        ExecPlan { shards, lag }
+        ExecPlan
     }
 }
 
@@ -116,14 +88,11 @@ pub fn simulate_observed(
     }
 }
 
-/// [`simulate`] under an [`ExecPlan`]: `plan.lag == 0` runs the exact
-/// serial engine; a nonzero lag runs the windowed engine, sharded over
-/// `plan.shards` OS threads.
+/// [`simulate`], wrapped for the benchmark harness (`perfbench/`); goes
+/// with that harness's next change.
 ///
 /// # Errors
-/// Rejects plans the windowed engine cannot honour deterministically:
-/// zero shards, `shards > 1` with `lag == 0`, NUMA configs, hook sets
-/// needing inline access, or non-contiguous L2 groups.
+/// Never; the `Result` keeps the harness's call site compiling.
 ///
 /// # Panics
 /// Same conditions as [`simulate`].
@@ -133,52 +102,9 @@ pub fn simulate_with_plan(
     traces: &[ThreadTrace],
     mapping: &Mapping,
     hooks: &mut dyn SimHooks,
-    plan: ExecPlan,
+    _plan: ExecPlan,
 ) -> Result<RunStats, String> {
-    simulate_observed_with_plan(
-        cfg,
-        topo,
-        traces,
-        mapping,
-        hooks,
-        &Recorder::disabled(),
-        plan,
-    )
-}
-
-/// [`simulate_observed`] under an [`ExecPlan`]; see [`simulate_with_plan`].
-///
-/// # Errors
-/// Same conditions as [`simulate_with_plan`].
-///
-/// # Panics
-/// Same conditions as [`simulate`].
-pub fn simulate_observed_with_plan(
-    cfg: &SimConfig,
-    topo: &Topology,
-    traces: &[ThreadTrace],
-    mapping: &Mapping,
-    hooks: &mut dyn SimHooks,
-    rec: &Recorder,
-    plan: ExecPlan,
-) -> Result<RunStats, String> {
-    if plan.shards == 0 {
-        return Err("shards must be at least 1".to_string());
-    }
-    if plan.lag == 0 {
-        if plan.shards > 1 {
-            return Err(format!(
-                "{} shards require a bounded-lag window; pass a nonzero lag",
-                plan.shards
-            ));
-        }
-        return Ok(simulate_observed(cfg, topo, traces, mapping, hooks, rec));
-    }
-    if rec.is_enabled() {
-        crate::shard::run_windowed::<true>(cfg, topo, traces, mapping, hooks, rec, plan)
-    } else {
-        crate::shard::run_windowed::<false>(cfg, topo, traces, mapping, hooks, rec, plan)
-    }
+    Ok(simulate(cfg, topo, traces, mapping, hooks))
 }
 
 fn run<const OBSERVED: bool>(
@@ -213,7 +139,7 @@ fn run<const OBSERVED: bool>(
     let mut thread_on_core = mapping.threads_on_cores(n_cores);
     let mut core_of: Vec<usize> = (0..n_threads).map(|t| mapping.core_of(t)).collect();
 
-    let mut page_table = PageTable::with_alloc(cfg.geometry, cfg.frame_alloc);
+    let mut page_table = PageTable::new(cfg.geometry);
     let mut mmus: Vec<Mmu> = (0..n_cores)
         .map(|_| Mmu::new(cfg.mmu, cfg.geometry))
         .collect();

@@ -54,17 +54,6 @@ pub trait SimHooks {
         false
     }
 
-    /// Declare that this hook set must see [`SimHooks::on_access`] /
-    /// [`SimHooks::on_access_outcome`] for every access, in global order.
-    /// The windowed (sharded) engine cannot provide that — accesses on
-    /// different domains run concurrently and those callbacks are not
-    /// replayed — so it refuses hook sets returning `true`. Ground-truth
-    /// tracers override this; the paper's SM/HM detectors (TLB-miss and
-    /// tick driven) do not need it.
-    fn needs_inline_access(&self) -> bool {
-        false
-    }
-
     /// Every memory access, before translation. Ground-truth detectors use
     /// this; the paper's mechanisms cannot (that would be full tracing).
     fn on_access(&mut self, core: usize, thread: usize, vaddr: VirtAddr, op: MemOp) {
@@ -143,10 +132,6 @@ impl<'a> ChainedHooks<'a> {
 impl SimHooks for ChainedHooks<'_> {
     fn is_inert(&self) -> bool {
         self.hooks.iter().all(|h| h.is_inert())
-    }
-
-    fn needs_inline_access(&self) -> bool {
-        self.hooks.iter().any(|h| h.needs_inline_access())
     }
 
     fn on_access(&mut self, core: usize, thread: usize, vaddr: VirtAddr, op: MemOp) {

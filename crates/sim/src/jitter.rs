@@ -76,56 +76,6 @@ impl Jitter {
     }
 }
 
-/// One thread's jitter stream, detached from the pool. The windowed engine
-/// carries this inside each thread's context so whichever shard executes
-/// the thread draws the exact sequence [`Jitter`] would have produced for
-/// it — jitter stays a per-thread property, independent of sharding.
-#[derive(Debug, Clone)]
-pub struct ThreadJitter {
-    rng: Option<SmallRng>,
-    amplitude: f64,
-}
-
-impl ThreadJitter {
-    /// The stream [`Jitter::new`] would build for `thread`.
-    ///
-    /// # Panics
-    /// Panics if the amplitude is outside `[0, 1)`.
-    pub fn new(config: Option<JitterConfig>, thread: usize) -> Self {
-        match config {
-            None => ThreadJitter {
-                rng: None,
-                amplitude: 0.0,
-            },
-            Some(c) => {
-                assert!(
-                    (0.0..1.0).contains(&c.amplitude),
-                    "jitter amplitude {} outside [0, 1)",
-                    c.amplitude
-                );
-                ThreadJitter {
-                    rng: Some(SmallRng::seed_from_u64(
-                        c.seed.wrapping_add(thread as u64 * 0x9E37_79B9),
-                    )),
-                    amplitude: c.amplitude,
-                }
-            }
-        }
-    }
-
-    /// Scale a compute duration for this thread.
-    pub fn scale(&mut self, cycles: u64) -> u64 {
-        let Some(rng) = &mut self.rng else {
-            return cycles;
-        };
-        if self.amplitude == 0.0 {
-            return cycles;
-        }
-        let f: f64 = rng.gen_range(1.0 - self.amplitude..=1.0 + self.amplitude);
-        (cycles as f64 * f).round() as u64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,20 +119,6 @@ mod tests {
         let va: Vec<u64> = (0..20).map(|_| a.scale(0, 10_000)).collect();
         let vb: Vec<u64> = (0..20).map(|_| b.scale(0, 10_000)).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn thread_jitter_reproduces_the_pooled_stream() {
-        let cfg = Some(JitterConfig::with_seed(42));
-        let mut pool = Jitter::new(cfg, 4);
-        for t in 0..4 {
-            let mut solo = ThreadJitter::new(cfg, t);
-            for i in 0..200u64 {
-                assert_eq!(solo.scale(1000 + i), pool.scale(t, 1000 + i));
-            }
-        }
-        let mut off = ThreadJitter::new(None, 0);
-        assert_eq!(off.scale(777), 777);
     }
 
     #[test]

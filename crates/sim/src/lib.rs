@@ -25,24 +25,18 @@ pub mod engine;
 pub mod hooks;
 pub mod jitter;
 pub mod mapping;
-pub mod msgq;
 pub mod numa;
 mod sched;
-pub mod shard;
 pub mod stats;
 pub mod topology;
 pub mod trace;
 
 pub use codec::{decode_traces, encode_traces, CodecError};
 pub use config::SimConfig;
-pub use engine::{
-    simulate, simulate_observed, simulate_observed_with_plan, simulate_with_plan, ExecPlan,
-    DEFAULT_LAG,
-};
+pub use engine::{simulate, simulate_observed, simulate_with_plan, ExecPlan};
 pub use hooks::{NoHooks, SimHooks, TlbView};
 pub use jitter::JitterConfig;
 pub use mapping::Mapping;
-pub use msgq::DelayedQueue;
 pub use numa::{NumaConfig, NumaPolicy};
 pub use stats::RunStats;
 pub use topology::Topology;

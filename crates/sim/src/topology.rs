@@ -98,6 +98,13 @@ impl Topology {
         self.chips * self.l2_per_chip * self.cores_per_l2
     }
 
+    /// [`Topology::num_cores`], or `None` when the product overflows.
+    pub fn checked_num_cores(&self) -> Option<usize> {
+        self.chips
+            .checked_mul(self.l2_per_chip)?
+            .checked_mul(self.cores_per_l2)
+    }
+
     /// Total number of shared L2 caches.
     pub fn num_l2(&self) -> usize {
         self.chips * self.l2_per_chip
