@@ -1,23 +1,17 @@
-//! `tlbmap analyze`, `tlbmap diff`, and `tlbmap bench` — the run-analysis
-//! subcommands built on [`tlbmap_prof`].
+//! `tlbmap analyze` and `tlbmap diff` — the run-analysis subcommands
+//! built on [`tlbmap_prof`].
 //!
 //! `analyze` pretty-prints the accuracy timeline and cycle profile out of
-//! a recorded metrics document (or a `BENCH_*.json` record). `diff`
-//! compares two documents and optionally gates on regressions. `bench`
-//! runs a seeded workload under full observation, times it on the host
-//! clock, and writes a machine-readable benchmark record.
+//! a recorded metrics document. `diff` compares two documents and
+//! optionally gates on regressions.
 //!
 //! The renderers are string-returning so tests can assert byte-identical
 //! output across identical seeded runs.
 
 use crate::opts::{DiffOptions, Options};
-use std::time::Instant;
 use tlbmap_bench::{bar, Table};
-use tlbmap_core::{SmConfig, SmDetector};
-use tlbmap_mapping::Mapping;
-use tlbmap_obs::{Json, ObsConfig, ProfId, Recorder, COUNTERS, PROF_NODES};
-use tlbmap_prof::{diff_docs, BenchRecord, DiffReport, Timeline};
-use tlbmap_sim::{simulate_observed, SimConfig};
+use tlbmap_obs::{Json, COUNTERS};
+use tlbmap_prof::{diff_docs, DiffReport, Timeline};
 
 /// Width of the sparkline bars in `analyze` tables.
 const BAR_WIDTH: usize = 20;
@@ -27,7 +21,7 @@ fn load(path: &str) -> Result<Json, String> {
     Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// `tlbmap analyze --from <metrics.json | BENCH_*.json>`
+/// `tlbmap analyze --from <metrics.json>`
 pub fn analyze(o: Options) -> Result<(), String> {
     let path = o
         .from
@@ -41,13 +35,9 @@ pub fn analyze(o: Options) -> Result<(), String> {
 /// Render the analysis of a run document. Public within the crate so the
 /// determinism tests can compare outputs without capturing stdout.
 pub(crate) fn analyze_to_string(doc: &Json) -> Result<String, String> {
-    if doc.get("kind").and_then(Json::as_str) == Some("bench") {
-        let record = BenchRecord::from_json(doc)?;
-        return Ok(render_bench(&record));
-    }
     let counters = doc
         .get("counters")
-        .ok_or("not a run document: no `counters` object (and not a bench record)")?;
+        .ok_or("not a run document: no `counters` object")?;
 
     let mut out = String::new();
     out.push_str("== run summary ==\n");
@@ -183,41 +173,6 @@ fn render_profile(doc: &Json) -> String {
     out
 }
 
-/// Render a benchmark record (the `analyze` view of a `BENCH_*.json`).
-fn render_bench(r: &BenchRecord) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "== bench record `{}` ({} @ {}, seed {}) ==\n",
-        r.name, r.app, r.scale, r.seed
-    ));
-    let mut t = Table::new(vec!["stat", "value"]);
-    t.row(vec!["events".to_string(), r.events.to_string()]);
-    t.row(vec!["accesses".to_string(), r.accesses.to_string()]);
-    t.row(vec!["tlb_misses".to_string(), r.tlb_misses.to_string()]);
-    t.row(vec!["total_cycles".to_string(), r.total_cycles.to_string()]);
-    t.row(vec!["wall_nanos".to_string(), r.wall_nanos.to_string()]);
-    t.row(vec![
-        "events_per_sec".to_string(),
-        format!("{:.0}", r.events_per_sec),
-    ]);
-    t.row(vec![
-        "misses_per_sec".to_string(),
-        format!("{:.0}", r.misses_per_sec),
-    ]);
-    out.push_str(&t.render());
-    out.push_str("\n== cycle shares ==\n");
-    let mut t = Table::new(vec!["component", "share", "trend"]);
-    for (path, share) in &r.cycle_shares {
-        t.row(vec![
-            path.clone(),
-            format!("{:.1}%", 100.0 * share),
-            bar(*share, 1.0, BAR_WIDTH),
-        ]);
-    }
-    out.push_str(&t.render());
-    out
-}
-
 /// `tlbmap diff [--fail-above <pct>] <a.json> <b.json>`
 ///
 /// Returns `Err` — a non-zero process exit — when the gate is armed and
@@ -279,80 +234,6 @@ pub(crate) fn diff_to_string(report: &DiffReport, a_name: &str, b_name: &str) ->
     out
 }
 
-/// `tlbmap bench [APP] [--out BENCH_<name>.json]`
-///
-/// Runs the workload once under the SM detector with full observation,
-/// times the simulation on the host clock, and writes a benchmark record.
-/// The record's `workload`/`counters`/`cycle_shares` sections are
-/// deterministic for a given seed; only the wall-clock stats vary.
-pub fn bench(o: Options) -> Result<(), String> {
-    let topo = o.topology();
-    let n = topo.num_cores();
-    let workload = o.workload()?;
-    let mapping = Mapping::identity(n);
-    let sim = SimConfig::paper_software_managed(&topo);
-    let rec = Recorder::new(ObsConfig::new(n));
-    let mut det = SmDetector::new(
-        n,
-        SmConfig {
-            sample_threshold: o.sm_threshold,
-        },
-    )
-    .with_recorder(rec.clone());
-
-    let start = Instant::now();
-    let stats = simulate_observed(&sim, &topo, &workload.traces, &mapping, &mut det, &rec);
-    let wall_nanos = (start.elapsed().as_nanos() as u64).max(1);
-
-    let prof_total = rec.prof_total_cycles().max(1);
-    let cycle_shares: Vec<(String, f64)> = PROF_NODES
-        .iter()
-        .filter(|&&id| rec.prof_calls(id) > 0 && !matches!(id, ProfId::Engine | ProfId::Mapper))
-        .map(|&id| {
-            (
-                id.path(),
-                rec.prof_exclusive_cycles(id) as f64 / prof_total as f64,
-            )
-        })
-        .collect();
-
-    let path = o
-        .out
-        .clone()
-        .unwrap_or_else(|| format!("BENCH_{}.json", o.app));
-    let name = std::path::Path::new(&path)
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| o.app.clone());
-    let secs = wall_nanos as f64 / 1e9;
-    let record = BenchRecord {
-        name,
-        app: o.app.clone(),
-        scale: format!("{:?}", o.scale).to_lowercase(),
-        seed: o.seed,
-        events: workload.total_events() as u64,
-        accesses: stats.accesses,
-        tlb_misses: stats.tlb_misses(),
-        total_cycles: stats.total_cycles,
-        wall_nanos,
-        events_per_sec: workload.total_events() as f64 / secs,
-        misses_per_sec: stats.tlb_misses() as f64 / secs,
-        cycle_shares,
-    };
-
-    let mut text = record.to_json().render();
-    text.push('\n');
-    std::fs::write(&path, text).map_err(|e| format!("{path}: {e}"))?;
-    eprintln!(
-        "# bench record written to {path}: {} events in {:.3} ms ({:.0} events/sec)",
-        record.events,
-        secs * 1e3,
-        record.events_per_sec
-    );
-    print!("{}", render_bench(&record));
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,6 +271,22 @@ mod tests {
         assert!(text.contains("== cycle profile =="), "{text}");
         assert!(text.contains("engine;access;tlb"), "{text}");
         assert!(text.contains("== collapsed stacks"), "{text}");
+        // The charged leaves partition the profile: the roots (`engine`,
+        // `mapper`) only aggregate, so every cycle lands in a leaf.
+        let profile = doc.get("profile").and_then(Json::as_array).unwrap();
+        let field = |item: &Json, key: &str| item.get(key).and_then(Json::as_u64).unwrap();
+        let total: u64 = profile.iter().map(|i| field(i, "exclusive_cycles")).sum();
+        let leaves: u64 = profile
+            .iter()
+            .filter(|i| field(i, "calls") > 0)
+            .filter(|i| {
+                let component = i.get("component").and_then(Json::as_str).unwrap();
+                !matches!(component, "engine" | "mapper")
+            })
+            .map(|i| field(i, "exclusive_cycles"))
+            .sum();
+        assert!(total > 0);
+        assert_eq!(leaves, total, "leaf cycles must partition the profile");
         // The command wrapper needs --from.
         assert!(analyze(opts(&[])).is_err());
         let mut o = opts(&[]);
@@ -471,41 +368,5 @@ mod tests {
         assert!(diff(d(Some(5.0))).is_err());
         assert!(diff(d(Some(20.0))).is_ok());
         assert!(diff(d(None)).is_ok());
-    }
-
-    #[test]
-    fn bench_writes_a_valid_record() {
-        let path = tmp("BENCH_test.json").to_string_lossy().into_owned();
-        let mut o = opts(&["ring", "--scale", "test", "--sm-threshold", "1"]);
-        o.out = Some(path.clone());
-        bench(o).unwrap();
-        let record = BenchRecord::from_json(&load(&path).unwrap()).unwrap();
-        assert_eq!(record.name, "BENCH_test");
-        assert_eq!(record.app, "ring");
-        assert_eq!(record.scale, "test");
-        assert!(record.events > 0);
-        assert!(record.total_cycles > 0);
-        assert!(record.events_per_sec > 0.0);
-        let share_sum: f64 = record.cycle_shares.iter().map(|(_, s)| s).sum();
-        assert!(
-            (share_sum - 1.0).abs() < 1e-9,
-            "leaf shares must partition charged cycles, got {share_sum}"
-        );
-        // Analyze understands bench records too.
-        let text = analyze_to_string(&load(&path).unwrap()).unwrap();
-        assert!(text.contains("== bench record"), "{text}");
-        assert!(text.contains("== cycle shares =="), "{text}");
-        // The deterministic sections survive a re-run; only the
-        // wall-clock stats may differ between the two records.
-        let path2 = tmp("BENCH_test2.json").to_string_lossy().into_owned();
-        let mut o2 = opts(&["ring", "--scale", "test", "--sm-threshold", "1"]);
-        o2.out = Some(path2.clone());
-        bench(o2).unwrap();
-        let record2 = BenchRecord::from_json(&load(&path2).unwrap()).unwrap();
-        assert_eq!(record.events, record2.events);
-        assert_eq!(record.accesses, record2.accesses);
-        assert_eq!(record.tlb_misses, record2.tlb_misses);
-        assert_eq!(record.total_cycles, record2.total_cycles);
-        assert_eq!(record.cycle_shares, record2.cycle_shares);
     }
 }

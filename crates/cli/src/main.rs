@@ -10,7 +10,6 @@
 //! tlbmap analyze --from <metrics.json> accuracy timeline + cycle profile of a run
 //! tlbmap inspect --from <metrics.json> flight-recorder phase explorer of a run
 //! tlbmap diff <a.json> <b.json>        compare two runs, optionally gate regressions
-//! tlbmap bench <APP> [opts]            timed run, write a BENCH_<name>.json record
 //! tlbmap serve [opts]                  run the mapping service over TCP
 //! tlbmap client <action> [opts]        one request against a running service
 //! tlbmap loadgen [opts]                drive a service with N connections x M requests
@@ -46,7 +45,6 @@ fn main() -> ExitCode {
         "analyze" => opts::Options::parse(&args[2..]).and_then(analysis::analyze),
         "inspect" => opts::Options::parse(&args[2..]).and_then(inspect::inspect),
         "diff" => opts::DiffOptions::parse(&args[2..]).and_then(analysis::diff),
-        "bench" => opts::Options::parse(&args[2..]).and_then(analysis::bench),
         "serve" => serve_cmd::ServeOptions::parse(&args[2..]).and_then(serve_cmd::serve),
         "client" => serve_cmd::ClientOptions::parse(&args[2..], true).and_then(serve_cmd::client),
         "loadgen" => {

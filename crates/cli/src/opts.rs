@@ -19,7 +19,6 @@ USAGE:
   tlbmap inspect  --from <metrics.json> [--html-out <FILE>]
                   [--speedscope-out <FILE>]
   tlbmap diff     [--fail-above <pct>] <a.json> <b.json>
-  tlbmap bench    [APP] [--out BENCH_<name>.json] [--cores N] [COMMON]
   tlbmap stats    [APP] [COMMON]
   tlbmap export   [APP] --out <FILE> [COMMON]
   tlbmap serve    [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
@@ -65,11 +64,9 @@ ANALYSIS:
             quality and cycle attribution; `--html-out` writes a
             self-contained HTML report with SVG heatmaps,
             `--speedscope-out` a speedscope-importable profile
-  diff      per-stat comparison of two metrics/bench JSON files; with
+  diff      per-stat comparison of two metrics JSON files; with
             --fail-above <pct> acts as a regression gate (non-zero exit
             when any gated stat regresses by more than <pct> percent)
-  bench     run a seeded workload under full observation and write a
-            machine-readable BENCH_<name>.json performance record
 
 SERVICE:
   serve     run the mapping service: a TCP server with a bounded work

@@ -1,18 +1,16 @@
 //! Run diffing and regression gating.
 //!
-//! Compares the numeric stats of two run documents — metrics JSON from
-//! `--metrics-out` or benchmark records from `tlbmap bench` — and decides
-//! whether the second run regressed. Stats are flattened to dotted keys
-//! (`counters.tlb_misses`, `histograms.detection_search_cycles.sum`,
-//! `stats.events_per_sec`, …); arrays (snapshots, events, buckets,
-//! timeline entries) are summarized by the scalars around them rather
-//! than diffed cell by cell.
+//! Compares the numeric stats of two metrics documents (as written by
+//! `--metrics-out`) and decides whether the second run regressed. Stats
+//! are flattened to dotted keys (`counters.tlb_misses`,
+//! `histograms.detection_search_cycles.sum`, …); arrays (snapshots,
+//! events, buckets, timeline entries) are summarized by the scalars
+//! around them rather than diffed cell by cell.
 //!
-//! The gate is direction-aware: throughput-style keys (`*_per_sec`)
-//! regress when they *drop*, cost-style keys (misses, overhead, cycles,
-//! drops) regress when they *grow*, and everything else — counters that
-//! should be bit-identical between two runs of the same seeded
-//! configuration — breaches on *any* relative change beyond the
+//! Every stat is simulated, so two runs of the same seeded configuration
+//! agree bit for bit. The gate is direction-aware: cost-style keys
+//! (misses, overhead, cycles, drops) regress when they *grow*, and
+//! everything else breaches on *any* relative change beyond the
 //! threshold. A key present in only one document is schema drift and
 //! always breaches.
 
@@ -21,8 +19,6 @@ use tlbmap_obs::Json;
 /// Which direction of change counts as a regression for a stat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
-    /// Larger is better (throughput): regression when the value drops.
-    HigherIsBetter,
     /// Smaller is better (cost): regression when the value grows.
     LowerIsBetter,
     /// Deterministic stat: any drift beyond the threshold is a regression.
@@ -33,13 +29,10 @@ impl Direction {
     /// Classify a flattened key by naming convention.
     pub fn of_key(key: &str) -> Direction {
         let leaf = key.rsplit('.').next().unwrap_or(key);
-        if leaf.ends_with("_per_sec") {
-            Direction::HigherIsBetter
-        } else if leaf.contains("miss")
+        if leaf.contains("miss")
             || leaf.contains("overhead")
             || leaf.contains("cycles")
             || leaf.contains("dropped")
-            || leaf.contains("wall_nanos")
         {
             Direction::LowerIsBetter
         } else {
@@ -174,11 +167,8 @@ fn entry(key: &str, a: Option<f64>, b: Option<f64>, gate: Option<f64>) -> DiffEn
             // Schema drift: a stat appeared or vanished.
             (None, _, _) | (_, None, _) => true,
             // Baseline zero, candidate nonzero: infinite relative growth.
-            (Some(_), Some(vb), None) => {
-                vb != 0.0 && matches!(direction, Direction::LowerIsBetter | Direction::Exact)
-            }
+            (Some(_), Some(vb), None) => vb != 0.0,
             (Some(_), Some(_), Some(pct)) => match direction {
-                Direction::HigherIsBetter => pct < -threshold,
                 Direction::LowerIsBetter => pct > threshold,
                 Direction::Exact => pct.abs() > threshold,
             },
@@ -214,27 +204,24 @@ mod tests {
 
     #[test]
     fn directionality_of_the_gate() {
-        let a = doc(r#"{"stats":{"events_per_sec":1000,"tlb_misses":100,"accesses":50}}"#);
-        // Throughput up, misses down, accesses unchanged: all fine.
-        let better = doc(r#"{"stats":{"events_per_sec":1200,"tlb_misses":80,"accesses":50}}"#);
+        let a = doc(r#"{"counters":{"tlb_misses":100,"accesses":50}}"#);
+        // Misses down, accesses unchanged: fine.
+        let better = doc(r#"{"counters":{"tlb_misses":80,"accesses":50}}"#);
         assert!(diff_docs(&a, &better, Some(5.0)).passed());
-        // Throughput down 10%: breach.
-        let slower = doc(r#"{"stats":{"events_per_sec":900,"tlb_misses":100,"accesses":50}}"#);
-        let r = diff_docs(&a, &slower, Some(5.0));
-        assert!(!r.passed());
-        assert_eq!(r.regressions()[0].key, "stats.events_per_sec");
         // Misses up 10%: breach.
-        let missier = doc(r#"{"stats":{"events_per_sec":1000,"tlb_misses":110,"accesses":50}}"#);
-        assert!(!diff_docs(&a, &missier, Some(5.0)).passed());
+        let missier = doc(r#"{"counters":{"tlb_misses":110,"accesses":50}}"#);
+        let r = diff_docs(&a, &missier, Some(5.0));
+        assert!(!r.passed());
+        assert_eq!(r.regressions()[0].key, "counters.tlb_misses");
         // Exact stat drifting either way: breach.
-        let drifted = doc(r#"{"stats":{"events_per_sec":1000,"tlb_misses":100,"accesses":40}}"#);
+        let drifted = doc(r#"{"counters":{"tlb_misses":100,"accesses":40}}"#);
         assert!(!diff_docs(&a, &drifted, Some(5.0)).passed());
     }
 
     #[test]
     fn within_threshold_changes_pass() {
-        let a = doc(r#"{"stats":{"events_per_sec":1000,"tlb_misses":100}}"#);
-        let b = doc(r#"{"stats":{"events_per_sec":970,"tlb_misses":103}}"#);
+        let a = doc(r#"{"counters":{"accesses":1000,"tlb_misses":100}}"#);
+        let b = doc(r#"{"counters":{"accesses":970,"tlb_misses":103}}"#);
         assert!(diff_docs(&a, &b, Some(5.0)).passed());
         assert!(!diff_docs(&a, &b, Some(2.0)).passed());
         // No gate: nothing regresses, but changes are still reported.
@@ -273,10 +260,6 @@ mod tests {
 
     #[test]
     fn direction_classification() {
-        assert_eq!(
-            Direction::of_key("stats.events_per_sec"),
-            Direction::HigherIsBetter
-        );
         assert_eq!(
             Direction::of_key("counters.tlb_misses"),
             Direction::LowerIsBetter

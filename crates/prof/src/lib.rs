@@ -15,22 +15,17 @@
 //!   for `tlbmap inspect` and phase-level analysis.
 //! * [`diff`] — compare two runs' metrics documents stat by stat, with a
 //!   configurable regression gate (`--fail-above`) suitable for CI.
-//! * [`benchrec`] — a stable machine-readable performance record
-//!   (events/sec, misses/sec, per-component cycle shares) seeding the
-//!   benchmark trajectory in `BENCH_*.json` files.
 //!
 //! Everything here is deterministic given deterministic inputs: two
 //! identical seeded runs produce byte-identical timelines and an empty
-//! diff. Only the wall-clock fields of a [`benchrec::BenchRecord`] vary.
+//! diff. Host timing is not measured here; `perfbench/` owns it.
 
 #![warn(missing_docs)]
 
-pub mod benchrec;
 pub mod diff;
 pub mod phases;
 pub mod timeline;
 
-pub use benchrec::BenchRecord;
 pub use diff::{diff_docs, DiffEntry, DiffReport, Direction};
 pub use phases::{FlightReport, PhaseComponent, PhaseSummary, PhaseWindow};
 pub use timeline::{compute_timeline, Scores, Timeline, TimelineEntry, DEFAULT_PHASE_THRESHOLD};

@@ -7,7 +7,7 @@
 //! cumulative matrix (does detection converge?) and the windowed delta
 //! matrix (what was detected *recently*, which shifts at phase changes).
 //! Phase boundaries are flagged where consecutive windowed patterns
-//! diverge (cosine similarity below a threshold), the same criterion
+//! diverge (cosine similarity below a threshold), the same test
 //! `tlbmap_core::detect_phase_changes` applies to windowed detectors.
 
 use tlbmap_core::metrics::{cosine_similarity, normalized_mse, pearson_correlation};
