@@ -7,12 +7,12 @@
 //! events, buckets, timeline entries) are summarized by the scalars
 //! around them rather than diffed cell by cell.
 //!
-//! Every stat is simulated, so two runs of the same seeded configuration
-//! agree bit for bit. The gate is direction-aware: cost-style keys
-//! (misses, overhead, cycles, drops) regress when they *grow*, and
-//! everything else breaches on *any* relative change beyond the
-//! threshold. A key present in only one document is schema drift and
-//! always breaches.
+//! A seeded run's stats are simulated, so two runs of the same
+//! configuration agree bit for bit. The gate is direction-aware:
+//! cost-style keys (misses, overhead, cycles, drops) regress when they
+//! *grow*, and everything else breaches on *any* relative change beyond
+//! the threshold. A key present in only one document is schema drift
+//! and always breaches.
 
 use tlbmap_obs::Json;
 
