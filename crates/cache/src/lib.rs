@@ -19,7 +19,7 @@
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
-mod lineset;
+mod linetable;
 pub mod mesi;
 pub mod stats;
 

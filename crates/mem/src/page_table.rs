@@ -11,6 +11,7 @@
 
 use crate::addr::{PageGeometry, Pfn, Vpn};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Bijective frame-number scramble (the splitmix64 finalizer — every step
 /// is invertible, so distinct counters yield distinct frames). A *linear*
@@ -25,6 +26,30 @@ fn scramble_frame(counter: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// A multiplicative hasher for VPN keys: one multiply per key where SipHash
+/// runs several rounds on every TLB miss. The rotate moves the product's
+/// well-mixed high bits to where `HashMap` picks buckets, so strided VPNs
+/// spread too. Nothing iterates the map, so its order reaches no output.
+#[derive(Debug, Clone, Copy, Default)]
+struct VpnHasher(u64);
+
+impl Hasher for VpnHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
 }
 
 /// Number of levels the modelled page table has. Each level costs one memory
@@ -61,7 +86,7 @@ pub enum FrameAlloc {
 #[derive(Debug, Clone)]
 pub struct PageTable {
     geo: PageGeometry,
-    map: HashMap<Vpn, Pfn>,
+    map: HashMap<Vpn, Pfn, BuildHasherDefault<VpnHasher>>,
     next_frame: u64,
 }
 
@@ -70,7 +95,7 @@ impl PageTable {
     pub fn new(geo: PageGeometry) -> Self {
         PageTable {
             geo,
-            map: HashMap::new(),
+            map: HashMap::default(),
             next_frame: 0,
         }
     }

@@ -134,6 +134,8 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
+    /// `sets() - 1`, kept so that indexing needs no divide.
+    set_mask: usize,
     /// `sets() * ways` slots, set-major.
     slots: Vec<Slot>,
     clock: u64,
@@ -162,6 +164,7 @@ impl Tlb {
         config.validate();
         Tlb {
             config,
+            set_mask: config.sets() - 1,
             slots: vec![
                 Slot {
                     entry: None,
@@ -190,7 +193,7 @@ impl Tlb {
     /// The set a VPN indexes into.
     #[inline]
     pub fn set_index(&self, vpn: Vpn) -> usize {
-        (vpn.0 as usize) & (self.config.sets() - 1)
+        (vpn.0 as usize) & self.set_mask
     }
 
     #[inline]

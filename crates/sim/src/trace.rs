@@ -149,12 +149,6 @@ impl PackedEvent {
             },
         }
     }
-
-    /// Whether this word encodes a barrier.
-    #[inline]
-    pub fn is_barrier(self) -> bool {
-        self.0 == BARRIER_WORD
-    }
 }
 
 // The whole point: one word per event.
@@ -170,29 +164,34 @@ const _: () = assert!(std::mem::size_of::<PackedEvent>() == 8);
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ThreadTrace {
     words: Vec<PackedEvent>,
+    /// Barrier events in `words`, kept by every method that adds events.
+    barriers: usize,
 }
 
 impl ThreadTrace {
     /// An empty trace.
     pub fn new() -> Self {
-        ThreadTrace { words: Vec::new() }
+        ThreadTrace::default()
     }
 
     /// An empty trace with room for `n` events.
     pub fn with_capacity(n: usize) -> Self {
         ThreadTrace {
             words: Vec::with_capacity(n),
+            barriers: 0,
         }
     }
 
     /// Append an event.
     #[inline]
     pub fn push(&mut self, e: TraceEvent) {
+        self.barriers += usize::from(e == TraceEvent::Barrier);
         self.words.push(PackedEvent::pack(e));
     }
 
     /// Insert an event at `index`, shifting everything after it.
     pub fn insert(&mut self, index: usize, e: TraceEvent) {
+        self.barriers += usize::from(e == TraceEvent::Barrier);
         self.words.insert(index, PackedEvent::pack(e));
     }
 
@@ -234,9 +233,12 @@ impl From<Vec<TraceEvent>> for ThreadTrace {
 
 impl FromIterator<TraceEvent> for ThreadTrace {
     fn from_iter<I: IntoIterator<Item = TraceEvent>>(iter: I) -> Self {
-        ThreadTrace {
-            words: iter.into_iter().map(PackedEvent::pack).collect(),
+        let iter = iter.into_iter();
+        let mut trace = ThreadTrace::with_capacity(iter.size_hint().0);
+        for e in iter {
+            trace.push(e);
         }
+        trace
     }
 }
 
@@ -250,14 +252,15 @@ impl<'a> IntoIterator for &'a ThreadTrace {
     }
 }
 
-/// Count the barriers in a trace (phases = barriers + 1).
+/// Count the barriers in a trace (phases = barriers + 1). O(1): the trace
+/// keeps the count as events are added.
 pub fn barrier_count(trace: &ThreadTrace) -> usize {
-    trace.words.iter().filter(|w| w.is_barrier()).count()
+    trace.barriers
 }
 
 /// Check that every thread has the same number of barriers — a malformed
 /// workload would deadlock a real barrier implementation; the engine
-/// requires this instead.
+/// requires this instead. O(threads).
 pub fn barriers_consistent(traces: &[ThreadTrace]) -> bool {
     let mut counts = traces.iter().map(barrier_count);
     match counts.next() {
@@ -366,6 +369,33 @@ mod tests {
         ]
         .into();
         assert_eq!(barrier_count(&t), 2);
+    }
+
+    #[test]
+    fn barrier_count_follows_every_way_of_adding_events() {
+        let decoded = |t: &ThreadTrace| t.iter().filter(|&e| e == TraceEvent::Barrier).count();
+        let events = [
+            TraceEvent::Barrier,
+            TraceEvent::read(VirtAddr(64)),
+            TraceEvent::Barrier,
+            TraceEvent::Compute(3),
+        ];
+        let collected: ThreadTrace = events.iter().copied().collect();
+        let mut pushed = ThreadTrace::with_capacity(4);
+        for e in events {
+            pushed.push(e);
+        }
+        assert_eq!(pushed, collected);
+        let mut t = collected;
+        assert_eq!(barrier_count(&t), 2);
+        t.insert(1, TraceEvent::Barrier);
+        t.insert(0, TraceEvent::write(VirtAddr(8)));
+        t.insert(t.len(), TraceEvent::Barrier);
+        assert_eq!(barrier_count(&t), 4);
+        assert_eq!(barrier_count(&t), decoded(&t));
+        assert_eq!(barrier_count(&ThreadTrace::new()), 0);
+        let c: ThreadTrace = vec![TraceEvent::Barrier; 4].into();
+        assert!(barriers_consistent(&[t, c]));
     }
 
     #[test]
