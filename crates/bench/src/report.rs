@@ -87,7 +87,7 @@ const SPARK_GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇'
 /// so a flat idle series still has visible width. A single-sample series
 /// is flat by construction (there is no shape to scale against), so it
 /// also renders as the minimum glyph instead of a misleading full-height
-/// block. Used by `tlbmap top` and the loadgen timeline.
+/// block. Used by `tlbmap top`, `inspect` and the loadgen curve.
 pub fn sparkline(values: &[f64]) -> String {
     // With fewer than two samples the series has no relative shape: every
     // finite value is simultaneously the minimum and the maximum.

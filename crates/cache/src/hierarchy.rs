@@ -15,7 +15,7 @@
 
 use crate::cache::{Cache, LineAddr};
 use crate::config::HierarchyConfig;
-use crate::linetable::LineTable;
+use crate::linetable::{LineTable, EVER, HOLDERS, LOST};
 use crate::mesi::MesiState;
 use crate::stats::{CacheStats, MissKind};
 use std::collections::HashSet;
@@ -358,7 +358,7 @@ impl MemoryHierarchy {
         // One pass over the holder bitmap: every holder is demoted to
         // Shared (BusRd seen) while its old state picks the supplier.
         let mut supplier = Supplier::default();
-        for other in l2s_in(self.lines[slot].holders & !(1u64 << g)) {
+        for other in l2s_in(self.lines[slot][HOLDERS] & !(1u64 << g)) {
             let old = self.l2[other].replace_state(line, MesiState::Shared);
             debug_assert!(old.is_some(), "holder bit set for non-resident line");
             if let Some(old) = old {
@@ -422,7 +422,7 @@ impl MemoryHierarchy {
     #[doc(hidden)]
     pub fn find_holder_directory(&self, g: usize, line: LineAddr) -> Option<usize> {
         let mut supplier = Supplier::default();
-        for other in l2s_in(self.lines.get(line.0).holders & !(1u64 << g)) {
+        for other in l2s_in(self.lines.get(line.0)[HOLDERS] & !(1u64 << g)) {
             let state = self.l2[other].peek(line);
             debug_assert!(state.is_some(), "holder bit set for non-resident line");
             if let Some(state) = state {
@@ -449,7 +449,7 @@ impl MemoryHierarchy {
     /// The holder bitmap for `line` (test hook).
     #[doc(hidden)]
     pub fn directory_mask(&self, line: LineAddr) -> u64 {
-        self.lines.get(line.0).holders
+        self.lines.get(line.0)[HOLDERS]
     }
 
     /// Residency bitmap rebuilt by peeking every L2 (test oracle for
@@ -493,10 +493,10 @@ impl MemoryHierarchy {
         line: LineAddr,
         slot: usize,
     ) -> (u64, Option<usize>) {
-        let remote = self.lines[slot].holders & !(1u64 << g);
+        let remote = self.lines[slot][HOLDERS] & !(1u64 << g);
         let entry = &mut self.lines[slot];
-        entry.holders &= !remote;
-        entry.lost |= remote;
+        entry[HOLDERS] &= !remote;
+        entry[LOST] |= remote;
         let mut supplier = Supplier::default();
         for other in l2s_in(remote) {
             let state = self.l2[other].remove(line);
@@ -535,14 +535,14 @@ impl MemoryHierarchy {
     fn install_l2(&mut self, g: usize, line: LineAddr, slot: usize, state: MesiState) {
         let bit = 1u64 << g;
         let entry = &mut self.lines[slot];
-        entry.holders |= bit;
-        entry.ever |= bit;
+        entry[HOLDERS] |= bit;
+        entry[EVER] |= bit;
         if let Some(ev) = self.l2[g].insert(line, state) {
             let victim = self
                 .lines
                 .find(ev.addr.0)
                 .expect("resident line has an entry");
-            self.lines[victim].holders &= !bit;
+            self.lines[victim][HOLDERS] &= !bit;
             if ev.state.dirty() {
                 self.stats.writebacks += 1;
             }
@@ -556,10 +556,10 @@ impl MemoryHierarchy {
         let slot = self.lines.find_or_insert(line.0);
         let bit = 1u64 << g;
         let entry = &mut self.lines[slot];
-        let kind = if entry.lost & bit != 0 {
-            entry.lost &= !bit;
+        let kind = if entry[LOST] & bit != 0 {
+            entry[LOST] &= !bit;
             MissKind::Coherence
-        } else if entry.ever & bit != 0 {
+        } else if entry[EVER] & bit != 0 {
             MissKind::Capacity
         } else {
             MissKind::Cold
@@ -573,7 +573,7 @@ impl MemoryHierarchy {
     /// property tests. Audits only the L2s the holder bitmap names, so
     /// the check is O(popcount) rather than O(groups).
     pub fn mesi_invariant_holds(&self, line: LineAddr) -> bool {
-        let holders = self.lines.get(line.0).holders;
+        let holders = self.lines.get(line.0)[HOLDERS];
         let mut exclusive_holders = 0u32;
         for g in l2s_in(holders) {
             match self.l2[g].peek(line) {

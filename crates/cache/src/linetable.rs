@@ -13,29 +13,23 @@
 //! well-distributed integers private to one hierarchy, so a multiplicative
 //! hash with linear probing suffices where keyed SipHash would be overhead.
 
-/// Key of an unused slot. Line addresses are physical addresses shifted
-/// right by the line size, so they never reach it.
-const EMPTY: u64 = u64::MAX;
+/// One line's coherence record: a stored key, then one bitmap per field
+/// with bit *g* for L2 *g*. The stored key is the line address plus one,
+/// so an all-zero record is an empty slot and a freshly allocated table
+/// comes zeroed from the allocator instead of being filled. Line addresses
+/// are physical addresses shifted right by the line size, so `line + 1`
+/// never overflows.
+pub(crate) type LineEntry = [u64; 4];
 
-/// One line's coherence record; every bitmap has bit *g* for L2 *g*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LineEntry {
-    key: u64,
-    /// L2s holding the line now.
-    pub holders: u64,
-    /// L2s the line was ever installed in.
-    pub ever: u64,
-    /// L2s that lost their copy to an invalidation and have not missed on
-    /// the line since.
-    pub lost: u64,
-}
-
-const VACANT: LineEntry = LineEntry {
-    key: EMPTY,
-    holders: 0,
-    ever: 0,
-    lost: 0,
-};
+/// Index of the stored key (`line + 1`, 0 = empty slot).
+const KEY: usize = 0;
+/// Index of the bitmap of L2s holding the line now.
+pub(crate) const HOLDERS: usize = 1;
+/// Index of the bitmap of L2s the line was ever installed in.
+pub(crate) const EVER: usize = 2;
+/// Index of the bitmap of L2s that lost their copy to an invalidation and
+/// have not missed on the line since.
+pub(crate) const LOST: usize = 3;
 
 /// Fibonacci-style multiplicative hash spreading low-entropy integer keys
 /// across the high bits (the probe start uses the top `log2(capacity)`).
@@ -62,41 +56,42 @@ impl LineTable {
         (spread(key) >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// The slot holding `key`, if present.
+    /// The slot holding `line`, if present.
     #[inline]
-    pub fn find(&self, key: u64) -> Option<usize> {
+    pub fn find(&self, line: u64) -> Option<usize> {
         if self.slots.is_empty() {
             return None;
         }
+        let key = line + 1;
         let mask = self.slots.len() - 1;
         let mut i = self.start(key);
         loop {
             let slot = i & mask;
-            match self.slots[slot].key {
+            match self.slots[slot][KEY] {
                 k if k == key => return Some(slot),
-                EMPTY => return None,
+                0 => return None,
                 _ => i += 1,
             }
         }
     }
 
-    /// The slot holding `key`, inserting an all-zero entry if absent.
-    /// Only this call can grow the table, so indices stay valid until the
-    /// next one.
+    /// The slot holding `line`, inserting an entry with empty bitmaps if
+    /// absent. Only this call can grow the table, so indices stay valid
+    /// until the next one.
     #[inline]
-    pub fn find_or_insert(&mut self, key: u64) -> usize {
-        debug_assert_ne!(key, EMPTY, "key collides with the empty marker");
+    pub fn find_or_insert(&mut self, line: u64) -> usize {
         if (self.len + 1) * 2 > self.slots.len() {
             self.grow();
         }
+        let key = line + 1;
         let mask = self.slots.len() - 1;
         let mut i = self.start(key);
         loop {
             let slot = i & mask;
-            match self.slots[slot].key {
+            match self.slots[slot][KEY] {
                 k if k == key => return slot,
-                EMPTY => {
-                    self.slots[slot] = LineEntry { key, ..VACANT };
+                0 => {
+                    self.slots[slot][KEY] = key;
                     self.len += 1;
                     return slot;
                 }
@@ -105,20 +100,21 @@ impl LineTable {
         }
     }
 
-    /// `key`'s entry, or an all-zero one if absent.
+    /// `line`'s entry, or an all-zero one if absent.
     #[inline]
-    pub fn get(&self, key: u64) -> LineEntry {
-        self.find(key).map_or(VACANT, |slot| self.slots[slot])
+    pub fn get(&self, line: u64) -> LineEntry {
+        self.find(line).map_or([0; 4], |slot| self.slots[slot])
     }
 
-    /// Double the capacity (16 slots at first) and rehash.
+    /// Double the capacity (16 slots at first) and rehash. The new array
+    /// is all empty slots straight from the zeroing allocator.
     fn grow(&mut self) {
         let cap = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![VACANT; cap]);
+        let old = std::mem::replace(&mut self.slots, vec![[0; 4]; cap]);
         let mask = cap - 1;
-        for entry in old.into_iter().filter(|e| e.key != EMPTY) {
-            let mut i = self.start(entry.key);
-            while self.slots[i & mask].key != EMPTY {
+        for entry in old.into_iter().filter(|e| e[KEY] != 0) {
+            let mut i = self.start(entry[KEY]);
+            while self.slots[i & mask][KEY] != 0 {
                 i += 1;
             }
             self.slots[i & mask] = entry;
@@ -153,7 +149,7 @@ mod tests {
     fn empty_table_answers_without_allocating() {
         let t = LineTable::default();
         assert_eq!(t.find(0), None);
-        assert_eq!(t.get(7).holders, 0);
+        assert_eq!(t.get(7)[HOLDERS], 0);
         assert!(t.slots.is_empty());
     }
 
@@ -161,9 +157,9 @@ mod tests {
     fn zero_is_a_valid_key() {
         let mut t = LineTable::default();
         let slot = t.find_or_insert(0);
-        t[slot].ever = 1;
+        t[slot][EVER] = 1;
         assert_eq!(t.find(0), Some(slot));
-        assert_eq!(t.get(0).ever, 1);
+        assert_eq!(t.get(0)[EVER], 1);
         assert_eq!(t.find_or_insert(0), slot);
     }
 
@@ -172,15 +168,18 @@ mod tests {
         let mut t = LineTable::default();
         for k in 0..1000u64 {
             let slot = t.find_or_insert(k * 12288);
-            t[slot].holders = k;
+            t[slot][HOLDERS] = k;
         }
         assert_eq!(t.len, 1000);
         assert!(t.slots.len() >= 2000, "load factor must stay at most 1/2");
         for k in 0..1000u64 {
-            assert_eq!(t.get(k * 12288).holders, k, "key {k}");
+            assert_eq!(t.get(k * 12288)[HOLDERS], k, "key {k}");
         }
         assert_eq!(t.find(12288 * 1000), None);
     }
+
+    /// The largest line address: its stored key is `u64::MAX`.
+    const LARGEST: u64 = u64::MAX - 1;
 
     #[test]
     fn matches_std_hashmap_on_random_traffic() {
@@ -189,16 +188,17 @@ mod tests {
             let mut ours = LineTable::default();
             let mut std_map: HashMap<u64, [u64; 3]> = HashMap::new();
             for _ in 0..3000 {
-                let key = rng.gen_range(0u64..300);
+                // Line 0 and the largest line the stored key can represent
+                // are the two ends of the key space.
+                let key = match rng.gen_range(0u64..302) {
+                    300 => 0,
+                    301 => LARGEST,
+                    k => k,
+                };
                 let (field, bit) = (rng.gen_range(0usize..3), rng.gen_range(0u32..64));
                 let set = rng.gen_bool(0.5);
                 let slot = ours.find_or_insert(key);
-                let entry = &mut ours[slot];
-                let word = match field {
-                    0 => &mut entry.holders,
-                    1 => &mut entry.ever,
-                    _ => &mut entry.lost,
-                };
+                let word = &mut ours[slot][HOLDERS + field];
                 let model = &mut std_map.entry(key).or_default()[field];
                 for w in [word, model] {
                     if set {
@@ -209,10 +209,10 @@ mod tests {
                 }
             }
             assert_eq!(ours.len, std_map.len());
-            for key in 0..300 {
+            for key in (0..300).chain([LARGEST]) {
                 let e = ours.get(key);
                 let want = std_map.get(&key).copied().unwrap_or_default();
-                assert_eq!([e.holders, e.ever, e.lost], want, "key {key}");
+                assert_eq!([e[HOLDERS], e[EVER], e[LOST]], want, "key {key}");
             }
         }
     }

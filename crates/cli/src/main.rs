@@ -12,7 +12,7 @@
 //! tlbmap diff <a.json> <b.json>        compare two runs, optionally gate regressions
 //! tlbmap serve [opts]                  run the mapping service over TCP
 //! tlbmap client <action> [opts]        one request against a running service
-//! tlbmap loadgen [opts]                drive a service with N connections x M requests
+//! tlbmap loadgen [opts]                open-loop load sweep (or --stream sessions)
 //! tlbmap top [opts]                    live dashboard over a running service
 //! ```
 //!

@@ -22,15 +22,22 @@ USAGE:
   tlbmap stats    [APP] [COMMON]
   tlbmap export   [APP] --out <FILE> [COMMON]
   tlbmap serve    [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
-                  [--deadline-ms D] [--metrics-out <FILE>] [--window-ms W]
-                  [--window-buckets B] [--slow-threshold-us T]
+                  [--cache-shards N] [--deadline-ms D] [--metrics-out <FILE>]
+                  [--window-ms W] [--window-buckets B] [--slow-threshold-us T]
                   [--slow-log <FILE>] [--no-http]
                   [--flight-window CYCLES] [--flight-capacity N]
-  tlbmap client   map|health|stats|live|trace|flight|shutdown
+                  [--max-sessions N] [--session-decay-shift S]
+                  [--session-drift-ppm P] [--session-cooldown N]
+                  [--session-idle-ms I]
+  tlbmap client   map|session|health|stats|live|trace|flight|shutdown
                   [--addr HOST:PORT] [--matrix <FILE>] [--topo CxLxK]
-                  [--deadline-ms D]
-  tlbmap loadgen  [--addr HOST:PORT] [--connections N] [--requests M]
-                  [--matrix <FILE>] [--delay-ms D] [--sample-ms S] [--out <FILE>]
+                  [--deadline-ms D] [--delay-ms D]
+                  [--trace <FILE>] [--batch N]
+  tlbmap loadgen  [--addr HOST:PORT] [--connections N] [--rps P1,P2,..]
+                  [--duration-ms D] [--matrix <FILE>] [--topo CxLxK]
+                  [--deadline-ms D] [--delay-ms D] [--out <FILE>]
+  tlbmap loadgen  --stream [--addr HOST:PORT] [--connections N] [--deltas N]
+                  [--phase-every N] [--topo CxLxK] [--out <FILE>]
   tlbmap top      [--addr HOST:PORT] [--interval-ms I] [--iterations N] [--raw]
 
 APP defaults to CG. It may also be `trace=<FILE>` (a file written by
@@ -73,11 +80,16 @@ SERVICE:
             queue, worker pool, and LRU result cache (shut it down with
             `tlbmap client shutdown`)
   client    one request against a running service; `map` needs a matrix
-            JSON file as written by `tlbmap detect --format json`
-  loadgen   N connections x M requests against a running service;
-            reports p50/p90/p99 latency and throughput, exits non-zero
-            if any request failed; `--sample-ms` adds a per-second
-            timeline and before/after server scrapes to the report
+            JSON file as written by `tlbmap detect --format json`;
+            `session` replays a `--trace-out` JSONL trace as a streaming
+            session (a delta per barrier, or every `--batch N` increments)
+  loadgen   open-loop sweep against a running service: each `--rps`
+            point offers a fixed arrival rate for `--duration-ms`
+            [500,2000,8000 for 1000 ms]; reports p50/p90/p99 latency from
+            scheduled send time, achieved throughput and the server's
+            `map_requests` delta over the sweep, and exits non-zero if
+            any request failed; `--stream` drives streaming sessions
+            instead (remap decisions and delta latencies)
   top       poll the admin endpoint and render a live dashboard with
             rolling-window latency sparklines (`--raw` for CI logs;
             the server also answers plain HTTP GET on its port with a
@@ -584,6 +596,39 @@ mod tests {
             assert_eq!(o.topology().num_cores(), n.parse::<usize>().unwrap());
         }
         assert!(parse(&["ring", "--cores", "48"]).is_err());
+    }
+
+    /// Every `"--flag"` string literal in the non-test part of `source`.
+    fn flag_literals(source: &str) -> Vec<&str> {
+        let code = source.split("#[cfg(test)]").next().unwrap();
+        code.match_indices("\"--")
+            .filter_map(|(at, _)| {
+                let rest = &code[at + 1..];
+                let len = 2 + rest[2..]
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(rest.len() - 2);
+                // `len > 2` skips the bare `"--"` of the unknown-flag arm.
+                (len > 2 && rest[len..].starts_with('"')).then(|| &rest[..len])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn usage_names_every_service_flag() {
+        let flags = flag_literals(include_str!("serve_cmd.rs"));
+        // The serve, client and loadgen parsers all live there.
+        for expected in ["--cache-shards", "--session-idle-ms", "--batch", "--rps"] {
+            assert!(flags.contains(&expected), "{expected} not scanned");
+        }
+        for flag in flags {
+            let named = USAGE
+                .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .any(|word| word == flag);
+            assert!(named, "USAGE does not name {flag}");
+        }
+        for gone in ["--requests", "--sample-ms"] {
+            assert!(!USAGE.contains(gone), "USAGE still names {gone}");
+        }
     }
 
     #[test]

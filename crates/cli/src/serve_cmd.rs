@@ -6,8 +6,8 @@
 use tlbmap_core::CommMatrix;
 use tlbmap_obs::{Json, ObsConfig, Recorder};
 use tlbmap_serve::{
-    run_curve, run_loadgen, run_stream_loadgen, AdminKind, Client, CurveConfig, LoadgenConfig,
-    ServeConfig, Server, StreamConfig,
+    run_curve, run_stream_loadgen, AdminKind, Client, CurveConfig, ServeConfig, Server,
+    StreamConfig,
 };
 use tlbmap_sim::Topology;
 
@@ -207,11 +207,6 @@ pub struct ClientOptions {
     pub delay_ms: u64,
     /// Loadgen: concurrent connections.
     pub connections: usize,
-    /// Loadgen: requests per connection.
-    pub requests: usize,
-    /// Loadgen: scrape `admin stats` every this many ms during the run
-    /// (0 = off).
-    pub sample_ms: u64,
     /// Loadgen: write the report JSON here.
     pub out: Option<String>,
     /// Loadgen: drive streaming sessions (`--stream`) instead of one-shot
@@ -229,7 +224,7 @@ pub struct ClientOptions {
     /// events (0 = flush on `barrier` events only).
     pub batch: u64,
     /// Loadgen: open-loop offered-load points in requests per second
-    /// (comma-separated `--rps` list). Empty = closed-loop mode.
+    /// (comma-separated `--rps` list).
     pub rps: Vec<u64>,
     /// Loadgen: how long each open-loop point runs, in milliseconds.
     pub duration_ms: u64,
@@ -247,15 +242,13 @@ impl ClientOptions {
             deadline_ms: 0,
             delay_ms: 0,
             connections: 4,
-            requests: 25,
-            sample_ms: 250,
             out: None,
             stream: false,
             deltas: 24,
             phase_every: 8,
             trace: None,
             batch: 0,
-            rps: Vec::new(),
+            rps: CurveConfig::new().rps_points,
             duration_ms: 1000,
         };
         let mut i = 0;
@@ -276,10 +269,6 @@ impl ClientOptions {
                 "--connections" => {
                     o.connections = parse_u64("--connections", &value("--connections")?)? as usize
                 }
-                "--requests" => {
-                    o.requests = parse_u64("--requests", &value("--requests")?)? as usize
-                }
-                "--sample-ms" => o.sample_ms = parse_u64("--sample-ms", &value("--sample-ms")?)?,
                 "--out" => o.out = Some(value("--out")?),
                 "--stream" => {
                     // Valueless flag: switch loadgen to streaming sessions.
@@ -501,61 +490,23 @@ fn replay_session(client: &mut Client, path: &str, o: &ClientOptions) -> Result<
     Ok(())
 }
 
-/// `tlbmap loadgen` — drive a running server with N connections × M
-/// requests and print a latency/throughput report. Exits non-zero if any
+/// `tlbmap loadgen` — an open-loop offered-load sweep against a running
+/// server: each `--rps` point offers a fixed arrival rate for
+/// `--duration-ms`, and the report is a p99-vs-offered-load curve plus the
+/// server's `map_requests` delta over the sweep. Exits non-zero if any
 /// request failed. With `--stream`, each connection opens a streaming
 /// session instead and the report shows remap decisions and latencies.
-/// With `--rps P1,P2,…`, the generator switches to an open loop: each
-/// point offers a fixed arrival rate for `--duration-ms` and the report
-/// is a p99-vs-offered-load curve.
 pub fn loadgen(o: ClientOptions) -> Result<(), String> {
     if o.stream {
         return stream_loadgen(&o);
     }
-    if !o.rps.is_empty() {
-        return curve_loadgen(&o);
-    }
-    let matrix = match &o.matrix {
-        Some(path) => load_matrix(path)?,
-        None => LoadgenConfig::new().matrix,
-    };
-    let cfg = LoadgenConfig {
-        connections: o.connections,
-        requests: o.requests,
-        deadline_ms: o.deadline_ms,
-        delay_ms: o.delay_ms,
-        sample_period_ms: o.sample_ms,
-        matrix,
-        topo: o.topo,
-    };
-    let report = run_loadgen(&o.addr, &cfg)?;
-    print!("{}", report.render());
-    if let Some(path) = &o.out {
-        let mut text = report.to_json(cfg.connections, cfg.requests).render();
-        text.push('\n');
-        std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-        eprintln!("# loadgen report written to {path}");
-    }
-    if report.total_errors() > 0 {
-        return Err(format!(
-            "{} of {} requests failed: {:?}",
-            report.total_errors(),
-            report.sent,
-            report.errors
-        ));
-    }
-    Ok(())
-}
-
-/// The `--rps` arm of `tlbmap loadgen`: an open-loop offered-load sweep.
-fn curve_loadgen(o: &ClientOptions) -> Result<(), String> {
     let matrix = match &o.matrix {
         Some(path) => load_matrix(path)?,
         None => CurveConfig::new().matrix,
     };
     let cfg = CurveConfig {
         connections: o.connections,
-        rps_points: o.rps.clone(),
+        rps_points: o.rps,
         duration_ms: o.duration_ms,
         deadline_ms: o.deadline_ms,
         delay_ms: o.delay_ms,
@@ -703,17 +654,15 @@ mod tests {
 
     #[test]
     fn parses_loadgen_options() {
-        let o = ClientOptions::parse(
-            &words(&["--connections", "8", "--requests", "50", "--delay-ms", "1"]),
-            false,
-        )
-        .unwrap();
+        let o = ClientOptions::parse(&words(&["--connections", "8", "--delay-ms", "1"]), false)
+            .unwrap();
         assert_eq!(o.connections, 8);
-        assert_eq!(o.requests, 50);
         assert_eq!(o.delay_ms, 1);
-        assert_eq!(o.sample_ms, 250, "sampling defaults on for the CLI");
-        let o = ClientOptions::parse(&words(&["--sample-ms", "0"]), false).unwrap();
-        assert_eq!(o.sample_ms, 0);
+        // The closed loop's flags are gone.
+        for flag in ["--requests", "--sample-ms"] {
+            let err = ClientOptions::parse(&words(&[flag, "5"]), false).unwrap_err();
+            assert!(err.contains("unknown flag"), "{err}");
+        }
         assert!(
             ClientOptions::parse(&words(&["stray"]), false).is_err(),
             "loadgen takes no positional argument"
@@ -722,16 +671,13 @@ mod tests {
 
     #[test]
     fn parses_open_loop_loadgen_options() {
-        let o = ClientOptions::parse(
-            &words(&["--rps", "500,2000,8000", "--duration-ms", "750"]),
-            false,
-        )
-        .unwrap();
-        assert_eq!(o.rps, vec![500, 2000, 8000]);
+        let o = ClientOptions::parse(&words(&["--rps", "200,800", "--duration-ms", "750"]), false)
+            .unwrap();
+        assert_eq!(o.rps, vec![200, 800]);
         assert_eq!(o.duration_ms, 750);
-        // Closed-loop default: no rps points.
+        // Default: the library's default sweep.
         let o = ClientOptions::parse(&[], false).unwrap();
-        assert!(o.rps.is_empty());
+        assert_eq!(o.rps, vec![500, 2000, 8000]);
         assert_eq!(o.duration_ms, 1000);
         assert!(ClientOptions::parse(&words(&["--rps", "5x0"]), false).is_err());
     }

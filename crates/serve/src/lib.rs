@@ -32,10 +32,10 @@
 //!   deadlines and graceful shutdown that drains in-flight work on an
 //!   eventfd doorbell.
 //! * [`Client`] — a blocking client speaking the same frames.
-//! * [`loadgen`] — closed loop (N connections × M requests, p50/p90/p99
-//!   and a per-second time series) and open loop ([`run_curve`]: fixed
-//!   arrival rates, latency from scheduled send time, a p99-vs-offered-
-//!   load curve).
+//! * [`loadgen`] — an open loop ([`run_curve`]: fixed arrival rates,
+//!   latency from scheduled send time, a p99-vs-offered-load curve checked
+//!   against the server's own `admin stats` counters) and a streaming
+//!   session campaign ([`run_stream_loadgen`]).
 //!
 //! The server records everything through `tlbmap-obs` (request counters,
 //! latency histogram, queue-depth histogram, cache hit/miss counters), so
@@ -85,8 +85,8 @@ pub use cache::{CacheKey, CacheOutcome, MapCache, ShardedCache};
 pub use client::{Client, MapReply, ServeError};
 pub use config::ServeConfig;
 pub use loadgen::{
-    run_curve, run_loadgen, run_stream_loadgen, stream_delta, CurveConfig, CurvePoint, CurveReport,
-    LoadgenConfig, LoadgenReport, SecondStat, StreamConfig, StreamReport,
+    run_curve, run_stream_loadgen, stream_delta, CurveConfig, CurvePoint, CurveReport,
+    StreamConfig, StreamReport,
 };
 pub use protocol::{
     AdminKind, DeltaDecision, ErrorCode, Request, Response, MAX_SESSION_THREADS, PROTOCOL_VERSION,

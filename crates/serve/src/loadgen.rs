@@ -1,39 +1,27 @@
-//! Load generators: a closed loop (N connections × M requests) and an
-//! open loop (target arrival rate, latency from *scheduled* send time).
+//! Load generators: an open loop for one-shot `map` requests (target
+//! arrival rate, latency from *scheduled* send time) and a streaming
+//! campaign for sessions.
 //!
-//! In the closed loop each connection is a thread running send, wait,
-//! send — the offered load is `connections` in-flight requests at all
-//! times, and the measured latency is a *response time under constant
-//! concurrency*. That is the wrong instrument for a capacity question:
-//! when the server slows down, a closed loop slows its own arrivals too,
-//! so queueing delay hides (coordinated omission).
-//!
-//! The open loop ([`run_curve`]) instead fixes an arrival schedule at a
-//! target RPS — request *j* of a point is due at `start + j/rps`,
-//! striped round-robin across the connections — and measures each
-//! latency from its **scheduled** send time, so a stalled server keeps
-//! accumulating due requests and the stall shows up in the percentiles
-//! instead of disappearing into a slower send rate. Sweeping several RPS
-//! points yields a p99-vs-offered-load curve, the shape capacity
-//! planning actually needs.
+//! The open loop ([`run_curve`]) fixes an arrival schedule at a target
+//! RPS — request *j* of a point is due at `start + j/rps`, striped
+//! round-robin across the connections — and measures each latency from
+//! its **scheduled** send time, so a stalled server keeps accumulating
+//! due requests and the stall shows up in the percentiles. A closed loop
+//! (send, wait, send) would instead slow its own arrivals whenever the
+//! server slows, and the queueing delay would hide (coordinated
+//! omission). Sweeping several RPS points yields a p99-vs-offered-load
+//! curve, the shape capacity planning actually needs.
 //!
 //! Latencies are merged across connections and summarized with the
 //! nearest-rank percentiles from `tlbmap-bench`, putting service latency
 //! in the same statistical vocabulary as the simulator's benchmarks.
 //!
-//! Two telemetry extras ride along:
-//!
-//! * a **per-second timeline** (requests sent, completions, p50/p99 per
-//!   wall-clock second of the run) so the report shows the run's shape,
-//!   not just its totals, and
-//! * an optional **admin sampler** ([`LoadgenConfig::sample_period_ms`])
-//!   that scrapes the server's `admin stats` frame before, during, and
-//!   after the run on its own connection — so the report can check the
-//!   server's own counters against the client-observed totals
-//!   ([`LoadgenReport::map_requests_delta`]).
+//! Every sweep is bracketed by one `admin stats` scrape before the first
+//! point and one after the last, each on its own connection, so the
+//! report can check the server's own counters against the client's
+//! totals ([`CurveReport::map_requests_delta`]).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use tlbmap_bench::{percentile, sparkline, Table};
@@ -44,245 +32,9 @@ use tlbmap_sim::Topology;
 use crate::client::{Client, ServeError};
 use crate::protocol::{AdminKind, DeltaDecision};
 
-/// What the load generator sends.
-#[derive(Debug, Clone)]
-pub struct LoadgenConfig {
-    /// Concurrent connections (threads).
-    pub connections: usize,
-    /// Requests per connection.
-    pub requests: usize,
-    /// Per-request deadline in milliseconds (0 = server default).
-    pub deadline_ms: u64,
-    /// Artificial worker delay per request in milliseconds.
-    pub delay_ms: u64,
-    /// Scrape the server's `admin stats` frame every this many
-    /// milliseconds on a dedicated connection (plus one scrape before and
-    /// one after the run). 0 disables scraping entirely — the default, so
-    /// a plain campaign sends *exactly* `connections × requests` frames
-    /// and server-side counters stay exactly predictable.
-    pub sample_period_ms: u64,
-    /// The matrix every request carries.
-    pub matrix: CommMatrix,
-    /// The topology every request targets.
-    pub topo: Topology,
-}
-
-impl LoadgenConfig {
-    /// A small default campaign: 4 connections × 25 requests over an
-    /// 8-thread ring matrix on the paper's 2×2×2 machine, no sampling.
-    pub fn new() -> Self {
-        let mut matrix = CommMatrix::new(8);
-        for t in 0..8 {
-            matrix.add(t, (t + 1) % 8, 100);
-        }
-        LoadgenConfig {
-            connections: 4,
-            requests: 25,
-            deadline_ms: 0,
-            delay_ms: 0,
-            sample_period_ms: 0,
-            matrix,
-            topo: Topology::harpertown(),
-        }
-    }
-
-    /// Override the admin-sampler period (0 = off).
-    pub fn with_sample_period_ms(mut self, ms: u64) -> Self {
-        self.sample_period_ms = ms;
-        self
-    }
-}
-
-impl Default for LoadgenConfig {
-    fn default() -> Self {
-        LoadgenConfig::new()
-    }
-}
-
-/// One second of the run, client-side view.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SecondStat {
-    /// Seconds since the run started (0 = the first second).
-    pub sec: u64,
-    /// Requests that *completed* (ok or error) in this second.
-    pub sent: u64,
-    /// Of those, requests answered with a mapping.
-    pub ok: u64,
-    /// Median latency of this second's successful requests (0 if none).
-    pub p50_us: f64,
-    /// 99th-percentile latency of this second's successes (0 if none).
-    pub p99_us: f64,
-}
-
-impl SecondStat {
-    /// JSON shape used inside the report's `timeline` array.
-    pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            ("sec", Json::U64(self.sec)),
-            ("sent", Json::U64(self.sent)),
-            ("ok", Json::U64(self.ok)),
-            ("p50_us", Json::F64(self.p50_us)),
-            ("p99_us", Json::F64(self.p99_us)),
-        ])
-    }
-}
-
-/// Aggregated result of a load-generation run.
-#[derive(Debug, Clone)]
-pub struct LoadgenReport {
-    /// Requests attempted.
-    pub sent: usize,
-    /// Requests answered with a mapping.
-    pub ok: usize,
-    /// Of the `ok` answers, how many the server served from cache.
-    pub cached: usize,
-    /// Failures by error label (`overloaded`, `timeout`, `transport`, …).
-    pub errors: BTreeMap<String, usize>,
-    /// Median request latency in microseconds.
-    pub p50_us: f64,
-    /// 90th-percentile latency in microseconds.
-    pub p90_us: f64,
-    /// 99th-percentile latency in microseconds.
-    pub p99_us: f64,
-    /// Successful requests per second over the whole run.
-    pub throughput_rps: f64,
-    /// Wall-clock duration of the run in milliseconds.
-    pub wall_ms: f64,
-    /// Per-second time series of the run (empty for sub-second runs only
-    /// if nothing completed).
-    pub timeline: Vec<SecondStat>,
-    /// `admin stats` scraped just before the first request (sampler on).
-    pub server_before: Option<Json>,
-    /// `admin stats` scraped just after the last request (sampler on).
-    pub server_after: Option<Json>,
-    /// Periodic `admin stats` scrapes taken during the run (sampler on).
-    pub server_samples: Vec<Json>,
-}
-
 /// Pull a `u64` field out of an admin-stats document.
 fn stat_u64(doc: &Json, key: &str) -> Option<u64> {
     doc.get(key).and_then(Json::as_u64)
-}
-
-impl LoadgenReport {
-    /// Total failed requests.
-    pub fn total_errors(&self) -> usize {
-        self.errors.values().sum()
-    }
-
-    /// How many `map` requests the *server* says it saw between the
-    /// before/after scrapes. With no other traffic on the server this
-    /// equals [`LoadgenReport::sent`] — the consistency check the service
-    /// CI gate enforces. `None` when the sampler was off.
-    pub fn map_requests_delta(&self) -> Option<u64> {
-        let before = stat_u64(self.server_before.as_ref()?, "map_requests")?;
-        let after = stat_u64(self.server_after.as_ref()?, "map_requests")?;
-        Some(after.saturating_sub(before))
-    }
-
-    /// The report as a benchmark-artifact JSON document (kind
-    /// `"loadgen"`), shaped like the other `results/BENCH_*.json` files.
-    pub fn to_json(&self, connections: usize, requests: usize) -> Json {
-        let opt = |doc: &Option<Json>| doc.clone().unwrap_or(Json::Null);
-        Json::obj(vec![
-            ("kind", Json::Str("loadgen".into())),
-            ("connections", Json::U64(connections as u64)),
-            ("requests_per_connection", Json::U64(requests as u64)),
-            ("sent", Json::U64(self.sent as u64)),
-            ("ok", Json::U64(self.ok as u64)),
-            ("cached", Json::U64(self.cached as u64)),
-            (
-                "errors",
-                Json::Obj(
-                    self.errors
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::U64(*v as u64)))
-                        .collect(),
-                ),
-            ),
-            ("p50_us", Json::F64(self.p50_us)),
-            ("p90_us", Json::F64(self.p90_us)),
-            ("p99_us", Json::F64(self.p99_us)),
-            ("throughput_rps", Json::F64(self.throughput_rps)),
-            ("wall_ms", Json::F64(self.wall_ms)),
-            (
-                "timeline",
-                Json::Arr(self.timeline.iter().map(SecondStat::to_json).collect()),
-            ),
-            (
-                "server",
-                Json::obj(vec![
-                    ("before", opt(&self.server_before)),
-                    ("after", opt(&self.server_after)),
-                    (
-                        "map_requests_delta",
-                        self.map_requests_delta().map_or(Json::Null, Json::U64),
-                    ),
-                    ("samples", Json::Arr(self.server_samples.clone())),
-                ]),
-            ),
-        ])
-    }
-
-    /// Render the report as a plain-text table.
-    pub fn render(&self) -> String {
-        let mut table = Table::new(vec!["metric", "value"]);
-        table.row(vec!["sent".to_string(), self.sent.to_string()]);
-        table.row(vec!["ok".to_string(), self.ok.to_string()]);
-        table.row(vec!["cached".to_string(), self.cached.to_string()]);
-        table.row(vec!["errors".to_string(), self.total_errors().to_string()]);
-        table.row(vec!["p50 (us)".to_string(), format!("{:.1}", self.p50_us)]);
-        table.row(vec!["p90 (us)".to_string(), format!("{:.1}", self.p90_us)]);
-        table.row(vec!["p99 (us)".to_string(), format!("{:.1}", self.p99_us)]);
-        table.row(vec![
-            "throughput (req/s)".to_string(),
-            format!("{:.1}", self.throughput_rps),
-        ]);
-        table.row(vec![
-            "wall time (ms)".to_string(),
-            format!("{:.1}", self.wall_ms),
-        ]);
-        let mut out = table.render();
-        for (label, count) in &self.errors {
-            out.push_str(&format!("  error[{label}] = {count}\n"));
-        }
-        if self.timeline.len() > 1 {
-            let rps: Vec<f64> = self.timeline.iter().map(|s| s.sent as f64).collect();
-            let p99: Vec<f64> = self.timeline.iter().map(|s| s.p99_us).collect();
-            let peak_rps = rps.iter().cloned().fold(0.0, f64::max);
-            let peak_p99 = p99.iter().cloned().fold(0.0, f64::max);
-            out.push_str(&format!(
-                "  rps/s  {} (peak {peak_rps:.0})\n",
-                sparkline(&rps)
-            ));
-            out.push_str(&format!(
-                "  p99/s  {} (peak {peak_p99:.0} us)\n",
-                sparkline(&p99)
-            ));
-        }
-        if let Some(delta) = self.map_requests_delta() {
-            out.push_str(&format!(
-                "  server map_requests delta = {delta} (client sent {})\n",
-                self.sent
-            ));
-        }
-        out
-    }
-}
-
-/// One completed request as a connection thread saw it.
-struct RequestSample {
-    /// Whole seconds since the run started when the request completed.
-    sec: u64,
-    latency_us: f64,
-    ok: bool,
-}
-
-struct ConnOutcome {
-    samples: Vec<RequestSample>,
-    ok: usize,
-    cached: usize,
-    errors: BTreeMap<String, usize>,
 }
 
 fn error_label(e: &ServeError) -> String {
@@ -292,200 +44,14 @@ fn error_label(e: &ServeError) -> String {
     }
 }
 
-fn run_connection(
-    addr: &str,
-    cfg: &LoadgenConfig,
-    run_start: Instant,
-) -> Result<ConnOutcome, String> {
-    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
-    let mut outcome = ConnOutcome {
-        samples: Vec::with_capacity(cfg.requests),
-        ok: 0,
-        cached: 0,
-        errors: BTreeMap::new(),
-    };
-    let deadline = if cfg.deadline_ms > 0 {
-        Some(cfg.deadline_ms)
-    } else {
-        None
-    };
-    for _ in 0..cfg.requests {
-        let start = Instant::now();
-        let result = client.map(&cfg.matrix, &cfg.topo, deadline, cfg.delay_ms);
-        let latency_us = start.elapsed().as_secs_f64() * 1e6;
-        let sec = run_start.elapsed().as_secs();
-        match result {
-            Ok(reply) => {
-                outcome.samples.push(RequestSample {
-                    sec,
-                    latency_us,
-                    ok: true,
-                });
-                outcome.ok += 1;
-                if reply.cached {
-                    outcome.cached += 1;
-                }
-            }
-            Err(e) => {
-                outcome.samples.push(RequestSample {
-                    sec,
-                    latency_us,
-                    ok: false,
-                });
-                *outcome.errors.entry(error_label(&e)).or_insert(0) += 1;
-                // A transport error means the connection is unusable.
-                if matches!(e, ServeError::Transport(_)) {
-                    break;
-                }
-            }
-        }
-    }
-    Ok(outcome)
+/// One `admin stats` scrape on a fresh connection; `None` if it failed.
+fn scrape_stats(addr: &str) -> Option<Json> {
+    Client::connect(addr)
+        .and_then(|mut c| c.admin(AdminKind::Stats))
+        .ok()
 }
 
-/// Scrape `admin stats` every `period` until `stop` is raised; returns
-/// the scrapes in order. Runs on its own connection so it never perturbs
-/// the campaign connections' closed loops.
-fn sampler_loop(addr: &str, period: Duration, stop: &AtomicBool) -> Vec<Json> {
-    let mut samples = Vec::new();
-    let Ok(mut client) = Client::connect(addr) else {
-        return samples;
-    };
-    let quantum = period.min(Duration::from_millis(25));
-    let mut next = Instant::now() + period;
-    while !stop.load(Ordering::Relaxed) {
-        if Instant::now() >= next {
-            if let Ok(doc) = client.admin(AdminKind::Stats) {
-                samples.push(doc);
-            }
-            next += period;
-        }
-        std::thread::sleep(quantum);
-    }
-    samples
-}
-
-/// Bucket every request completion into whole seconds since run start.
-fn build_timeline(samples: &[RequestSample]) -> Vec<SecondStat> {
-    let mut by_sec: BTreeMap<u64, (u64, u64, Vec<f64>)> = BTreeMap::new();
-    for s in samples {
-        let entry = by_sec.entry(s.sec).or_insert((0, 0, Vec::new()));
-        entry.0 += 1;
-        if s.ok {
-            entry.1 += 1;
-            entry.2.push(s.latency_us);
-        }
-    }
-    let last = by_sec.keys().next_back().copied().unwrap_or(0);
-    // Fill gaps so idle seconds show as zeros instead of vanishing —
-    // a stall must be visible in the timeline.
-    (0..=last)
-        .map(|sec| match by_sec.get(&sec) {
-            Some((sent, ok, lats)) => SecondStat {
-                sec,
-                sent: *sent,
-                ok: *ok,
-                p50_us: percentile(lats, 50.0).unwrap_or(0.0),
-                p99_us: percentile(lats, 99.0).unwrap_or(0.0),
-            },
-            None => SecondStat {
-                sec,
-                sent: 0,
-                ok: 0,
-                p50_us: 0.0,
-                p99_us: 0.0,
-            },
-        })
-        .collect()
-}
-
-/// Run the campaign against a live server at `addr`.
-pub fn run_loadgen(addr: &str, cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
-    if cfg.connections == 0 || cfg.requests == 0 {
-        return Err("loadgen needs at least 1 connection and 1 request".to_string());
-    }
-    let sampling = cfg.sample_period_ms > 0;
-    let server_before = if sampling {
-        Client::connect(addr)
-            .and_then(|mut c| c.admin(AdminKind::Stats))
-            .ok()
-    } else {
-        None
-    };
-
-    let start = Instant::now();
-    let stop = AtomicBool::new(false);
-    let (outcomes, server_samples) = std::thread::scope(|scope| {
-        let sampler = sampling.then(|| {
-            let period = Duration::from_millis(cfg.sample_period_ms);
-            let stop = &stop;
-            scope.spawn(move || sampler_loop(addr, period, stop))
-        });
-        let handles: Vec<_> = (0..cfg.connections)
-            .map(|_| scope.spawn(|| run_connection(addr, cfg, start)))
-            .collect();
-        let outcomes = handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| "connection thread panicked".to_string())?
-            })
-            .collect::<Result<Vec<_>, String>>();
-        stop.store(true, Ordering::Relaxed);
-        let samples = sampler.and_then(|h| h.join().ok()).unwrap_or_default();
-        outcomes.map(|o| (o, samples))
-    })?;
-    let wall = start.elapsed();
-
-    let server_after = if sampling {
-        Client::connect(addr)
-            .and_then(|mut c| c.admin(AdminKind::Stats))
-            .ok()
-    } else {
-        None
-    };
-
-    let mut all_samples = Vec::new();
-    let mut latencies = Vec::new();
-    let mut ok = 0;
-    let mut cached = 0;
-    let mut errors: BTreeMap<String, usize> = BTreeMap::new();
-    for outcome in outcomes {
-        for s in &outcome.samples {
-            if s.ok {
-                latencies.push(s.latency_us);
-            }
-        }
-        all_samples.extend(outcome.samples);
-        ok += outcome.ok;
-        cached += outcome.cached;
-        for (label, count) in outcome.errors {
-            *errors.entry(label).or_insert(0) += count;
-        }
-    }
-    let failed: usize = errors.values().sum();
-    Ok(LoadgenReport {
-        sent: ok + failed,
-        ok,
-        cached,
-        errors,
-        p50_us: percentile(&latencies, 50.0).unwrap_or(0.0),
-        p90_us: percentile(&latencies, 90.0).unwrap_or(0.0),
-        p99_us: percentile(&latencies, 99.0).unwrap_or(0.0),
-        throughput_rps: if wall.as_secs_f64() > 0.0 {
-            ok as f64 / wall.as_secs_f64()
-        } else {
-            0.0
-        },
-        wall_ms: wall.as_secs_f64() * 1e3,
-        timeline: build_timeline(&all_samples),
-        server_before,
-        server_after,
-        server_samples,
-    })
-}
-
-/// What the open-loop load generator sends (`loadgen --rps`).
+/// What the open-loop load generator sends (`tlbmap loadgen`).
 #[derive(Debug, Clone)]
 pub struct CurveConfig {
     /// Connections the arrival schedule is striped across.
@@ -506,17 +72,21 @@ pub struct CurveConfig {
 
 impl CurveConfig {
     /// A small default sweep: 500 / 2000 / 8000 offered RPS for 1 s each
-    /// over 4 connections, same ring matrix as [`LoadgenConfig::new`].
+    /// over 4 connections, every request an 8-thread ring matrix on the
+    /// paper's 2×2×2 machine.
     pub fn new() -> Self {
-        let base = LoadgenConfig::new();
+        let mut matrix = CommMatrix::new(8);
+        for t in 0..8 {
+            matrix.add(t, (t + 1) % 8, 100);
+        }
         CurveConfig {
             connections: 4,
             rps_points: vec![500, 2000, 8000],
             duration_ms: 1000,
             deadline_ms: 0,
             delay_ms: 0,
-            matrix: base.matrix,
-            topo: base.topo,
+            matrix,
+            topo: Topology::harpertown(),
         }
     }
 }
@@ -532,7 +102,9 @@ impl Default for CurveConfig {
 pub struct CurvePoint {
     /// The target arrival rate of this point (requests per second).
     pub offered_rps: u64,
-    /// Requests the schedule called for (and the connections attempted).
+    /// Requests the schedule called for: `offered_rps × duration / 1 s`.
+    /// A request a broken connection never got to send counts here and
+    /// as a `transport` error.
     pub sent: usize,
     /// Requests answered with a mapping.
     pub ok: usize,
@@ -595,6 +167,11 @@ pub struct CurveReport {
     pub duration_ms: u64,
     /// The measured points.
     pub points: Vec<CurvePoint>,
+    /// `admin stats` scraped just before the first point (`None` if the
+    /// scrape failed).
+    pub server_before: Option<Json>,
+    /// `admin stats` scraped just after the last point.
+    pub server_after: Option<Json>,
 }
 
 impl CurveReport {
@@ -604,6 +181,21 @@ impl CurveReport {
             .iter()
             .map(|p| p.errors.values().sum::<usize>())
             .sum()
+    }
+
+    /// Requests the schedule called for, summed over the points.
+    pub fn sent(&self) -> usize {
+        self.points.iter().map(|p| p.sent).sum()
+    }
+
+    /// How many `map` requests the *server* says it saw between the
+    /// before/after scrapes. With no other traffic on the server this
+    /// equals [`CurveReport::sent`] — the consistency check the service CI
+    /// gate enforces. `None` when either scrape failed.
+    pub fn map_requests_delta(&self) -> Option<u64> {
+        let before = stat_u64(self.server_before.as_ref()?, "map_requests")?;
+        let after = stat_u64(self.server_after.as_ref()?, "map_requests")?;
+        Some(after.saturating_sub(before))
     }
 
     /// Whether achieved throughput is monotone (non-decreasing, within
@@ -619,8 +211,10 @@ impl CurveReport {
     /// The report as a benchmark-artifact JSON document (kind
     /// `"loadgen_curve"`), shaped like the other `results/BENCH_*.json`
     /// files. `monotone_achieved` is precomputed (10% tolerance) so
-    /// text-level CI gates can grep for it.
+    /// text-level CI gates can grep for it; the `server` scrapes come after
+    /// `points`, so the first `p99_us` in the text is point 0's.
     pub fn to_json(&self) -> Json {
+        let opt = |doc: &Option<Json>| doc.clone().unwrap_or(Json::Null);
         Json::obj(vec![
             ("kind", Json::Str("loadgen_curve".into())),
             ("connections", Json::U64(self.connections as u64)),
@@ -629,9 +223,21 @@ impl CurveReport {
                 "monotone_achieved",
                 Json::Bool(self.monotone_achieved(0.10)),
             ),
+            ("sent", Json::U64(self.sent() as u64)),
             (
                 "points",
                 Json::Arr(self.points.iter().map(CurvePoint::to_json).collect()),
+            ),
+            (
+                "server",
+                Json::obj(vec![
+                    ("before", opt(&self.server_before)),
+                    ("after", opt(&self.server_after)),
+                    (
+                        "map_requests_delta",
+                        self.map_requests_delta().map_or(Json::Null, Json::U64),
+                    ),
+                ]),
             ),
         ])
     }
@@ -663,6 +269,12 @@ impl CurveReport {
             let p99: Vec<f64> = self.points.iter().map(|p| p.p99_us).collect();
             out.push_str(&format!("  p99 vs load  {}\n", sparkline(&p99)));
         }
+        if let Some(delta) = self.map_requests_delta() {
+            out.push_str(&format!(
+                "  server map_requests delta = {delta} (client sent {})\n",
+                self.sent()
+            ));
+        }
         out
     }
 }
@@ -672,7 +284,9 @@ impl CurveReport {
 /// *global* schedule. Sleeps until each due time, then measures from the
 /// due time — a late send (server stall backing up this connection)
 /// charges its wait to the latency, which is the whole point of an open
-/// loop.
+/// loop. A transport error ends the connection; its remaining share of the
+/// schedule counts as `transport` errors, so the point's `sent` always
+/// equals the schedule.
 #[allow(clippy::too_many_arguments)]
 fn run_open_loop_connection(
     addr: &str,
@@ -711,10 +325,13 @@ fn run_open_loop_connection(
                 }
             }
             Err(e) => {
-                *outcome.errors.entry(error_label(&e)).or_insert(0) += 1;
                 if matches!(e, ServeError::Transport(_)) {
+                    let unsent = (j + stride..total).step_by(stride).count();
+                    outcome.sent += unsent;
+                    *outcome.errors.entry(error_label(&e)).or_insert(0) += 1 + unsent;
                     break;
                 }
+                *outcome.errors.entry(error_label(&e)).or_insert(0) += 1;
             }
         }
         j += stride;
@@ -790,7 +407,9 @@ fn run_curve_point(addr: &str, cfg: &CurveConfig, rps: u64) -> Result<CurvePoint
 /// [`CurvePoint`] per entry of [`CurveConfig::rps_points`], in order.
 /// Points run back to back on fresh connections, so later points start
 /// with the server's cache warm from the earlier ones — deliberate: the
-/// curve isolates *load* effects, not cold-start effects.
+/// curve isolates *load* effects, not cold-start effects. The sweep is
+/// bracketed by `admin stats` scrapes; a failed scrape leaves its field
+/// `None` and never fails the run.
 pub fn run_curve(addr: &str, cfg: &CurveConfig) -> Result<CurveReport, String> {
     if cfg.connections == 0 || cfg.rps_points.is_empty() || cfg.duration_ms == 0 {
         return Err(
@@ -801,6 +420,7 @@ pub fn run_curve(addr: &str, cfg: &CurveConfig) -> Result<CurveReport, String> {
     if cfg.rps_points.contains(&0) {
         return Err("open-loop rps points must be positive".to_string());
     }
+    let server_before = scrape_stats(addr);
     let mut points = Vec::with_capacity(cfg.rps_points.len());
     for &rps in &cfg.rps_points {
         points.push(run_curve_point(addr, cfg, rps)?);
@@ -809,6 +429,8 @@ pub fn run_curve(addr: &str, cfg: &CurveConfig) -> Result<CurveReport, String> {
         connections: cfg.connections,
         duration_ms: cfg.duration_ms,
         points,
+        server_before,
+        server_after: scrape_stats(addr),
     })
 }
 
@@ -1099,124 +721,8 @@ pub fn run_stream_loadgen(addr: &str, cfg: &StreamConfig) -> Result<StreamReport
 mod tests {
     use super::*;
 
-    fn sample_report() -> LoadgenReport {
-        LoadgenReport {
-            sent: 100,
-            ok: 98,
-            cached: 90,
-            errors: BTreeMap::from([("overloaded".to_string(), 2)]),
-            p50_us: 120.0,
-            p90_us: 300.0,
-            p99_us: 900.0,
-            throughput_rps: 4500.0,
-            wall_ms: 22.0,
-            timeline: vec![
-                SecondStat {
-                    sec: 0,
-                    sent: 60,
-                    ok: 59,
-                    p50_us: 110.0,
-                    p99_us: 800.0,
-                },
-                SecondStat {
-                    sec: 1,
-                    sent: 40,
-                    ok: 39,
-                    p50_us: 130.0,
-                    p99_us: 950.0,
-                },
-            ],
-            server_before: Some(Json::obj(vec![("map_requests", Json::U64(10))])),
-            server_after: Some(Json::obj(vec![("map_requests", Json::U64(110))])),
-            server_samples: vec![Json::obj(vec![("map_requests", Json::U64(60))])],
-        }
-    }
-
-    #[test]
-    fn report_json_has_the_benchmark_shape() {
-        let report = sample_report();
-        let json = report.to_json(4, 25);
-        assert_eq!(json.get("kind").and_then(Json::as_str), Some("loadgen"));
-        assert_eq!(json.get("ok").and_then(Json::as_u64), Some(98));
-        assert_eq!(
-            json.get("errors")
-                .and_then(|e| e.get("overloaded"))
-                .and_then(Json::as_u64),
-            Some(2)
-        );
-        assert!(report.render().contains("throughput"));
-        assert_eq!(report.total_errors(), 2);
-    }
-
-    #[test]
-    fn report_json_carries_the_timeline_and_server_scrapes() {
-        let report = sample_report();
-        let json = report.to_json(4, 25);
-        let timeline = json.get("timeline").and_then(Json::as_array).unwrap();
-        assert_eq!(timeline.len(), 2);
-        assert_eq!(timeline[0].get("sent").and_then(Json::as_u64), Some(60));
-        assert_eq!(timeline[1].get("sec").and_then(Json::as_u64), Some(1));
-        let server = json.get("server").unwrap();
-        assert_eq!(
-            server.get("map_requests_delta").and_then(Json::as_u64),
-            Some(100)
-        );
-        assert_eq!(
-            server
-                .get("samples")
-                .and_then(Json::as_array)
-                .map(|a| a.len()),
-            Some(1)
-        );
-        // The rendered report shows the consistency line + sparklines.
-        let text = report.render();
-        assert!(text.contains("map_requests delta = 100"), "{text}");
-        assert!(text.contains("rps/s"), "{text}");
-    }
-
-    #[test]
-    fn sampler_off_leaves_server_fields_null() {
-        let mut report = sample_report();
-        report.server_before = None;
-        report.server_after = None;
-        report.server_samples.clear();
-        assert_eq!(report.map_requests_delta(), None);
-        let json = report.to_json(4, 25);
-        let server = json.get("server").unwrap();
-        assert_eq!(server.get("before"), Some(&Json::Null));
-        assert_eq!(server.get("map_requests_delta"), Some(&Json::Null));
-    }
-
-    #[test]
-    fn timelines_fill_idle_seconds() {
-        let samples = vec![
-            RequestSample {
-                sec: 0,
-                latency_us: 100.0,
-                ok: true,
-            },
-            RequestSample {
-                sec: 2,
-                latency_us: 300.0,
-                ok: false,
-            },
-        ];
-        let timeline = build_timeline(&samples);
-        assert_eq!(timeline.len(), 3);
-        assert_eq!(timeline[0].ok, 1);
-        assert_eq!(timeline[1].sent, 0);
-        // Second 2 saw one completion but no success: sent counts it,
-        // quantiles stay 0 rather than reporting an error's latency.
-        assert_eq!(timeline[2].sent, 1);
-        assert_eq!(timeline[2].ok, 0);
-        assert_eq!(timeline[2].p50_us, 0.0);
-    }
-
     #[test]
     fn zero_sized_campaigns_are_rejected() {
-        let mut cfg = LoadgenConfig::new();
-        cfg.connections = 0;
-        assert!(run_loadgen("127.0.0.1:1", &cfg).is_err());
         let mut cfg = StreamConfig::new();
         cfg.sessions = 0;
         assert!(run_stream_loadgen("127.0.0.1:1", &cfg).is_err());
@@ -1238,17 +744,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn curve_report_json_has_the_benchmark_shape() {
-        let report = CurveReport {
+    /// A sweep over `points` whose scrapes failed.
+    fn curve(points: Vec<CurvePoint>) -> CurveReport {
+        CurveReport {
             connections: 4,
             duration_ms: 1000,
-            points: vec![
-                sample_point(500, 499.0, 300.0),
-                sample_point(2000, 1998.0, 450.0),
-                sample_point(8000, 7100.0, 2200.0),
-            ],
-        };
+            points,
+            server_before: None,
+            server_after: None,
+        }
+    }
+
+    #[test]
+    fn curve_report_json_has_the_benchmark_shape() {
+        let mut report = curve(vec![
+            sample_point(500, 499.0, 300.0),
+            sample_point(2000, 1998.0, 450.0),
+            sample_point(8000, 7100.0, 2200.0),
+        ]);
+        report.server_before = Some(Json::obj(vec![("map_requests", Json::U64(10))]));
+        report.server_after = Some(Json::obj(vec![("map_requests", Json::U64(310))]));
         let json = report.to_json();
         assert_eq!(
             json.get("kind").and_then(Json::as_str),
@@ -1266,38 +781,57 @@ mod tests {
         assert!(text.contains("offered rps"), "{text}");
         assert!(text.contains("p99 vs load"), "{text}");
         assert_eq!(report.total_errors(), 0);
+        // The server scrapes agree with the client's 3 × 100 requests, and
+        // the rendered report shows the consistency line.
+        assert_eq!(json.get("sent").and_then(Json::as_u64), Some(300));
+        let server = json.get("server").unwrap();
+        assert_eq!(
+            server.get("map_requests_delta").and_then(Json::as_u64),
+            Some(300)
+        );
+        assert!(text.contains("map_requests delta = 300"), "{text}");
+        // `server` follows `points`, so a text grep for the first p99
+        // reads point 0.
+        let rendered = json.render();
+        let first_p99 = rendered.find("\"p99_us\":").unwrap();
+        assert!(
+            rendered[first_p99..].starts_with("\"p99_us\":300"),
+            "{rendered}"
+        );
+        assert!(first_p99 < rendered.find("\"server\":").unwrap());
+    }
+
+    #[test]
+    fn failed_scrapes_leave_server_fields_null() {
+        let report = curve(vec![sample_point(500, 499.0, 300.0)]);
+        assert_eq!(report.map_requests_delta(), None);
+        let json = report.to_json();
+        assert_eq!(json.get("sent").and_then(Json::as_u64), Some(100));
+        let server = json.get("server").unwrap();
+        assert_eq!(server.get("before"), Some(&Json::Null));
+        assert_eq!(server.get("after"), Some(&Json::Null));
+        assert_eq!(server.get("map_requests_delta"), Some(&Json::Null));
+        assert!(!report.render().contains("map_requests delta"));
     }
 
     #[test]
     fn curve_monotonicity_allows_tolerance_but_not_collapse() {
-        let rising = CurveReport {
-            connections: 4,
-            duration_ms: 1000,
-            points: vec![
-                sample_point(500, 500.0, 300.0),
-                sample_point(2000, 1900.0, 400.0),
-            ],
-        };
+        let rising = curve(vec![
+            sample_point(500, 500.0, 300.0),
+            sample_point(2000, 1900.0, 400.0),
+        ]);
         assert!(rising.monotone_achieved(0.10));
         // A small sag within tolerance still counts as monotone…
-        let sag = CurveReport {
-            connections: 4,
-            duration_ms: 1000,
-            points: vec![
-                sample_point(500, 500.0, 300.0),
-                sample_point(2000, 460.0, 400.0),
-            ],
-        };
+        let sag = curve(vec![
+            sample_point(500, 500.0, 300.0),
+            sample_point(2000, 460.0, 400.0),
+        ]);
         assert!(sag.monotone_achieved(0.10));
         // …but a collapse does not.
-        let collapse = CurveReport {
-            connections: 4,
-            duration_ms: 1000,
-            points: vec![
-                sample_point(500, 500.0, 300.0),
-                sample_point(2000, 300.0, 400.0),
-            ],
-        };
+        let collapse = curve(vec![
+            sample_point(500, 500.0, 300.0),
+            sample_point(2000, 300.0, 400.0),
+        ]);
         assert!(!collapse.monotone_achieved(0.10));
     }
 

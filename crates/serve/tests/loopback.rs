@@ -8,7 +8,8 @@ use tlbmap_core::{CommMatrix, DecayedMatrix};
 use tlbmap_mapping::HierarchicalMapper;
 use tlbmap_obs::{CounterId, Event, Json, ObsConfig, Recorder};
 use tlbmap_serve::{
-    AdminKind, Client, DeltaDecision, ErrorCode, ServeConfig, ServeError, Server, ServerHandle,
+    run_curve, AdminKind, Client, CurveConfig, DeltaDecision, ErrorCode, ServeConfig, ServeError,
+    Server, ServerHandle,
 };
 use tlbmap_sim::Topology;
 
@@ -482,27 +483,32 @@ fn admin_flight_serves_the_recorder_document() {
     handle.join();
 }
 
+/// An open-loop sweep of one point that the schedule sizes to exactly
+/// `requests` requests over `connections` connections.
+fn one_point_curve(connections: usize, requests: u64) -> CurveConfig {
+    let mut cfg = CurveConfig::new();
+    cfg.connections = connections;
+    cfg.rps_points = vec![requests * 4];
+    cfg.duration_ms = 250;
+    cfg.matrix = ring_matrix(8);
+    cfg
+}
+
 #[test]
 fn live_telemetry_agrees_with_a_thousand_request_loadgen() {
-    // The acceptance bar: ≥1000 requests through loadgen with the admin
-    // sampler on; the server's own live counters must agree with the
-    // client-observed totals, and the windowed quantiles must be present.
+    // The acceptance bar: ≥1000 requests through loadgen; the server's own
+    // live counters, scraped before and after the sweep, must agree with
+    // the client-observed totals, and the windowed quantiles must be
+    // present.
     let handle = start(ServeConfig::new().with_workers(4).with_queue_capacity(64));
     let addr = handle.addr().to_string();
 
-    let mut cfg = tlbmap_serve::LoadgenConfig::new().with_sample_period_ms(20);
-    cfg.connections = 8;
-    cfg.requests = 125;
-    cfg.matrix = ring_matrix(8);
-    let report = tlbmap_serve::run_loadgen(&addr, &cfg).unwrap();
+    let report = run_curve(&addr, &one_point_curve(8, 1000)).unwrap();
+    let point = &report.points[0];
 
-    assert_eq!(report.sent, 1000);
-    assert_eq!(report.ok, 1000);
-    assert_eq!(report.total_errors(), 0, "errors: {:?}", report.errors);
-
-    // Client-side timeline accounts for every request.
-    let timeline_sent: u64 = report.timeline.iter().map(|s| s.sent).sum();
-    assert_eq!(timeline_sent, 1000);
+    assert_eq!(report.sent(), 1000);
+    assert_eq!(point.ok, 1000);
+    assert_eq!(report.total_errors(), 0, "errors: {:?}", point.errors);
 
     // Server-side delta agrees with the client's count.
     assert_eq!(report.map_requests_delta(), Some(1000));
@@ -528,32 +534,60 @@ fn loadgen_completes_cleanly_below_the_queue_bound() {
     let handle = start(ServeConfig::new().with_workers(4).with_queue_capacity(64));
     let addr = handle.addr().to_string();
 
-    let mut cfg = tlbmap_serve::LoadgenConfig::new();
-    cfg.connections = 4;
-    cfg.requests = 25;
-    cfg.matrix = ring_matrix(8);
-    let report = tlbmap_serve::run_loadgen(&addr, &cfg).unwrap();
+    let report = run_curve(&addr, &one_point_curve(4, 100)).unwrap();
+    let point = &report.points[0];
 
-    assert_eq!(report.sent, 100);
-    assert_eq!(report.ok, 100);
-    assert_eq!(report.total_errors(), 0, "errors: {:?}", report.errors);
-    assert!(report.cached >= 90, "identical requests should mostly hit");
-    assert!(report.p50_us > 0.0 && report.p99_us >= report.p50_us);
-    assert!(report.throughput_rps > 0.0);
+    assert_eq!(point.sent, 100);
+    assert_eq!(point.ok, 100);
+    assert_eq!(report.total_errors(), 0, "errors: {:?}", point.errors);
+    assert!(point.cached >= 90, "identical requests should mostly hit");
+    assert!(point.p50_us > 0.0 && point.p99_us >= point.p50_us);
+    assert!(point.achieved_rps > 0.0);
 
+    // 100 maps plus the sweep's before/after `admin stats` scrapes.
     let rec = handle.recorder();
     assert!(rec.counter(CounterId::ServeCacheHits) > 0);
-    assert_eq!(rec.counter(CounterId::ServeRequests), 100);
+    assert_eq!(rec.counter(CounterId::ServeRequests), 102);
 
     let mut c = Client::connect(&addr).unwrap();
     let stats = c.stats().unwrap();
     assert_eq!(
         stats.get("requests").and_then(tlbmap_obs::Json::as_u64),
-        Some(101),
+        Some(103),
         "stats counts the stats request itself"
     );
     c.shutdown().unwrap();
     handle.join();
+}
+
+#[test]
+fn broken_connections_count_their_whole_schedule_as_transport_errors() {
+    // A listener that accepts and immediately drops every connection: each
+    // loadgen connection fails its first request, and the requests it never
+    // got to send must still count, so `sent` equals the schedule.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            drop(stream);
+        }
+    });
+
+    let mut cfg = CurveConfig::new();
+    cfg.rps_points = vec![200, 400];
+    cfg.duration_ms = 100;
+    let report = run_curve(&addr, &cfg).expect("a dead server is a report, not an error");
+
+    for (point, scheduled) in report.points.iter().zip([20, 40]) {
+        assert_eq!(point.sent, scheduled, "point {}", point.offered_rps);
+        assert_eq!(point.ok, 0);
+        assert_eq!(point.errors.get("transport"), Some(&scheduled));
+    }
+    assert_eq!(report.sent(), 60);
+    assert_eq!(report.total_errors(), 60);
+    // Neither scrape got an answer, and that does not fail the run.
+    assert_eq!(report.server_before, None);
+    assert_eq!(report.map_requests_delta(), None);
 }
 
 /// A communication pattern whose hierarchy optimum is unique at every
@@ -874,14 +908,14 @@ fn a_thousand_idle_connections_cost_no_threads_and_no_latency() {
 
     // A full loadgen campaign completes with sane latency while the 1000
     // idle connections stay parked.
-    let report =
-        tlbmap_serve::run_loadgen(&addr, &tlbmap_serve::LoadgenConfig::new()).expect("loadgen");
-    assert_eq!(report.total_errors(), 0, "errors: {:?}", report.errors);
-    assert_eq!(report.ok, 100);
+    let report = run_curve(&addr, &one_point_curve(4, 100)).expect("loadgen");
+    let point = &report.points[0];
+    assert_eq!(report.total_errors(), 0, "errors: {:?}", point.errors);
+    assert_eq!(point.ok, 100);
     assert!(
-        report.p99_us < 200_000.0,
+        point.p99_us < 200_000.0,
         "p99 {} us under 1000 idle connections",
-        report.p99_us
+        point.p99_us
     );
     // Loadgen's scoped threads have joined: still flat (same jitter
     // allowance for concurrent tests).
@@ -901,10 +935,10 @@ fn open_loop_curve_sweeps_points_against_a_live_server() {
     let handle = start(ServeConfig::new());
     let addr = handle.addr().to_string();
 
-    let mut cfg = tlbmap_serve::CurveConfig::new();
+    let mut cfg = CurveConfig::new();
     cfg.rps_points = vec![200, 800, 2000];
     cfg.duration_ms = 250;
-    let report = tlbmap_serve::run_curve(&addr, &cfg).expect("curve");
+    let report = run_curve(&addr, &cfg).expect("curve");
 
     assert_eq!(report.points.len(), 3);
     for point in &report.points {
