@@ -230,10 +230,30 @@ pub struct ClientOptions {
     pub duration_ms: u64,
 }
 
+/// Flags only `loadgen` takes; `client` refuses them.
+const LOADGEN_ONLY: [&str; 7] = [
+    "--connections",
+    "--out",
+    "--stream",
+    "--deltas",
+    "--phase-every",
+    "--rps",
+    "--duration-ms",
+];
+
+/// Flags only `client` takes; `loadgen` refuses them.
+const CLIENT_ONLY: [&str; 2] = ["--trace", "--batch"];
+
 impl ClientOptions {
     /// Parse args. With `positional_action`, the first bare word is the
-    /// client action (`tlbmap client <action>`); loadgen has none.
+    /// client action (`tlbmap client <action>`); loadgen has none. Each
+    /// command refuses the other's flags rather than ignoring them.
     pub fn parse(args: &[String], positional_action: bool) -> Result<ClientOptions, String> {
+        let (command, foreign) = if positional_action {
+            ("client", &LOADGEN_ONLY[..])
+        } else {
+            ("loadgen", &CLIENT_ONLY[..])
+        };
         let mut o = ClientOptions {
             action: String::new(),
             addr: DEFAULT_ADDR.to_string(),
@@ -258,6 +278,9 @@ impl ClientOptions {
                     .cloned()
                     .ok_or_else(|| format!("{name} needs a value"))
             };
+            if foreign.contains(&args[i].as_str()) {
+                return Err(format!("unknown flag `{}` for {command}", args[i]));
+            }
             match args[i].as_str() {
                 "--addr" => o.addr = value("--addr")?,
                 "--matrix" => o.matrix = Some(value("--matrix")?),
@@ -650,6 +673,34 @@ mod tests {
         assert_eq!(o.matrix.as_deref(), Some("m.json"));
         assert_eq!(o.topo, Topology::new(2, 4, 2));
         assert!(ClientOptions::parse(&[], true).is_err(), "action required");
+    }
+
+    #[test]
+    fn client_and_loadgen_refuse_each_others_flags() {
+        let err = ClientOptions::parse(
+            &words(&["health", "--rps", "5", "--stream", "--deltas", "3"]),
+            true,
+        )
+        .unwrap_err();
+        assert_eq!(err, "unknown flag `--rps` for client");
+        for flag in LOADGEN_ONLY {
+            let err = ClientOptions::parse(&words(&["health", flag, "1"]), true).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+            let alone = if flag == "--stream" {
+                vec![flag]
+            } else {
+                vec![flag, "1"]
+            };
+            assert!(
+                ClientOptions::parse(&words(&alone), false).is_ok(),
+                "{flag}"
+            );
+        }
+        for flag in CLIENT_ONLY {
+            let err = ClientOptions::parse(&words(&[flag, "1"]), false).unwrap_err();
+            assert!(err.contains("unknown flag"), "{flag}: {err}");
+            assert!(ClientOptions::parse(&words(&["session", flag, "1"]), true).is_ok());
+        }
     }
 
     #[test]

@@ -212,6 +212,11 @@ impl<D: MatrixSource + SimHooks> OnlineRemapper<D> {
 }
 
 impl<D: MatrixSource + SimHooks> SimHooks for OnlineRemapper<D> {
+    /// Per-access callbacks only reach the wrapped detector.
+    fn is_inert(&self) -> bool {
+        self.detector.is_inert()
+    }
+
     fn on_access(&mut self, core: usize, thread: usize, vaddr: VirtAddr, op: MemOp) {
         self.detector.on_access(core, thread, vaddr, op);
     }

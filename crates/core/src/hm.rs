@@ -275,6 +275,11 @@ impl HmDetector {
 }
 
 impl SimHooks for HmDetector {
+    /// Observes the periodic tick only, never individual accesses.
+    fn is_inert(&self) -> bool {
+        true
+    }
+
     fn on_tick(&mut self, _now: u64, view: &TlbView<'_>) -> u64 {
         // The periodic interrupt is machine-wide; its cost is charged to
         // whichever core the engine interrupted, but the trace attributes

@@ -128,6 +128,11 @@ impl SmDetector {
 }
 
 impl SimHooks for SmDetector {
+    /// Observes TLB misses only, never individual accesses.
+    fn is_inert(&self) -> bool {
+        true
+    }
+
     fn on_tlb_miss(
         &mut self,
         core: usize,

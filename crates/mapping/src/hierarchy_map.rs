@@ -23,6 +23,39 @@ use tlbmap_core::CommMatrix;
 use tlbmap_obs::Recorder;
 use tlbmap_sim::{Mapping, Topology};
 
+/// The largest cell total (sum of the upper triangle) the mapper accepts
+/// for an `n`-thread matrix: `i64::MAX / 2n`.
+///
+/// Every group weight is a sum of cells, so none exceeds the total `T`.
+/// The certificates double weights and add potentials, staying within
+/// `2T`. The blossom (which never runs on two vertices, where the
+/// certificate always holds) keeps every doubled dual within
+/// `(n/2 + 1)·T` of zero: its dual objective starts at `n·T`, never falls
+/// below zero and drops by at least `2δ` per dual step of `δ`. Its slack
+/// sums therefore stay within `(n + 4)·T`, which is at most `i64::MAX`
+/// for `n ≥ 4`.
+pub fn max_matrix_total(n: usize) -> u64 {
+    i64::MAX as u64 / (2 * n.max(1) as u64)
+}
+
+/// The cell total of `matrix`, or an error naming the bound when it
+/// exceeds [`max_matrix_total`] (the sum is checked, so cells near
+/// `u64::MAX` are refused rather than wrapped).
+pub fn check_matrix_total(matrix: &CommMatrix) -> Result<u64, String> {
+    let n = matrix.num_threads();
+    let bound = max_matrix_total(n);
+    matrix
+        .pairs()
+        .try_fold(0u64, |sum, (_, _, v)| sum.checked_add(v))
+        .filter(|&total| total <= bound)
+        .ok_or_else(|| {
+            format!(
+                "matrix cell total exceeds the mapper's bound of {bound} \
+                 (i64::MAX / 2n for n = {n} threads); scale the counts down"
+            )
+        })
+}
+
 /// The level-by-level matching mapper.
 #[derive(Debug, Clone, Default)]
 pub struct HierarchicalMapper {
@@ -63,8 +96,9 @@ impl HierarchicalMapper {
     ///
     /// # Panics
     /// Panics unless the thread count equals the core count (the paper's
-    /// setting) and every topology level size is a power-of-two multiple of
-    /// the previous one (pairwise matching doubles group sizes).
+    /// setting), every topology level size is a power-of-two multiple of
+    /// the previous one (pairwise matching doubles group sizes) and the
+    /// matrix's cell total is at most [`max_matrix_total`].
     pub fn map(&self, matrix: &CommMatrix, topo: &Topology) -> Mapping {
         self.map_observed(matrix, topo, &Recorder::disabled())
     }
@@ -82,11 +116,11 @@ impl HierarchicalMapper {
     }
 
     /// [`map`](HierarchicalMapper::map) without the panics: invalid input
-    /// (thread/core mismatch, non-power-of-two level arities) comes back
-    /// as a `Display`able error. This is the entry point for callers that
-    /// receive the matrix and topology from outside the process — the
-    /// mapping service must answer a malformed request with an error
-    /// frame, not die.
+    /// (thread/core mismatch, non-power-of-two level arities, a cell total
+    /// above [`max_matrix_total`]) comes back as a `Display`able error.
+    /// This is the entry point for callers that receive the matrix and
+    /// topology from outside the process — the mapping service must
+    /// answer a malformed request with an error frame, not die.
     pub fn try_map(&self, matrix: &CommMatrix, topo: &Topology) -> Result<Mapping, String> {
         self.try_map_observed(matrix, topo, &Recorder::disabled())
     }
@@ -127,6 +161,7 @@ impl HierarchicalMapper {
                 topo.num_cores()
             ));
         }
+        check_matrix_total(matrix)?;
         if n == 1 {
             return Ok(WarmMapResult {
                 mapping: Mapping::identity(1),
@@ -387,6 +422,61 @@ mod tests {
         let topo = Topology::harpertown();
         let ok = mapper.try_map(&structured(), &topo).unwrap();
         assert_eq!(ok, mapper.map(&structured(), &topo));
+    }
+
+    #[test]
+    fn cell_totals_above_the_bound_are_refused() {
+        let topo = Topology::harpertown();
+        let mapper = HierarchicalMapper::new();
+        // Three saturated cells: the total does not even fit a u64, and
+        // before the bound the doubled i64 weights wrapped into a mapping
+        // that split threads 0 and 5 across L2s.
+        let mut m = CommMatrix::new(8);
+        for (a, b) in [(0, 5), (1, 2), (0, 1)] {
+            m.add(a, b, u64::MAX);
+        }
+        let err = mapper.try_map(&m, &topo).unwrap_err();
+        assert!(err.contains("bound"), "{err}");
+        assert!(check_matrix_total(&m).is_err());
+        // One past the bound is refused, the bound itself is accepted.
+        let bound = max_matrix_total(8);
+        let mut at = CommMatrix::new(8);
+        at.add(0, 5, bound);
+        assert_eq!(check_matrix_total(&at), Ok(bound));
+        let mapping = mapper.try_map(&at, &topo).unwrap();
+        assert_eq!(
+            topo.l2_of(mapping.core_of(0)),
+            topo.l2_of(mapping.core_of(5))
+        );
+        at.add(2, 3, 1);
+        assert!(mapper.try_map(&at, &topo).is_err());
+    }
+
+    #[test]
+    fn matrices_at_the_bound_map_without_overflow() {
+        // Overflow checks are on in test builds, so any wrap in a group
+        // weight, certificate or blossom slack would panic here. The
+        // single heavy cell ties every other vertex at zero, so the
+        // blossom runs with the whole bound as its largest weight; the
+        // uniform matrix ties at every level.
+        let topo = Topology::new(8, 4, 2);
+        let n = topo.num_cores();
+        let (bound, cells) = (max_matrix_total(n), (n * (n - 1) / 2) as u64);
+        let mut single = CommMatrix::new(n);
+        single.add(0, 1, bound);
+        let mut uniform = CommMatrix::new(n);
+        let mut ring = CommMatrix::new(n);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                uniform.add(i, j, bound / cells);
+            }
+            ring.add(i, (i + 1) % n, bound / n as u64);
+        }
+        let mapper = HierarchicalMapper::new();
+        for m in [&single, &uniform, &ring] {
+            assert!(check_matrix_total(m).is_ok());
+            assert_eq!(mapper.try_map(m, &topo).unwrap().num_threads(), n);
+        }
     }
 
     #[test]

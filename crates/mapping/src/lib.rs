@@ -10,7 +10,8 @@
 //!
 //! * [`matching`] — a full O(n³) blossom implementation of maximum-weight
 //!   matching on general graphs (with the max-cardinality option that makes
-//!   it a maximum-weight *perfect* matching on complete graphs), plus a
+//!   it a maximum-weight *perfect* matching on complete graphs), the O(n²)
+//!   certified heaviest-neighbour pairing tried before it, plus a
 //!   brute-force oracle and a greedy baseline.
 //! * [`hierarchy_map`] — the paper's level-by-level mapper.
 //! * [`bisect`] — a Scotch-style recursive-bisection mapper (the alternative
@@ -29,10 +30,10 @@ pub mod matching;
 pub use bisect::RecursiveBisectionMapper;
 pub use cost::{mapping_cost, normalized_mapping_quality};
 pub use exhaustive::exhaustive_best_mapping;
-pub use hierarchy_map::{HierarchicalMapper, WarmMapResult};
+pub use hierarchy_map::{check_matrix_total, max_matrix_total, HierarchicalMapper, WarmMapResult};
 pub use matching::{
-    brute_force_max_weight_perfect_matching, greedy_matching, max_weight_matching,
-    perfect_matching_pairs, perfect_matching_pairs_warm,
+    brute_force_max_weight_perfect_matching, certified_unique_pairing, greedy_matching,
+    max_weight_matching, perfect_matching_pairs, perfect_matching_pairs_warm,
 };
 // The Mapping type itself lives next to the engine that consumes it.
 pub use tlbmap_sim::Mapping;

@@ -13,6 +13,18 @@
 //! perfect matching. [`brute_force_max_weight_perfect_matching`] is an
 //! exact exponential oracle used by the test suite to validate the blossom
 //! code, and [`greedy_matching`] is the cheap baseline used in ablations.
+//!
+//! [`perfect_matching_pairs`] runs the blossom only when it must: it first
+//! tries [`certified_unique_pairing`], an O(n²) pass that pairs every
+//! vertex with its heaviest neighbour and proves that pairing the unique
+//! optimum with an even-split dual certificate. The warm-started
+//! [`perfect_matching_pairs_warm`] proves its repaired seed with the same
+//! certificate in its non-strict form.
+//!
+//! Weights are doubled in `i64` by the certificate and by the blossom's
+//! slacks, so callers keep them far below `i64::MAX`; the hierarchical
+//! mapper bounds a matrix's cell total by
+//! [`max_matrix_total`](crate::hierarchy_map::max_matrix_total).
 
 /// An undirected weighted edge `(u, v, weight)`.
 pub type Edge = (usize, usize, i64);
@@ -772,6 +784,12 @@ pub fn greedy_matching(n: usize, weight: &dyn Fn(usize, usize) -> i64) -> Vec<(u
 /// Convenience: maximum-weight perfect matching of a complete graph given a
 /// weight function, returned as sorted pairs.
 ///
+/// Tries the certified shortcut of [`certified_unique_pairing`] first and
+/// runs the blossom only when the certificate fails. The shortcut only
+/// ever returns the unique optimum, which is the pairing the blossom would
+/// have returned, so the result is the same for every input. Each
+/// `weight(i, j)` with `i < j` is evaluated once.
+///
 /// # Panics
 /// Panics if `n` is odd.
 pub fn perfect_matching_pairs(
@@ -785,11 +803,9 @@ pub fn perfect_matching_pairs(
     if n == 0 {
         return Vec::new();
     }
-    let mut edges = Vec::with_capacity(n * (n - 1) / 2);
-    for i in 0..n {
-        for j in i + 1..n {
-            edges.push((i, j, weight(i, j)));
-        }
+    let edges = complete_edges(n, weight);
+    if let Some(pairs) = unique_pairing(n, &edges) {
+        return pairs;
     }
     let mate = max_weight_matching(n, &edges, true);
     let mut pairs = Vec::with_capacity(n / 2);
@@ -801,6 +817,95 @@ pub fn perfect_matching_pairs(
         }
     }
     pairs
+}
+
+/// The O(n²) shortcut of [`perfect_matching_pairs`]: pair every vertex
+/// with its heaviest neighbour (the lower index on ties) and return the
+/// pairs, sorted, if that relation is a perfect matching that the strict
+/// even-split certificate proves to be the **unique** maximum-weight
+/// perfect matching. Returns `None` otherwise, and always for odd `n`.
+///
+/// This is the structure the paper's mapper exploits: each thread has one
+/// heavy partner. Any instance with several optimal matchings fails the
+/// strict certificate, so a returned pairing is exactly what the blossom
+/// returns. Each `weight(i, j)` with `i < j` is evaluated once.
+pub fn certified_unique_pairing(
+    n: usize,
+    weight: &dyn Fn(usize, usize) -> i64,
+) -> Option<Vec<(usize, usize)>> {
+    if !n.is_multiple_of(2) {
+        return None;
+    }
+    unique_pairing(n, &complete_edges(n, weight))
+}
+
+/// Every edge `(i, j, weight(i, j))` with `i < j`, in row-major order.
+fn complete_edges(n: usize, weight: &dyn Fn(usize, usize) -> i64) -> Vec<Edge> {
+    let mut edges = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    for i in 0..n {
+        for j in i + 1..n {
+            edges.push((i, j, weight(i, j)));
+        }
+    }
+    edges
+}
+
+/// [`certified_unique_pairing`] over the row-major edges of an even
+/// complete graph.
+fn unique_pairing(n: usize, edges: &[Edge]) -> Option<Vec<(usize, usize)>> {
+    // Visiting each vertex's neighbours in index order, `>` keeps the
+    // lowest-index heaviest one.
+    let mut best: Vec<Option<(usize, i64)>> = vec![None; n];
+    for &(i, j, w) in edges {
+        for (v, u) in [(i, j), (j, i)] {
+            if best[v].is_none_or(|(_, b)| w > b) {
+                best[v] = Some((u, w));
+            }
+        }
+    }
+    let mate: Vec<usize> = best
+        .iter()
+        .map(|b| b.map(|(u, _)| u))
+        .collect::<Option<_>>()?;
+    if (0..n).any(|v| mate[mate[v]] != v) {
+        return None;
+    }
+    // Row `i` of the upper triangle starts after the `i·n − i(i+1)/2`
+    // edges of the rows above it.
+    let row_major = |i: usize, j: usize| edges[i * n - i * (i + 1) / 2 + (j - i - 1)].2;
+    even_split_certificate(n, &row_major, &mate, true).then(|| {
+        (0..n)
+            .filter(|&v| v < mate[v])
+            .map(|v| (v, mate[v]))
+            .collect()
+    })
+}
+
+/// The even-split dual certificate for the perfect matching `mate`
+/// (`mate[v]` is `v`'s partner). With the potential `y(v) = w(v, mate(v))`
+/// (twice the half-weight of the matched edge, to stay in integers), every
+/// perfect matching `M'` has `2·w(M') ≤ Σ y = 2·w(mate)`. So `mate` is a
+/// maximum-weight perfect matching when `y(i) + y(j) ≥ 2·w(i, j)` holds on
+/// every non-matched edge. With `strict`, `>` must hold there, and then
+/// `mate` is the **unique** optimum: any other perfect matching uses a
+/// non-matched edge and falls strictly below the bound.
+///
+/// `weight` is evaluated with `i < j` only.
+fn even_split_certificate(
+    n: usize,
+    weight: &dyn Fn(usize, usize) -> i64,
+    mate: &[usize],
+    strict: bool,
+) -> bool {
+    let y: Vec<i64> = (0..n)
+        .map(|v| weight(v.min(mate[v]), v.max(mate[v])))
+        .collect();
+    (0..n).all(|i| {
+        (i + 1..n).all(|j| {
+            let (bound, doubled) = (y[i] + y[j], 2 * weight(i, j));
+            mate[i] == j || bound > doubled || (!strict && bound == doubled)
+        })
+    })
 }
 
 /// Warm-started maximum-weight perfect matching: seed with `prev` — the
@@ -815,12 +920,9 @@ pub fn perfect_matching_pairs(
 /// 2. runs deterministic 2-opt passes (swap `(a,b),(c,d)` into
 ///    `(a,c),(b,d)` or `(a,d),(b,c)` whenever that gains weight) until a
 ///    fixpoint,
-/// 3. checks the even-split dual certificate: with potential
-///    `y(v) = w(v, mate(v))` (twice the half-weight of the matched edge),
-///    the pairing is a maximum-weight perfect matching if
-///    `y(i) + y(j) ≥ 2·w(i, j)` for **every** edge — each perfect
-///    matching's doubled weight is bounded by `Σy`, and this one attains
-///    the bound.
+/// 3. checks the non-strict even-split dual certificate, which proves the
+///    result a maximum-weight perfect matching (not necessarily the one
+///    the cold path picks among ties).
 ///
 /// The certificate is sound but not complete (odd alternating cycles can
 /// hide behind it), so on failure the cold [`perfect_matching_pairs`]
@@ -898,20 +1000,13 @@ pub fn perfect_matching_pairs_warm(
     }
     pairs.sort_unstable();
 
-    // Even-split dual certificate. Doubled to stay in integers: the
-    // potential of each vertex is the full weight of its matched edge.
-    let mut y = vec![0i64; n];
+    let mut mate = vec![0usize; n];
     for &(i, j) in &pairs {
-        let w = weight(i, j);
-        y[i] = w;
-        y[j] = w;
+        mate[i] = j;
+        mate[j] = i;
     }
-    for i in 0..n {
-        for j in i + 1..n {
-            if y[i].saturating_add(y[j]) < 2 * weight(i, j) {
-                return (perfect_matching_pairs(n, weight), false);
-            }
-        }
+    if !even_split_certificate(n, weight, &mate, false) {
+        return (perfect_matching_pairs(n, weight), false);
     }
     (pairs, true)
 }
@@ -1163,6 +1258,82 @@ mod tests {
             assert!(!warm, "seed {bad:?} must fall back to the cold path");
             assert_eq!(matching_weight(&pairs, &w), cold_w);
         }
+    }
+
+    /// Every perfect matching of `0..n`, as sorted pairs.
+    fn all_perfect_matchings(n: usize) -> Vec<Vec<(usize, usize)>> {
+        fn rec(
+            free: &[usize],
+            current: &mut Vec<(usize, usize)>,
+            out: &mut Vec<Vec<(usize, usize)>>,
+        ) {
+            let Some((&first, rest)) = free.split_first() else {
+                out.push(current.clone());
+                return;
+            };
+            for k in 0..rest.len() {
+                let mut left = rest.to_vec();
+                let partner = left.remove(k);
+                current.push((first, partner));
+                rec(&left, current, out);
+                current.pop();
+            }
+        }
+        let mut out = Vec::new();
+        rec(&(0..n).collect::<Vec<_>>(), &mut Vec::new(), &mut out);
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Against exhaustive enumeration, on small weights full of ties: the
+        /// non-strict certificate implies an optimal matching, and the strict
+        /// one implies the only optimal matching.
+        #[test]
+        fn certificate_proves_optimality_and_uniqueness(
+            n in proptest::prop::sample::select(vec![2usize, 4, 6, 8]),
+            weights in proptest::prop::collection::vec(0i64..3, 64),
+            pick in 0usize..105,
+        ) {
+            let w = |i: usize, j: usize| weights[i * 8 + j];
+            let all = all_perfect_matchings(n);
+            let weight_of = |m: &[(usize, usize)]| m.iter().map(|&(i, j)| w(i, j)).sum::<i64>();
+            let best = all.iter().map(|m| weight_of(m)).max().unwrap();
+            let optima = all.iter().filter(|m| weight_of(m) == best).count();
+            let candidate = &all[pick % all.len()];
+            let mut mate = vec![0usize; n];
+            for &(i, j) in candidate {
+                mate[i] = j;
+                mate[j] = i;
+            }
+            if even_split_certificate(n, &w, &mate, false) {
+                proptest::prop_assert_eq!(weight_of(candidate), best);
+            }
+            if even_split_certificate(n, &w, &mate, true) {
+                proptest::prop_assert_eq!(optima, 1, "strict certificate on a tied optimum");
+            }
+        }
+    }
+
+    #[test]
+    fn certified_pairing_fires_on_distinct_partners_and_declines_ties() {
+        let planted = |i: usize, j: usize| -> i64 {
+            match (i, j) {
+                (0, 3) => 50,
+                (1, 2) => 40,
+                _ => (i + j) as i64,
+            }
+        };
+        assert_eq!(
+            certified_unique_pairing(4, &planted),
+            Some(vec![(0, 3), (1, 2)])
+        );
+        // A uniform matrix has three optimal pairings: no certificate.
+        assert_eq!(certified_unique_pairing(4, &|_, _| 7), None);
+        assert_eq!(certified_unique_pairing(3, &planted), None);
+        // Two vertices have exactly one pairing.
+        assert_eq!(certified_unique_pairing(2, &|_, _| 0), Some(vec![(0, 1)]));
     }
 
     #[test]

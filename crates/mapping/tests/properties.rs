@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use tlbmap_core::CommMatrix;
 use tlbmap_mapping::matching::{
-    brute_force_max_weight_perfect_matching, greedy_matching, max_weight_matching,
-    perfect_matching_pairs, perfect_matching_pairs_warm,
+    brute_force_max_weight_perfect_matching, certified_unique_pairing, greedy_matching,
+    max_weight_matching, perfect_matching_pairs, perfect_matching_pairs_warm,
 };
 use tlbmap_mapping::{
     baselines, exhaustive_best_mapping, mapping_cost, HierarchicalMapper, Mapping,
@@ -178,5 +178,93 @@ proptest! {
         let c0 = mapping_cost(&m, &base, &topo);
         prop_assert_eq!(mapping_cost(&m, &swapped_l2, &topo), c0);
         prop_assert_eq!(mapping_cost(&m, &swapped_chip, &topo), c0);
+    }
+}
+
+/// The blossom's pairing alone, as sorted `(low, high)` pairs.
+fn blossom_pairs(n: usize, w: &dyn Fn(usize, usize) -> i64) -> Vec<(usize, usize)> {
+    let mut edges = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            edges.push((i, j, w(i, j)));
+        }
+    }
+    let mate = max_weight_matching(n, &edges, true);
+    (0..n)
+        .filter_map(|v| mate[v].filter(|&u| v < u).map(|u| (v, u)))
+        .collect()
+}
+
+/// Pairs `0..n` by sorting the vertices on `keys`, rotating the order left
+/// by `offset` and pairing neighbours: offsets 0 and 1 give two disjoint
+/// pairings when `n > 2`.
+fn keyed_pairing(n: usize, keys: &[u64], offset: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&v| (keys[v], v));
+    order.rotate_left(offset);
+    let mut partner = vec![0; n];
+    for c in order.chunks(2) {
+        partner[c[0]] = c[1];
+        partner[c[1]] = c[0];
+    }
+    partner
+}
+
+/// Matrix shapes for the certified-pairing oracle.
+const PLANTED: u8 = 0;
+const TIES: u8 = 1;
+const ZERO: u8 = 2;
+const ASYMMETRIC: u8 = 3;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The O(n²) certified pairing either declines or returns exactly the
+    /// blossom's pairing, on planted pairs plus noise, exact ties, the
+    /// all-zero matrix and asymmetric weight functions (whose lower
+    /// triangle plants a heavier decoy pairing the solvers must never
+    /// read). It fires whenever the planted pairs outweigh all noise, and
+    /// never on the all-zero matrix beyond two vertices.
+    #[test]
+    fn certified_pairing_is_the_blossom_pairing(
+        half in 1usize..=32,
+        shape in 0u8..4,
+        planted in 0i64..2000,
+        keys in prop::collection::vec(any::<u64>(), 64),
+        noise in prop::collection::vec(0i64..1000, 64 * 64),
+    ) {
+        let n = 2 * half;
+        let partner = keyed_pairing(n, &keys, 0);
+        let decoy = keyed_pairing(n, &keys, 1);
+        let mut table = vec![0i64; n * n];
+        for i in 0..n {
+            for j in i + 1..n {
+                let noisy = noise[i * 64 + j];
+                let pair = partner[i] == j;
+                table[i * n + j] = match shape {
+                    PLANTED | ASYMMETRIC => noisy + if pair { planted } else { 0 },
+                    TIES => if pair { 2 } else { noisy % 3 },
+                    _ => 0,
+                };
+                table[j * n + i] = if shape == ASYMMETRIC {
+                    if decoy[i] == j { 10_000 } else { noisy }
+                } else {
+                    table[i * n + j]
+                };
+            }
+        }
+        let w = |i: usize, j: usize| table[i * n + j];
+        let blossom = blossom_pairs(n, &w);
+        let shortcut = certified_unique_pairing(n, &w);
+        if let Some(pairs) = &shortcut {
+            prop_assert_eq!(pairs, &blossom, "certified pairing differs from the blossom's");
+        }
+        if (shape == PLANTED || shape == ASYMMETRIC) && planted >= 1000 {
+            prop_assert!(shortcut.is_some(), "planted pairs above all noise must certify");
+        }
+        if shape == ZERO {
+            prop_assert_eq!(shortcut.is_some(), n == 2);
+        }
+        prop_assert_eq!(perfect_matching_pairs(n, &w), blossom);
     }
 }

@@ -84,7 +84,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use tlbmap_core::CommMatrix;
-use tlbmap_mapping::HierarchicalMapper;
+use tlbmap_mapping::{check_matrix_total, HierarchicalMapper};
 use tlbmap_obs::{CounterId, Event, HistId, Json, LiveRegistry, Recorder};
 use tlbmap_sim::Topology;
 
@@ -1491,6 +1491,15 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 fn compute_map(shared: &Arc<Shared>, matrix: &CommMatrix, topo: &Topology) -> Response {
+    // The cache key is scale-invariant, so a matrix above the mapper's
+    // bound could hit its scaled-down pattern's entry. Refuse it before
+    // the lookup: the answer must not depend on what is cached.
+    if let Err(message) = check_matrix_total(matrix) {
+        return Response::Error {
+            code: ErrorCode::BadRequest,
+            message,
+        };
+    }
     let mapper = &shared.mapper;
     let compute = || mapper.try_map(matrix, topo).map(|m| m.as_slice().to_vec());
     let (result, outcome) = match &shared.cache {

@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tlbmap_core::{CommMatrix, DecayedMatrix};
-use tlbmap_mapping::HierarchicalMapper;
+use tlbmap_mapping::{check_matrix_total, max_matrix_total, HierarchicalMapper};
 use tlbmap_obs::{drift::cosine_u64, CounterId, Event, HistId, Recorder};
 use tlbmap_sim::Topology;
 
@@ -153,7 +153,7 @@ impl Session {
         let start = Instant::now();
         let result = mapper
             .try_map_warm_observed(self.window.window(), &self.topo, seed, rec)
-            .expect("session window is sized for its topology");
+            .expect("session window is sized for its topology and within the bound");
         let compute_us = start.elapsed().as_micros() as u64;
         let warm = result.fully_warm();
         self.mapping = result.mapping.as_slice().to_vec();
@@ -304,6 +304,24 @@ impl SessionRegistry {
                     delta.num_threads(),
                     id,
                     session.window.num_threads()
+                ),
+            ));
+        }
+        // Decay only shrinks the window, so the window total plus the
+        // delta total bounds the next window: refuse a delta that could
+        // push it past what the mapper accepts, leaving the session as it
+        // was.
+        let window_total = check_matrix_total(session.window.window())
+            .expect("every accepted delta kept the window within the bound");
+        let bound = max_matrix_total(delta.num_threads());
+        let within =
+            check_matrix_total(delta).is_ok_and(|delta_total| window_total + delta_total <= bound);
+        if !within {
+            return Err((
+                ErrorCode::BadRequest,
+                format!(
+                    "delta would raise session {id}'s window total past the mapper's bound \
+                     of {bound}"
                 ),
             ));
         }

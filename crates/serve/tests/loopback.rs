@@ -61,6 +61,52 @@ fn served_mapping_matches_the_direct_library_call() {
 }
 
 #[test]
+fn matrices_above_the_mapper_bound_answer_bad_request() {
+    let handle = start(ServeConfig::new());
+    let addr = handle.addr().to_string();
+    let topo = Topology::harpertown();
+    let mut client = Client::connect(&addr).unwrap();
+    let expect_bound_error = |result: Result<(), ServeError>| match result {
+        Err(ServeError::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(message.contains("bound"), "{message}");
+        }
+        other => panic!("expected a bad_request naming the bound, got {other:?}"),
+    };
+
+    // Saturated cells whose total does not fit a u64.
+    let mut saturated = CommMatrix::new(8);
+    for (a, b) in [(0, 5), (1, 2), (0, 1)] {
+        saturated.add(a, b, u64::MAX);
+    }
+    expect_bound_error(client.map(&saturated, &topo, None, 0).map(drop));
+
+    // A cached pattern scaled past the bound shares its fingerprint, but
+    // is refused rather than answered from the cache.
+    let ring = ring_matrix(8);
+    client.map(&ring, &topo, None, 0).unwrap();
+    let mut scaled = CommMatrix::new(8);
+    for (a, b, v) in ring.pairs() {
+        scaled.add(a, b, v << 54);
+    }
+    assert_eq!(scaled.fingerprint(), ring.fingerprint());
+    expect_bound_error(client.map(&scaled, &topo, None, 0).map(drop));
+
+    // A session delta that would push the window past the bound is
+    // refused and leaves the session usable.
+    let (session, _) = client.open_session(&topo, None, None, None).unwrap();
+    expect_bound_error(client.delta(session, &saturated).map(drop));
+    let reply = client.delta(session, &ring).unwrap();
+    assert_eq!(reply.seq, 1, "the refused delta must not count");
+    client.close_session(session).unwrap();
+
+    assert_eq!(handle.recorder().counter(CounterId::ServeBadRequests), 3);
+    client.health().unwrap();
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
 fn malformed_frame_gets_an_error_and_the_connection_survives() {
     let handle = start(ServeConfig::new());
     let addr = handle.addr().to_string();

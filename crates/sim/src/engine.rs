@@ -166,9 +166,10 @@ fn run<const OBSERVED: bool>(
         }
     }
 
-    // An inert hook set (plain simulation) lets the engine skip the
-    // per-event dynamic dispatches entirely; the skipped bodies would
-    // observe nothing and charge zero cycles.
+    // A hook set that observes no per-access callback (plain simulation,
+    // the SM and HM detectors) lets the engine skip the two per-access
+    // dynamic dispatches; the skipped bodies would observe nothing. The
+    // rare callbacks (TLB miss, tick, barrier) are always dispatched.
     let inert = hooks.is_inert();
 
     let mut next_tick = cfg.tick_period;
@@ -211,12 +212,8 @@ fn run<const OBSERVED: bool>(
 
                 // Barrier release is the safe migration point: every live
                 // thread is parked at the same cycle.
-                let requested = if inert {
-                    None
-                } else {
-                    let view = TlbView::new(&mmus, &thread_on_core);
-                    hooks.on_barrier(barriers_crossed - 1, &view)
-                };
+                let view = TlbView::new(&mmus, &thread_on_core);
+                let requested = hooks.on_barrier(barriers_crossed - 1, &view);
                 if let Some(new_map) = requested {
                     assert_eq!(
                         new_map.num_threads(),
@@ -311,12 +308,8 @@ fn run<const OBSERVED: bool>(
                             if OBSERVED {
                                 rec.record_tlb_miss(core, t, vpn.0, kind == AccessKind::Data);
                             }
-                            let overhead = if inert {
-                                0
-                            } else {
-                                let view = TlbView::new(&mmus, &thread_on_core);
-                                hooks.on_tlb_miss(core, t, vpn, kind, &view)
-                            };
+                            let view = TlbView::new(&mmus, &thread_on_core);
+                            let overhead = hooks.on_tlb_miss(core, t, vpn, kind, &view);
                             if overhead > 0 {
                                 detection_overhead += overhead;
                                 detection_searches += 1;
@@ -360,12 +353,8 @@ fn run<const OBSERVED: bool>(
                         rec.set_cycle(tick_at);
                         rec.inc(CounterId::Ticks);
                     }
-                    let overhead = if inert {
-                        0
-                    } else {
-                        let view = TlbView::new(&mmus, &thread_on_core);
-                        hooks.on_tick(tick_at, &view)
-                    };
+                    let view = TlbView::new(&mmus, &thread_on_core);
+                    let overhead = hooks.on_tick(tick_at, &view);
                     if OBSERVED {
                         rec.prof_charge(ProfId::TickDetectScan, overhead);
                     }
@@ -586,6 +575,58 @@ mod tests {
         );
         assert_eq!(hook.misses, 2);
         assert_eq!(hook.sharers_seen, 1);
+    }
+
+    #[test]
+    fn inert_hooks_skip_only_the_per_access_callbacks() {
+        #[derive(Default)]
+        struct RareOnly {
+            misses: u64,
+            ticks: u64,
+            barriers: u64,
+        }
+        impl SimHooks for RareOnly {
+            fn is_inert(&self) -> bool {
+                true
+            }
+            fn on_access(&mut self, _: usize, _: usize, _: VirtAddr, _: tlbmap_cache::MemOp) {
+                panic!("an inert hook must not see per-access callbacks");
+            }
+            fn on_tlb_miss(
+                &mut self,
+                _: usize,
+                _: usize,
+                _: Vpn,
+                _: tlbmap_cache::AccessKind,
+                _: &TlbView<'_>,
+            ) -> u64 {
+                self.misses += 1;
+                0
+            }
+            fn on_tick(&mut self, _now: u64, _view: &TlbView<'_>) -> u64 {
+                self.ticks += 1;
+                0
+            }
+            fn on_barrier(&mut self, _: u64, _: &TlbView<'_>) -> Option<Mapping> {
+                self.barriers += 1;
+                None
+            }
+        }
+        let traces: Vec<ThreadTrace> = vec![
+            vec![
+                TraceEvent::read(page(3)),
+                TraceEvent::Barrier,
+                TraceEvent::Compute(5000),
+            ]
+            .into(),
+            vec![TraceEvent::Barrier, TraceEvent::read(page(4))].into(),
+        ];
+        let c = cfg().with_tick_period(Some(1000));
+        let mut hook = RareOnly::default();
+        simulate(&c, &topo(), &traces, &Mapping::new(vec![0, 1]), &mut hook);
+        assert_eq!(hook.misses, 2);
+        assert_eq!(hook.barriers, 1);
+        assert!(hook.ticks >= 4, "expected ticks, got {}", hook.ticks);
     }
 
     #[test]

@@ -44,12 +44,16 @@ impl<'a> TlbView<'a> {
 /// detection *overhead* (Table III, §VI-C) becomes visible in execution
 /// time.
 pub trait SimHooks {
-    /// Declare that every callback is a no-op. When `true`, the engine may
-    /// skip the per-event calls entirely — behaviourally identical, since
-    /// the skipped bodies would observe nothing and charge zero cycles,
-    /// but it removes two dynamic dispatches from every simulated access.
-    /// Any implementation that observes events must return `false` (the
-    /// default).
+    /// Declare that the two per-access callbacks, [`on_access`] and
+    /// [`on_access_outcome`], are no-ops. When `true`, the engine skips
+    /// them — behaviourally identical, since the skipped bodies would
+    /// observe nothing, but it removes two dynamic dispatches from every
+    /// simulated access. The rare callbacks (TLB miss, tick, barrier) are
+    /// always dispatched. Any implementation that overrides a per-access
+    /// callback must return `false` (the default).
+    ///
+    /// [`on_access`]: SimHooks::on_access
+    /// [`on_access_outcome`]: SimHooks::on_access_outcome
     fn is_inert(&self) -> bool {
         false
     }
