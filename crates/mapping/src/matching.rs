@@ -16,10 +16,10 @@
 //!
 //! [`perfect_matching_pairs`] runs the blossom only when it must: it first
 //! tries [`certified_unique_pairing`], an O(n²) pass that pairs every
-//! vertex with its heaviest neighbour and proves that pairing the unique
-//! optimum with an even-split dual certificate. The warm-started
-//! [`perfect_matching_pairs_warm`] proves its repaired seed with the same
-//! certificate in its non-strict form.
+//! vertex with its heaviest neighbour; when that relation is an involution
+//! it is the unique optimum, which an even-split dual certificate and the
+//! tie-break prove. The warm-started [`perfect_matching_pairs_warm`]
+//! proves its repaired seed with the same certificate.
 //!
 //! Weights are doubled in `i64` by the certificate and by the blossom's
 //! slacks, so callers keep them far below `i64::MAX`; the hierarchical
@@ -821,13 +821,13 @@ pub fn perfect_matching_pairs(
 
 /// The O(n²) shortcut of [`perfect_matching_pairs`]: pair every vertex
 /// with its heaviest neighbour (the lower index on ties) and return the
-/// pairs, sorted, if that relation is a perfect matching that the strict
-/// even-split certificate proves to be the **unique** maximum-weight
-/// perfect matching. Returns `None` otherwise, and always for odd `n`.
+/// pairs, sorted, if that relation is a perfect matching. Such a pairing
+/// is the **unique** maximum-weight perfect matching (see
+/// `unique_pairing`). Returns `None` otherwise, and always for odd `n`.
 ///
 /// This is the structure the paper's mapper exploits: each thread has one
-/// heavy partner. Any instance with several optimal matchings fails the
-/// strict certificate, so a returned pairing is exactly what the blossom
+/// heavy partner. An instance with several optimal matchings never yields
+/// such an involution, so a returned pairing is exactly what the blossom
 /// returns. Each `weight(i, j)` with `i < j` is evaluated once.
 pub fn certified_unique_pairing(
     n: usize,
@@ -870,15 +870,25 @@ fn unique_pairing(n: usize, edges: &[Edge]) -> Option<Vec<(usize, usize)>> {
     if (0..n).any(|v| mate[mate[v]] != v) {
         return None;
     }
-    // Row `i` of the upper triangle starts after the `i·n − i(i+1)/2`
-    // edges of the rows above it.
-    let row_major = |i: usize, j: usize| edges[i * n - i * (i + 1) / 2 + (j - i - 1)].2;
-    even_split_certificate(n, &row_major, &mate, true).then(|| {
+    // Each `y(v) = w(v, mate(v))` is `v`'s heaviest edge, so the
+    // non-strict even-split certificate holds: the involution is optimal.
+    // It is also the only optimum. A second one would differ on an
+    // alternating cycle `v0 v1 v2 v3 …` (matched edges `v0v1`, `v2v3`, …)
+    // whose other edges are all tight, each tying both endpoints' maxima;
+    // the tie-break then gives `v0 < v2` at `v1`, `v2 < v4` at `v3`, and so
+    // on around the cycle back to `v0 < v0`.
+    debug_assert!({
+        // Row `i` of the upper triangle starts after the `i·n − i(i+1)/2`
+        // edges of the rows above it.
+        let row_major = |i: usize, j: usize| edges[i * n - i * (i + 1) / 2 + (j - i - 1)].2;
+        even_split_certificate(n, &row_major, &mate, false)
+    });
+    Some(
         (0..n)
             .filter(|&v| v < mate[v])
             .map(|v| (v, mate[v]))
-            .collect()
-    })
+            .collect(),
+    )
 }
 
 /// The even-split dual certificate for the perfect matching `mate`

@@ -279,9 +279,9 @@ impl CurveReport {
     }
 }
 
-/// One connection's share of an open-loop point: requests `first`,
-/// `first + stride`, … below `total`, each due at `start + j/rps` on the
-/// *global* schedule. Sleeps until each due time, then measures from the
+/// One connection's share of an open-loop point, sent on `client`
+/// (connected before `start`): requests `first`, `first + stride`, … below
+/// `total`, each due at `start + j/rps` on the *global* schedule. Sleeps until each due time, then measures from the
 /// due time — a late send (server stall backing up this connection)
 /// charges its wait to the latency, which is the whole point of an open
 /// loop. A transport error ends the connection; its remaining share of the
@@ -289,15 +289,14 @@ impl CurveReport {
 /// equals the schedule.
 #[allow(clippy::too_many_arguments)]
 fn run_open_loop_connection(
-    addr: &str,
+    mut client: Client,
     cfg: &CurveConfig,
     rps: u64,
     first: usize,
     stride: usize,
     total: usize,
     start: Instant,
-) -> Result<PointOutcome, String> {
-    let mut client = Client::connect(addr).map_err(|e| e.to_string())?;
+) -> PointOutcome {
     let mut outcome = PointOutcome::default();
     let deadline = if cfg.deadline_ms > 0 {
         Some(cfg.deadline_ms)
@@ -336,7 +335,7 @@ fn run_open_loop_connection(
         }
         j += stride;
     }
-    Ok(outcome)
+    outcome
 }
 
 #[derive(Default)]
@@ -352,12 +351,19 @@ struct PointOutcome {
 /// Run one offered-load point of the sweep.
 fn run_curve_point(addr: &str, cfg: &CurveConfig, rps: u64) -> Result<CurvePoint, String> {
     let total = ((rps.saturating_mul(cfg.duration_ms)) / 1000).max(1) as usize;
+    // Every connection is up before the schedule's origin, so no request
+    // is due while its connection is still being made.
+    let clients = (0..cfg.connections.min(total))
+        .map(|_| Client::connect(addr).map_err(|e| e.to_string()))
+        .collect::<Result<Vec<_>, String>>()?;
     let start = Instant::now();
     let outcomes = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.connections.min(total))
-            .map(|first| {
+        let handles: Vec<_> = clients
+            .into_iter()
+            .enumerate()
+            .map(|(first, client)| {
                 scope.spawn(move || {
-                    run_open_loop_connection(addr, cfg, rps, first, cfg.connections, total, start)
+                    run_open_loop_connection(client, cfg, rps, first, cfg.connections, total, start)
                 })
             })
             .collect();
@@ -365,7 +371,7 @@ fn run_curve_point(addr: &str, cfg: &CurveConfig, rps: u64) -> Result<CurvePoint
             .into_iter()
             .map(|h| {
                 h.join()
-                    .map_err(|_| "open-loop connection thread panicked".to_string())?
+                    .map_err(|_| "open-loop connection thread panicked".to_string())
             })
             .collect::<Result<Vec<_>, String>>()
     })?;

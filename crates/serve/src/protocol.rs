@@ -745,14 +745,16 @@ impl std::fmt::Display for FrameError {
 
 /// Write one frame.
 pub fn write_frame(w: &mut dyn Write, payload: &Json) -> io::Result<()> {
-    let body = payload.render().into_bytes();
-    let len = u32::try_from(body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large for u32"))?;
-    // One write for header + payload: two small writes would trip the
+    // The payload renders behind a placeholder length that is patched
+    // once its size is known, so the frame is built in one buffer and
+    // leaves in one write: two small writes would trip the
     // Nagle/delayed-ACK interaction and cost ~40 ms per frame.
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(&body);
+    let mut frame = String::from("\0\0\0\0");
+    payload.write(&mut frame);
+    let mut frame = frame.into_bytes();
+    let len = u32::try_from(frame.len() - 4)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large for u32"))?;
+    frame[..4].copy_from_slice(&len.to_be_bytes());
     w.write_all(&frame)?;
     w.flush()
 }
@@ -1063,6 +1065,99 @@ mod tests {
             read_frame(&mut &garbage[..], 1 << 20),
             Err(FrameError::Parse(_))
         ));
+    }
+
+    /// `payload` framed by [`write_frame`].
+    fn frame_of(payload: &Json) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, payload).unwrap();
+        frame
+    }
+
+    /// The length prefix followed by `body`.
+    fn golden(len: [u8; 4], body: &str) -> Vec<u8> {
+        [&len[..], body.as_bytes()].concat()
+    }
+
+    #[test]
+    fn frames_are_byte_exact() {
+        let mut matrix = CommMatrix::new(4);
+        matrix.add(0, 1, 9);
+        matrix.add(2, 3, 1234);
+        matrix.add(1, 2, 10);
+        let map = Request::Map {
+            matrix,
+            topo: Topology::new(1, 2, 2),
+            deadline_ms: Some(250),
+            delay_ms: 0,
+        };
+        assert_eq!(
+            frame_of(&map.to_json()),
+            golden(
+                [0, 0, 0, 167],
+                r#"{"v":1,"req":"map","matrix":{"n":4,"rows":[[0,9,0,0],[9,0,10,0],[0,10,0,1234],[0,0,1234,0]]},"topology":{"chips":1,"l2_per_chip":2,"cores_per_l2":2},"deadline_ms":250}"#
+            )
+        );
+        let mut delta = CommMatrix::new(4);
+        delta.add(0, 1, 5);
+        delta.add(2, 3, 70000);
+        let delta = Request::Delta { session: 3, delta };
+        assert_eq!(
+            frame_of(&delta.to_json()),
+            golden(
+                [0, 0, 0, 69],
+                r#"{"v":1,"req":"delta","session":3,"n":4,"cells":[[0,1,5],[2,3,70000]]}"#
+            )
+        );
+        let reply = Response::Map {
+            mapping: vec![0, 2, 1, 3],
+            cached: true,
+        };
+        assert_eq!(
+            frame_of(&reply.to_json()),
+            golden(
+                [0, 0, 0, 64],
+                r#"{"v":1,"ok":true,"resp":"map","mapping":[0,2,1,3],"cached":true}"#
+            )
+        );
+        for (request, frame) in [
+            (map.clone(), frame_of(&map.to_json())),
+            (delta.clone(), frame_of(&delta.to_json())),
+        ] {
+            let json = read_frame(&mut &frame[..], 1 << 20).unwrap();
+            assert_eq!(Request::from_json(&json), Ok(request));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2048))]
+        #[test]
+        fn mutated_map_frames_never_panic(
+            edits in proptest::prop::collection::vec((0usize..4096, 0usize..34, 0u8..=255), 1..8),
+            cut in 0usize..4096,
+        ) {
+            let mut frame = frame_of(&Request::Map {
+                matrix: sample_matrix(),
+                topo: Topology::harpertown(),
+                deadline_ms: Some(5),
+                delay_ms: 0,
+            }
+            .to_json());
+            // Bytes that steer the parser, or an arbitrary one.
+            let steering = b"[]{},:\"-.eE09 \\\0\xff";
+            for (at, pick, byte) in edits {
+                let at = at % frame.len();
+                frame[at] = steering.get(pick).copied().unwrap_or(byte);
+            }
+            if cut < frame.len() && cut % 3 == 0 {
+                frame.truncate(cut);
+            }
+            if let Ok(json) = read_frame(&mut &frame[..], 1 << 20) {
+                if check_version(&json).is_ok() {
+                    let _ = Request::from_json(&json);
+                }
+            }
+        }
     }
 
     #[test]
