@@ -1,10 +1,10 @@
 //! Baseline mappings the paper's mapper is compared against.
 
-use crate::hierarchy_map::group_weight;
-use crate::matching::perfect_matching_pairs;
+use crate::hierarchy_map::match_levels;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use tlbmap_core::CommMatrix;
+use tlbmap_obs::Recorder;
 use tlbmap_sim::{Mapping, Topology};
 
 /// The "OS" baseline of the paper's figures: threads placed in creation
@@ -45,46 +45,17 @@ pub fn random(n_threads: usize, topo: &Topology, seed: u64) -> Mapping {
 
 /// Adversarial placement: hierarchically matches the *least*-communicating
 /// groups together, approximately maximizing communication-weighted
-/// distance. Useful as an upper bound on how much mapping can matter.
+/// distance. Useful as an upper bound on how much mapping can matter. It
+/// runs [`crate::HierarchicalMapper`]'s level loop on negated weights.
 ///
 /// # Panics
-/// Same preconditions as [`crate::HierarchicalMapper::map`].
+/// Same preconditions as [`crate::HierarchicalMapper::map`], including its
+/// bound on the matrix's cell total.
 pub fn worst_case(matrix: &CommMatrix, topo: &Topology) -> Mapping {
-    let n = matrix.num_threads();
-    assert_eq!(
-        n,
-        topo.num_cores(),
-        "worst-case mapper expects one thread per core"
-    );
-    if n == 1 {
-        return Mapping::identity(1);
+    match match_levels(matrix, -1, topo, None, &Recorder::disabled()) {
+        Ok(result) => result.mapping,
+        Err(e) => panic!("{e}"),
     }
-    let mut groups: Vec<Vec<usize>> = (0..n).map(|t| vec![t]).collect();
-    let mut size = 1usize;
-    for target in topo.level_group_sizes() {
-        while size < target {
-            // Negate weights: the max-weight matching now pairs the groups
-            // that communicate least.
-            let weight = |a: usize, b: usize| -> i64 {
-                -(group_weight(&groups[a], &groups[b], matrix) as i64)
-            };
-            let pairs = perfect_matching_pairs(groups.len(), &weight);
-            groups = pairs
-                .into_iter()
-                .map(|(a, b)| {
-                    let mut merged = groups[a].clone();
-                    merged.extend_from_slice(&groups[b]);
-                    merged
-                })
-                .collect();
-            size *= 2;
-        }
-    }
-    let mut thread_to_core = vec![0usize; n];
-    for (core, &thread) in groups[0].iter().enumerate() {
-        thread_to_core[thread] = core;
-    }
-    Mapping::new(thread_to_core)
 }
 
 #[cfg(test)]
@@ -138,6 +109,17 @@ mod tests {
         // With pair weights dominating, worst case sends every pair
         // cross-chip: cost = 400 * 3.
         assert_eq!(mapping_cost(&m, &worst, &topo), 1200);
+    }
+
+    #[test]
+    #[should_panic(expected = "bound")]
+    fn worst_case_refuses_totals_above_the_bound() {
+        // Negating a total above `i64::MAX` used to wrap: `u64::MAX as i64`
+        // is -1, so these cells read as weight 1.
+        let mut m = CommMatrix::new(8);
+        m.add(0, 1, u64::MAX);
+        m.add(2, 3, 1);
+        worst_case(&m, &Topology::harpertown());
     }
 
     #[test]
