@@ -10,10 +10,12 @@
 //!
 //! * [`matching`] — a full O(n³) blossom implementation of maximum-weight
 //!   matching on general graphs (with the max-cardinality option that makes
-//!   it a maximum-weight *perfect* matching on complete graphs), the O(n²)
-//!   certified heaviest-neighbour pairing tried before it, plus a
-//!   brute-force oracle and a greedy baseline.
-//! * [`hierarchy_map`] — the paper's level-by-level mapper.
+//!   it a maximum-weight *perfect* matching on complete graphs), its dense
+//!   complete-graph form that the mapper runs, the O(n²) certified
+//!   heaviest-neighbour pairing tried before it, plus a brute-force oracle
+//!   and a greedy baseline.
+//! * [`hierarchy_map`] — the paper's level-by-level mapper, contracting the
+//!   group weights from one level to the next.
 //! * [`bisect`] — a Scotch-style recursive-bisection mapper (the alternative
 //!   method the paper mentions), used as an ablation baseline.
 //! * [`baselines`] — OS/identity, round-robin, random and worst-case
