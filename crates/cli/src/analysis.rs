@@ -114,7 +114,7 @@ fn render_timeline(doc: &Json) -> Result<String, String> {
 fn render_profile(doc: &Json) -> String {
     let mut out = String::new();
     out.push_str("== cycle profile ==\n");
-    let Some(items) = doc.get("profile").and_then(Json::as_array) else {
+    let Some(items) = doc.get("profile").and_then(Json::items) else {
         out.push_str("none recorded (metrics schema < 2)\n");
         return out;
     };
@@ -134,7 +134,7 @@ fn render_profile(doc: &Json) -> String {
         "share",
         "trend",
     ]);
-    for item in items {
+    for item in items.iter() {
         let path = item
             .get("component")
             .and_then(Json::as_str)
@@ -161,7 +161,7 @@ fn render_profile(doc: &Json) -> String {
     }
     out.push_str(&t.render());
     out.push_str("\n== collapsed stacks (flamegraph.pl / speedscope) ==\n");
-    for item in items {
+    for item in items.iter() {
         let excl = item
             .get("exclusive_cycles")
             .and_then(Json::as_u64)

@@ -379,14 +379,14 @@ fn report_from(path: &str) -> Result<(), String> {
             hist.get("min").and_then(Json::as_u64).unwrap_or(0),
             hist.get("max").and_then(Json::as_u64).unwrap_or(0),
         );
-        if let Some(buckets) = hist.get("buckets").and_then(Json::as_array) {
+        if let Some(buckets) = hist.get("buckets").and_then(Json::items) {
             let peak = buckets
                 .iter()
                 .filter_map(|b| b.get("count").and_then(Json::as_u64))
                 .max()
                 .unwrap_or(1)
                 .max(1);
-            for b in buckets {
+            for b in buckets.iter() {
                 let lo = b.get("lo").and_then(Json::as_u64).unwrap_or(0);
                 let n = b.get("count").and_then(Json::as_u64).unwrap_or(0);
                 let bar = "#".repeat(((n * 40).div_ceil(peak)) as usize);
@@ -396,15 +396,18 @@ fn report_from(path: &str) -> Result<(), String> {
     }
 
     println!("\n== snapshots ==");
-    let snaps = doc.get("snapshots").and_then(Json::as_array).unwrap_or(&[]);
+    let snaps = doc
+        .get("snapshots")
+        .and_then(Json::items)
+        .unwrap_or_default();
     if snaps.is_empty() {
         println!("none recorded (run with --snapshot-every)");
     }
-    for snap in snaps {
+    for snap in snaps.iter() {
         let index = snap.get("index").and_then(Json::as_u64).unwrap_or(0);
         let cycle = snap.get("cycle").and_then(Json::as_u64).unwrap_or(0);
         let barrier = snap.get("barrier").and_then(Json::as_u64).unwrap_or(0);
-        match snapshot_matrix(snap) {
+        match snapshot_matrix(&snap) {
             Some(m) => {
                 println!(
                     "snapshot {index} @ cycle {cycle} (after {barrier} barriers), {} units:",

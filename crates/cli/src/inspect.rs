@@ -393,7 +393,7 @@ fn speedscope_profile(name: &str, entries: &[(String, u64)], frames: &mut Vec<St
 pub(crate) fn speedscope_string(doc: &Json) -> Result<String, String> {
     let items = doc
         .get("profile")
-        .and_then(Json::as_array)
+        .and_then(Json::items)
         .ok_or("no `profile` section: record with --metrics-out (schema >= 2)")?;
     let run_entries: Vec<(String, u64)> = items
         .iter()
@@ -574,10 +574,10 @@ mod tests {
             let end = p.get("endValue").and_then(Json::as_u64).unwrap();
             let sum: u64 = p
                 .get("weights")
-                .and_then(Json::as_array)
+                .and_then(Json::items)
+                .and_then(|w| w.u64s())
                 .unwrap()
                 .iter()
-                .filter_map(Json::as_u64)
                 .sum();
             assert_eq!(sum, end);
         }

@@ -395,9 +395,9 @@ pub fn client(o: ClientOptions) -> Result<(), String> {
         }
         "trace" => {
             let doc = client.admin(AdminKind::Trace).map_err(|e| e.to_string())?;
-            match doc.as_array() {
+            match doc.items() {
                 Some(entries) if !entries.is_empty() => {
-                    for entry in entries {
+                    for entry in entries.iter() {
                         println!("{}", entry.render());
                     }
                 }

@@ -5,7 +5,7 @@
 //! communication is evaluated between *pairs* of threads to keep complexity
 //! Θ(N²).
 
-use tlbmap_obs::{Json, JsonError};
+use tlbmap_obs::{Items, Json, JsonError};
 
 /// A symmetric, zero-diagonal matrix of per-thread-pair communication.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,7 +170,7 @@ impl CommMatrix {
         let rows: Vec<Json> = self
             .data
             .chunks(self.n.max(1))
-            .map(|row| Json::Arr(row.iter().map(|&v| Json::U64(v)).collect()))
+            .map(|row| Json::U64s(row.to_vec()))
             .collect();
         Json::obj(vec![
             ("n", Json::U64(self.n as u64)),
@@ -198,13 +198,13 @@ impl CommMatrix {
             .ok_or_else(|| err("missing or mistyped field: n"))? as usize;
         let rows = json
             .get("rows")
-            .and_then(Json::as_array)
+            .and_then(Json::items)
             .ok_or_else(|| err("missing or mistyped field: rows"))?;
         if rows.len() != n {
             return Err(err("row count does not match n"));
         }
-        for row in rows {
-            let cells = row.as_array().ok_or_else(|| err("row is not an array"))?;
+        for row in rows.iter() {
+            let cells = row.items().ok_or_else(|| err("row is not an array"))?;
             if cells.len() != n {
                 return Err(err("ragged row"));
             }
@@ -218,9 +218,8 @@ impl CommMatrix {
         let mut data = Vec::with_capacity(n * n);
         let mut broken = None;
         for (i, row) in rows.iter().enumerate() {
-            for cell in row.as_array().unwrap_or_default() {
-                data.push(cell.as_u64().ok_or_else(|| err("non-integer cell"))?);
-            }
+            let cells = row.items().and_then(Items::u64s);
+            data.extend_from_slice(&cells.ok_or_else(|| err("non-integer cell"))?);
             if broken.is_none() {
                 let row = &data[i * n..];
                 if row[i] != 0 {

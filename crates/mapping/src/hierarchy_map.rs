@@ -21,6 +21,7 @@
 //! groups larger than two — but it is a polynomial-time approximation.
 
 use crate::matching::CompleteMatcher;
+use std::cell::Cell;
 use tlbmap_core::CommMatrix;
 use tlbmap_obs::Recorder;
 use tlbmap_sim::{Mapping, Topology};
@@ -160,11 +161,40 @@ impl HierarchicalMapper {
     }
 }
 
+thread_local! {
+    /// The buffers of this thread's last map, reused by its next one, so
+    /// that a service worker's maps do not allocate the weight tables and
+    /// the blossom's buffers again each time.
+    static SPARE_LEVELS: Cell<Option<Levels>> = const { Cell::new(None) };
+}
+
+/// The largest map whose buffers a thread keeps: its weight table is
+/// 512 KiB. Larger maps allocate their own, so one big request does not
+/// leave megabytes behind on every thread that served it.
+const KEPT_THREADS: usize = 256;
+
 /// The level loop of [`HierarchicalMapper`] and
 /// [`worst_case`](crate::baselines::worst_case): check the input, then
 /// match and merge until one group spans the machine, on the matrix's
 /// weights times `sign` (`-1` pairs the groups that communicate least).
 pub(crate) fn match_levels(
+    matrix: &CommMatrix,
+    sign: i64,
+    topo: &Topology,
+    seed: Option<&[Vec<(usize, usize)>]>,
+    rec: &Recorder,
+) -> Result<WarmMapResult, String> {
+    let mut levels = SPARE_LEVELS.with(Cell::take).unwrap_or_default();
+    let result = match_levels_in(&mut levels, matrix, sign, topo, seed, rec);
+    if matrix.num_threads() <= KEPT_THREADS {
+        SPARE_LEVELS.with(|spare| spare.set(Some(levels)));
+    }
+    result
+}
+
+/// [`match_levels`] on the buffers of `levels`, whatever they last held.
+fn match_levels_in(
+    levels: &mut Levels,
     matrix: &CommMatrix,
     sign: i64,
     topo: &Topology,
@@ -179,7 +209,7 @@ pub(crate) fn match_levels(
             topo.num_cores()
         ));
     }
-    let mut levels = Levels::with_sign(matrix, sign)?;
+    levels.reset(matrix, sign)?;
     // Each level size must be a power-of-two multiple of the one below.
     // The last is the core count, so matching halves the groups until one
     // spans the machine, and each level's groups are exactly its size.
@@ -226,7 +256,7 @@ pub(crate) fn match_levels(
 ///
 /// [`pair`]: Levels::pair
 /// [`merge`]: Levels::merge
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Levels {
     /// Group `k` is `order[k * size..(k + 1) * size]`.
     order: Vec<usize>,
@@ -251,22 +281,27 @@ impl Levels {
 
     /// [`Levels::new`] with every weight multiplied by `sign` (±1).
     fn with_sign(matrix: &CommMatrix, sign: i64) -> Result<Levels, String> {
+        let mut levels = Levels::default();
+        levels.reset(matrix, sign)?;
+        Ok(levels)
+    }
+
+    /// Level 0 of `matrix` with every weight multiplied by `sign` (±1),
+    /// in the buffers of whatever map these levels held before.
+    fn reset(&mut self, matrix: &CommMatrix, sign: i64) -> Result<(), String> {
         check_matrix_total(matrix)?;
         let n = matrix.num_threads();
         // No cell exceeds the checked total, far below `i64::MAX`.
-        let mut w = Vec::with_capacity(n * n);
+        self.w.clear();
         for i in 0..n {
-            w.extend((0..n).map(|j| sign * matrix.get(i, j) as i64));
+            self.w
+                .extend((0..n).map(|j| sign * matrix.get(i, j) as i64));
         }
-        Ok(Levels {
-            order: (0..n).collect(),
-            size: 1,
-            w,
-            pairs: Vec::new(),
-            next_w: Vec::new(),
-            next_order: Vec::new(),
-            matcher: CompleteMatcher::default(),
-        })
+        self.order.clear();
+        self.order.extend(0..n);
+        self.size = 1;
+        self.pairs.clear();
+        Ok(())
     }
 
     /// The number of groups at this level.
@@ -680,6 +715,56 @@ mod tests {
             thread_to_core[thread] = core;
         }
         Mapping::new(thread_to_core)
+    }
+
+    #[test]
+    fn reused_buffers_map_as_fresh_ones_do() {
+        let fresh = map_on_fresh_buffers;
+        let (a, b) = (random_matrix(16, 4), random_matrix(64, 5));
+        let (a_map, b_map, b_worst) = (fresh(&a, 1), fresh(&b, 1), fresh(&b, -1));
+        let (ta, tb) = (Topology::scaled(16).unwrap(), Topology::scaled(64).unwrap());
+        let mapper = HierarchicalMapper::new();
+        // A, then B of another size (and B's worst case, on negated
+        // weights), then A again, all on this thread's buffers.
+        assert_eq!(mapper.map(&a, &ta), a_map);
+        assert_eq!(mapper.map(&b, &tb), b_map);
+        assert_eq!(crate::baselines::worst_case(&b, &tb), b_worst);
+        assert_eq!(mapper.map(&a, &ta), a_map);
+        assert_eq!(mapper.map(&b, &tb), b_map);
+        let kept = || {
+            SPARE_LEVELS.with(|spare| {
+                let levels = spare.take();
+                let cells = levels
+                    .as_ref()
+                    .map_or(0, |l| l.w.capacity().max(l.next_w.capacity()));
+                spare.set(levels);
+                cells
+            })
+        };
+        assert!(kept() >= 64 * 64);
+        // A map above the bound leaves no buffers behind. Each group's
+        // heaviest partner is unique at every level of this one, so the
+        // certified pairing decides them all without a blossom.
+        let n = 2 * KEPT_THREADS;
+        let mut big = CommMatrix::new(n);
+        for i in 0..n {
+            for j in i + 1..n {
+                big.add(i, j, 1 << (12 - (i ^ j).ilog2()));
+            }
+        }
+        let tbig = Topology::scaled(n).unwrap();
+        assert_eq!(mapper.map(&big, &tbig), fresh(&big, 1));
+        assert_eq!(kept(), 0);
+        assert_eq!(mapper.map(&a, &ta), a_map);
+    }
+
+    /// A map of `m` (times `sign`) on new buffers, not this thread's.
+    fn map_on_fresh_buffers(m: &CommMatrix, sign: i64) -> Mapping {
+        let topo = Topology::scaled(m.num_threads()).unwrap();
+        let mut levels = Levels::default();
+        match_levels_in(&mut levels, m, sign, &topo, None, &Recorder::disabled())
+            .unwrap()
+            .mapping
     }
 
     #[test]

@@ -6,10 +6,17 @@
 //! whitespace is emitted — which is what makes two identical seeded runs
 //! produce byte-identical trace files.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// An array of unsigned integers has two forms: [`Json::Arr`] of
+/// [`Json::U64`] items and the packed [`Json::U64s`]. They render to the
+/// same bytes and compare equal, so which one a tree holds is never
+/// visible on the wire or to `==`. [`Json::items`] reads either form;
+/// [`Json::as_array`] only the unpacked one.
+#[derive(Debug, Clone)]
 pub enum Json {
     /// `null`
     Null,
@@ -25,6 +32,12 @@ pub enum Json {
     Str(String),
     /// Array.
     Arr(Vec<Json>),
+    /// Array of unsigned integers, packed: one `u64` per item instead of
+    /// one `Json` value. The parser yields it for an array it reads as
+    /// plain integers separated by bare commas, such as a matrix row, and
+    /// `CommMatrix::to_json` builds its rows with it. Neither makes an
+    /// empty one; an empty one still reads and renders as `[]`.
+    U64s(Vec<u64>),
     /// Object; keys keep insertion order for deterministic output.
     Obj(Vec<(String, Json)>),
 }
@@ -74,10 +87,22 @@ impl Json {
         }
     }
 
-    /// The value as an array slice.
+    /// The value as an array slice. `None` for a packed array, whose
+    /// items are not stored as `Json` values: a reader of an array that
+    /// may hold plain integers uses [`Json::items`].
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
+            Json::U64s(values) if values.is_empty() => Some(&[]),
+            _ => None,
+        }
+    }
+
+    /// The items of an array in either form.
+    pub fn items(&self) -> Option<Items<'_>> {
+        match self {
+            Json::Arr(items) => Some(Items::Values(items)),
+            Json::U64s(values) => Some(Items::Packed(values)),
             _ => None,
         }
     }
@@ -126,6 +151,16 @@ impl Json {
                 }
                 out.push(']');
             }
+            Json::U64s(values) => {
+                out.push('[');
+                for (i, &v) in values.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_u64(v, out);
+                }
+                out.push(']');
+            }
             Json::Obj(pairs) => {
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
@@ -156,6 +191,90 @@ impl Json {
             return Err(p.err("trailing characters after document"));
         }
         Ok(value)
+    }
+}
+
+impl PartialEq for Json {
+    /// Structural equality, except that a packed array equals the
+    /// [`Json::Arr`] of the same [`Json::U64`] items.
+    fn eq(&self, other: &Json) -> bool {
+        match (self, other) {
+            (Json::Null, Json::Null) => true,
+            (Json::Bool(a), Json::Bool(b)) => a == b,
+            (Json::U64(a), Json::U64(b)) => a == b,
+            (Json::I64(a), Json::I64(b)) => a == b,
+            (Json::F64(a), Json::F64(b)) => a == b,
+            (Json::Str(a), Json::Str(b)) => a == b,
+            (Json::Arr(a), Json::Arr(b)) => a == b,
+            (Json::U64s(a), Json::U64s(b)) => a == b,
+            (Json::U64s(packed), Json::Arr(items)) | (Json::Arr(items), Json::U64s(packed)) => {
+                packed.len() == items.len()
+                    && packed
+                        .iter()
+                        .zip(items)
+                        .all(|(&v, item)| matches!(item, Json::U64(w) if *w == v))
+            }
+            (Json::Obj(a), Json::Obj(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+/// The items of an array, read the same whichever form it is stored in
+/// ([`Json::items`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Items<'a> {
+    /// The values of a [`Json::Arr`].
+    Values(&'a [Json]),
+    /// The integers of a [`Json::U64s`]; each reads as a [`Json::U64`].
+    Packed(&'a [u64]),
+}
+
+impl Default for Items<'_> {
+    /// No items.
+    fn default() -> Self {
+        Items::Values(&[])
+    }
+}
+
+impl<'a> Items<'a> {
+    /// The number of items.
+    pub fn len(self) -> usize {
+        match self {
+            Items::Values(items) => items.len(),
+            Items::Packed(values) => values.len(),
+        }
+    }
+
+    /// Whether there are no items.
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Each item as a value: borrowed from an unpacked array, a
+    /// [`Json::U64`] made on the fly from a packed one.
+    pub fn iter(self) -> impl Iterator<Item = Cow<'a, Json>> {
+        let (items, packed): (&[Json], &[u64]) = match self {
+            Items::Values(items) => (items, &[]),
+            Items::Packed(values) => (&[], values),
+        };
+        items
+            .iter()
+            .map(Cow::Borrowed)
+            .chain(packed.iter().map(|&v| Cow::Owned(Json::U64(v))))
+    }
+
+    /// Every item as an unsigned integer ([`Json::as_u64`]), or `None` if
+    /// one is not. A packed array lends its integers without a copy.
+    pub fn u64s(self) -> Option<Cow<'a, [u64]>> {
+        match self {
+            Items::Values(items) => items
+                .iter()
+                .map(Json::as_u64)
+                .collect::<Option<_>>()
+                .map(Cow::Owned),
+            Items::Packed(values) => Some(Cow::Borrowed(values)),
+        }
     }
 }
 
@@ -299,7 +418,7 @@ impl Parser<'_> {
             return Ok(Json::Arr(Vec::new()));
         }
         // Plain unsigned integers separated by bare commas (a matrix row)
-        // gather in `ints` and become one exactly sized array.
+        // gather in `ints` and become one exactly sized packed array.
         self.ints.clear();
         let mut after_item = false;
         while let Some(v) = self.plain_u64() {
@@ -312,7 +431,7 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(self.ints.iter().map(|&v| Json::U64(v)).collect()));
+                    return Ok(Json::U64s(self.ints.to_vec()));
                 }
                 _ => {
                     after_item = true;
@@ -674,7 +793,7 @@ mod tests {
 
     /// A random value tree at most `depth` levels deep.
     fn random_tree(rng: &mut SmallRng, depth: usize) -> Json {
-        let leaf = if depth == 0 { 7 } else { 9 };
+        let leaf = if depth == 0 { 7 } else { 10 };
         match rng.gen_range(0..leaf) {
             0 => Json::Null,
             1 => Json::Bool(rng.gen_bool(0.5)),
@@ -696,12 +815,78 @@ mod tests {
                     .map(|_| random_tree(rng, depth - 1))
                     .collect(),
             ),
+            // A matrix row: unsigned integers only, often `0`.
+            8 => Json::Arr(
+                (0..rng.gen_range(0..6))
+                    .map(|_| match rng.gen_bool(0.5) {
+                        true => Json::U64(0),
+                        false => Json::U64(rng.next_u64() >> rng.gen_range(0..64)),
+                    })
+                    .collect(),
+            ),
             _ => Json::Obj(
                 (0..rng.gen_range(0..4))
                     .map(|k| (format!("k{k}"), random_tree(rng, depth - 1)))
                     .collect(),
             ),
         }
+    }
+
+    /// `tree` with every non-empty array of [`Json::U64`] items packed.
+    fn pack_all(tree: &Json) -> Json {
+        match tree {
+            Json::Arr(items) if !items.is_empty() => {
+                match items
+                    .iter()
+                    .map(|v| match v {
+                        Json::U64(v) => Some(*v),
+                        _ => None,
+                    })
+                    .collect::<Option<Vec<u64>>>()
+                {
+                    Some(values) => Json::U64s(values),
+                    None => Json::Arr(items.iter().map(pack_all).collect()),
+                }
+            }
+            Json::Obj(pairs) => Json::Obj(
+                pairs
+                    .iter()
+                    .map(|(k, v)| (k.clone(), pack_all(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    /// Every accessor answers the same on `a` and on `b`, recursively:
+    /// arrays through [`Json::items`], since `as_array` cannot lend a
+    /// packed array's items.
+    fn same_answers(a: &Json, b: &Json) -> Result<(), String> {
+        prop_assert_eq!(a.as_u64(), b.as_u64());
+        prop_assert_eq!(a.as_f64().map(f64::to_bits), b.as_f64().map(f64::to_bits));
+        prop_assert_eq!(a.as_str(), b.as_str());
+        prop_assert_eq!(a.as_bool(), b.as_bool());
+        prop_assert_eq!(a.get("k0").is_some(), b.get("k0").is_some());
+        prop_assert_eq!(a.get("k9"), b.get("k9"));
+        match (a.items(), b.items()) {
+            (Some(x), Some(y)) => {
+                prop_assert_eq!(x.len(), y.len());
+                prop_assert_eq!(x.is_empty(), y.is_empty());
+                prop_assert_eq!(x.u64s(), y.u64s());
+                for (p, q) in x.iter().zip(y.iter()) {
+                    same_answers(&p, &q)?;
+                }
+            }
+            (x, y) => prop_assert!(x.is_none() && y.is_none()),
+        }
+        if let (Json::Obj(x), Json::Obj(y)) = (a, b) {
+            prop_assert_eq!(x.len(), y.len());
+            for ((kx, vx), (ky, vy)) in x.iter().zip(y) {
+                prop_assert_eq!(kx, ky);
+                same_answers(vx, vy)?;
+            }
+        }
+        Ok(())
     }
 
     proptest! {
@@ -711,6 +896,22 @@ mod tests {
             let tree = random_tree(&mut SmallRng::seed_from_u64(seed), 4);
             let text = tree.render();
             prop_assert_eq!(Json::parse(&text), Ok(tree.clone()), "{}", text);
+        }
+
+        #[test]
+        fn packing_is_invisible(seed in any::<u64>()) {
+            let tree = random_tree(&mut SmallRng::seed_from_u64(seed), 4);
+            let packed = pack_all(&tree);
+            prop_assert_eq!(&packed, &tree);
+            prop_assert_eq!(&tree, &packed);
+            prop_assert_eq!(packed.render(), tree.render());
+            same_answers(&tree, &packed)?;
+            // The parser packs exactly the eligible arrays of the compact
+            // text, and whitespace keeps every array unpacked.
+            let parsed = Json::parse(&tree.render()).unwrap();
+            prop_assert_eq!(format!("{parsed:?}"), format!("{packed:?}"));
+            let spaced = Json::parse(&tree.render().replace(']', " ]")).unwrap();
+            prop_assert_eq!(format!("{spaced:?}"), format!("{tree:?}"));
         }
 
         #[test]

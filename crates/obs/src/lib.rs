@@ -61,7 +61,7 @@ pub mod ring;
 
 pub use event::{Event, Mechanism};
 pub use flight::{FlightWindow, PHASE_SIMILARITY_THRESHOLD};
-pub use json::{Json, JsonError};
+pub use json::{Items, Json, JsonError};
 pub use live::{LiveConfig, LiveRegistry, WindowSnapshot, WindowedHistogram};
 pub use metrics::{
     bucket_index, bucket_lo, CounterId, HistId, Histogram, COUNTERS, HISTS, N_BUCKETS,

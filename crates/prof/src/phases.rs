@@ -7,6 +7,7 @@
 //! inspect` (and tests) can render phase timelines, per-phase heatmaps and
 //! per-phase cycle attribution without re-deriving anything.
 
+use std::borrow::Cow;
 use tlbmap_core::CommMatrix;
 use tlbmap_obs::Json;
 
@@ -118,35 +119,32 @@ fn u(json: &Json, k: &str) -> Result<u64, String> {
 
 fn u64s(json: &Json, k: &str) -> Result<Vec<u64>, String> {
     json.get(k)
-        .and_then(Json::as_array)
+        .and_then(Json::items)
         .ok_or_else(|| format!("flight: missing array `{k}`"))?
-        .iter()
-        .map(|v| v.as_u64())
-        .collect::<Option<Vec<u64>>>()
+        .u64s()
+        .map(Cow::into_owned)
         .ok_or_else(|| format!("flight: non-integer entry in `{k}`"))
 }
 
 fn flat_rows(json: &Json, n: usize) -> Result<Vec<u64>, String> {
     let rows = json
         .get("rows")
-        .and_then(Json::as_array)
+        .and_then(Json::items)
         .ok_or("flight: missing `rows`")?;
     if rows.len() != n {
         return Err(format!("flight: expected {n} rows, got {}", rows.len()));
     }
     let mut cells = Vec::with_capacity(n * n);
-    for row in rows {
+    for row in rows.iter() {
         let row = row
-            .as_array()
+            .items()
             .ok_or("flight: row is not an array")?
-            .iter()
-            .map(|v| v.as_u64())
-            .collect::<Option<Vec<u64>>>()
+            .u64s()
             .ok_or("flight: non-integer cell")?;
         if row.len() != n {
             return Err(format!("flight: expected {n} columns, got {}", row.len()));
         }
-        cells.extend(row);
+        cells.extend_from_slice(&row);
     }
     Ok(cells)
 }
@@ -167,30 +165,30 @@ impl FlightReport {
         let n = u(json, "n")? as usize;
         let windows = json
             .get("windows")
-            .and_then(Json::as_array)
+            .and_then(Json::items)
             .ok_or("flight: missing `windows` array")?
             .iter()
             .map(|w| {
                 Ok(PhaseWindow {
-                    index: u(w, "index")?,
-                    start_cycle: u(w, "start_cycle")?,
-                    end_cycle: u(w, "end_cycle")?,
-                    phase: u(w, "phase")?,
+                    index: u(&w, "index")?,
+                    start_cycle: u(&w, "start_cycle")?,
+                    end_cycle: u(&w, "end_cycle")?,
+                    phase: u(&w, "phase")?,
                     similarity_ppm: w.get("similarity_ppm").and_then(Json::as_u64),
-                    core_activity: u64s(w, "core_activity")?,
-                    cells: flat_rows(w, n)?,
+                    core_activity: u64s(&w, "core_activity")?,
+                    cells: flat_rows(&w, n)?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
         let phases = json
             .get("phases")
-            .and_then(Json::as_array)
+            .and_then(Json::items)
             .ok_or("flight: missing `phases` array")?
             .iter()
             .map(|p| {
                 let profile = p
                     .get("profile")
-                    .and_then(Json::as_array)
+                    .and_then(Json::items)
                     .ok_or("flight: phase missing `profile`")?
                     .iter()
                     .map(|c| {
@@ -200,20 +198,20 @@ impl FlightReport {
                                 .and_then(Json::as_str)
                                 .ok_or("flight: profile row missing `component`")?
                                 .to_string(),
-                            calls: u(c, "calls")?,
-                            exclusive_cycles: u(c, "exclusive_cycles")?,
+                            calls: u(&c, "calls")?,
+                            exclusive_cycles: u(&c, "exclusive_cycles")?,
                         })
                     })
                     .collect::<Result<Vec<_>, String>>()?;
                 Ok(PhaseSummary {
-                    phase: u(p, "phase")?,
-                    start_cycle: u(p, "start_cycle")?,
-                    end_cycle: u(p, "end_cycle")?,
-                    windows: u(p, "windows")?,
-                    volume: u(p, "volume")?,
-                    core_activity: u64s(p, "core_activity")?,
+                    phase: u(&p, "phase")?,
+                    start_cycle: u(&p, "start_cycle")?,
+                    end_cycle: u(&p, "end_cycle")?,
+                    windows: u(&p, "windows")?,
+                    volume: u(&p, "volume")?,
+                    core_activity: u64s(&p, "core_activity")?,
                     profile,
-                    cells: flat_rows(p, n)?,
+                    cells: flat_rows(&p, n)?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;

@@ -131,7 +131,7 @@ impl Timeline {
             .ok_or("timeline: missing numeric `phase_threshold`")?;
         let entries = json
             .get("entries")
-            .and_then(Json::as_array)
+            .and_then(Json::items)
             .ok_or("timeline: missing `entries` array")?
             .iter()
             .map(|e| {

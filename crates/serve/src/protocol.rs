@@ -37,7 +37,7 @@
 
 use std::io::{self, Read, Write};
 use tlbmap_core::CommMatrix;
-use tlbmap_obs::Json;
+use tlbmap_obs::{Items, Json};
 use tlbmap_sim::Topology;
 
 /// Protocol version spoken by this crate.
@@ -410,15 +410,16 @@ impl Request {
                     ));
                 }
                 let n = n as usize;
-                let cells = json.get("cells").and_then(Json::as_array).ok_or_else(|| {
+                let cells = json.get("cells").and_then(Json::items).ok_or_else(|| {
                     "delta request: missing or mistyped field `cells`".to_string()
                 })?;
                 let mut delta = CommMatrix::new(n);
-                for cell in cells {
+                for cell in cells.iter() {
                     let triple = cell
-                        .as_array()
+                        .items()
                         .filter(|t| t.len() == 3)
-                        .and_then(|t| Some((t[0].as_u64()?, t[1].as_u64()?, t[2].as_u64()?)))
+                        .and_then(Items::u64s)
+                        .map(|t| (t[0], t[1], t[2]))
                         .ok_or_else(|| {
                             "delta request: each cell must be an [i, j, amount] triple".to_string()
                         })?;
@@ -618,14 +619,8 @@ impl Response {
         }
         match json.get("resp").and_then(Json::as_str) {
             Some("map") => {
-                let mapping = json
-                    .get("mapping")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| "map response: missing `mapping`".to_string())?
-                    .iter()
-                    .map(|v| v.as_u64().map(|c| c as usize))
-                    .collect::<Option<Vec<usize>>>()
-                    .ok_or_else(|| "map response: non-integer core".to_string())?;
+                let mapping = mapping_of(json, "map")?
+                    .ok_or_else(|| "map response: missing `mapping`".to_string())?;
                 let cached = json.get("cached").and_then(Json::as_bool).unwrap_or(false);
                 Ok(Response::Map { mapping, cached })
             }
@@ -649,14 +644,8 @@ impl Response {
                     .get("session")
                     .and_then(Json::as_u64)
                     .ok_or_else(|| "open_session response: missing `session`".to_string())?;
-                let mapping = json
-                    .get("mapping")
-                    .and_then(Json::as_array)
-                    .ok_or_else(|| "open_session response: missing `mapping`".to_string())?
-                    .iter()
-                    .map(|v| v.as_u64().map(|c| c as usize))
-                    .collect::<Option<Vec<usize>>>()
-                    .ok_or_else(|| "open_session response: non-integer core".to_string())?;
+                let mapping = mapping_of(json, "open_session")?
+                    .ok_or_else(|| "open_session response: missing `mapping`".to_string())?;
                 Ok(Response::OpenSession { session, mapping })
             }
             Some("delta") => {
@@ -671,15 +660,7 @@ impl Response {
                     .and_then(DeltaDecision::from_wire)
                     .ok_or_else(|| "delta response: missing or unknown `decision`".to_string())?;
                 let warm = json.get("warm").and_then(Json::as_bool).unwrap_or(false);
-                let mapping = match json.get("mapping").and_then(Json::as_array) {
-                    Some(arr) => Some(
-                        arr.iter()
-                            .map(|v| v.as_u64().map(|c| c as usize))
-                            .collect::<Option<Vec<usize>>>()
-                            .ok_or_else(|| "delta response: non-integer core".to_string())?,
-                    ),
-                    None => None,
-                };
+                let mapping = mapping_of(json, "delta")?;
                 Ok(Response::Delta {
                     session: field("session")?,
                     seq: field("seq")?,
@@ -706,6 +687,18 @@ impl Response {
             None => Err("response: missing `resp`".to_string()),
         }
     }
+}
+
+/// The `mapping` array of a `what` response, `None` when it is absent or
+/// not an array.
+fn mapping_of(json: &Json, what: &str) -> Result<Option<Vec<usize>>, String> {
+    let Some(items) = json.get("mapping").and_then(Json::items) else {
+        return Ok(None);
+    };
+    let cores = items
+        .u64s()
+        .ok_or_else(|| format!("{what} response: non-integer core"))?;
+    Ok(Some(cores.iter().map(|&c| c as usize).collect()))
 }
 
 /// Check a decoded payload's protocol version.
@@ -858,7 +851,42 @@ mod tests {
             let json = req.to_json();
             check_version(&json).unwrap();
             assert_eq!(Request::from_json(&json).unwrap(), req, "{:?}", req);
+            for read in as_read(&json) {
+                assert_eq!(read, json);
+                assert_eq!(Request::from_json(&read).unwrap(), req, "{:?}", req);
+            }
         }
+    }
+
+    /// How many non-empty arrays of unsigned integers `json` holds packed,
+    /// and how many unpacked.
+    fn integer_arrays(json: &Json) -> (usize, usize) {
+        let sum = |counts: &mut dyn Iterator<Item = (usize, usize)>| {
+            counts.fold((0, 0), |(p, u), (q, v)| (p + q, u + v))
+        };
+        match json {
+            Json::U64s(_) => (1, 0),
+            Json::Arr(items) => {
+                let (p, u) = sum(&mut items.iter().map(integer_arrays));
+                let own = !items.is_empty() && items.iter().all(|i| matches!(i, Json::U64(_)));
+                (p, u + usize::from(own))
+            }
+            Json::Obj(pairs) => sum(&mut pairs.iter().map(|(_, v)| integer_arrays(v))),
+            _ => (0, 0),
+        }
+    }
+
+    /// `json` as a peer reads it off the wire: parsed from the rendered
+    /// text, where every integer array comes back packed, and from the
+    /// same text with a space before each `]`, where none does.
+    fn as_read(json: &Json) -> [Json; 2] {
+        let (packed, unpacked) = integer_arrays(json);
+        let text = json.render();
+        let compact = Json::parse(&text).unwrap();
+        let spaced = Json::parse(&text.replace(']', " ]")).unwrap();
+        assert_eq!(integer_arrays(&compact), (packed + unpacked, 0), "{text}");
+        assert_eq!(integer_arrays(&spaced), (0, packed + unpacked), "{text}");
+        [compact, spaced]
     }
 
     #[test]
@@ -916,6 +944,10 @@ mod tests {
             let json = resp.to_json();
             check_version(&json).unwrap();
             assert_eq!(Response::from_json(&json).unwrap(), resp, "{:?}", resp);
+            for read in as_read(&json) {
+                assert_eq!(read, json);
+                assert_eq!(Response::from_json(&read).unwrap(), resp, "{:?}", resp);
+            }
         }
     }
 

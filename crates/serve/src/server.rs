@@ -1535,3 +1535,128 @@ fn compute_map(shared: &Arc<Shared>, matrix: &CommMatrix, topo: &Topology) -> Re
         },
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The integers held packed anywhere in `json`.
+    fn packed_integers(json: &Json) -> usize {
+        match json {
+            Json::U64s(values) => values.len(),
+            Json::Arr(items) => items.iter().map(packed_integers).sum(),
+            Json::Obj(pairs) => pairs.iter().map(|(_, v)| packed_integers(v)).sum(),
+            _ => 0,
+        }
+    }
+
+    /// A framed `map` request for an `n`-thread matrix with `cells`.
+    fn map_frame(n: usize, cells: &[(usize, usize, u64)]) -> Vec<u8> {
+        let mut matrix = CommMatrix::new(n);
+        for &(i, j, v) in cells {
+            if i < n && j < n {
+                matrix.add(i, j, v);
+            }
+        }
+        let request = Request::Map {
+            matrix,
+            topo: Topology::new(1, 1, n),
+            deadline_ms: Some(5),
+            delay_ms: 0,
+        };
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &request.to_json()).unwrap();
+        frame
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+        #[test]
+        fn decode_one_takes_one_whole_frame_or_nothing(
+            (n, cells) in (1usize..12, prop::collection::vec((0usize..12, 0usize..12, 0u64..100_000), 0..10)),
+            (noise, noise_len) in (prop::collection::vec(0usize..16, 0..64), 0usize..64),
+            edits in prop::collection::vec((0usize..4096, 0usize..40, 0u8..=255), 0..6),
+            (prefix, delta, raw) in (0u8..5, 0usize..8, any::<u32>()),
+            (cut, max_bytes, next) in (0usize..4096, prop_oneof![Just(1usize << 20), 0usize..64, 0usize..1024], any::<bool>()),
+        ) {
+            // The payload: a map request (packed rows), or a run of bytes
+            // that make integer arrays, some of them broken.
+            let mut buf = if noise.is_empty() {
+                map_frame(n, &cells)
+            } else {
+                let alphabet = b"[[]],,,0123456789 -.";
+                let mut payload = vec![b'['];
+                payload.extend(noise.iter().cycle().take(noise.len() + noise_len).map(|&k| {
+                    alphabet.get(k).copied().unwrap_or(b'7')
+                }));
+                payload.push(b']');
+                [&(payload.len() as u32).to_be_bytes()[..], &payload].concat()
+            };
+            let steering = b"[]{},:\"-.eE09 \\\0\xff";
+            for (at, pick, byte) in edits {
+                let at = 4 + at % (buf.len() - 4).max(1);
+                if at < buf.len() {
+                    buf[at] = steering.get(pick).copied().unwrap_or(byte);
+                }
+            }
+            // The length prefix: kept, off by a few either way, arbitrary
+            // or near `u32::MAX`.
+            let actual = buf.len() - 4;
+            let len = match prefix {
+                0 | 1 => actual as u32,
+                2 => (actual + delta) as u32,
+                3 => actual.saturating_sub(delta) as u32,
+                _ => raw | if delta % 2 == 0 { 0 } else { 0xff00_0000 },
+            };
+            buf[..4].copy_from_slice(&len.to_be_bytes());
+            if cut < buf.len() && cut % 3 == 0 {
+                buf.truncate(cut);
+            }
+            if next {
+                buf.extend_from_slice(&map_frame(2, &[(0, 1, 3)]));
+            }
+
+            let before = buf.clone();
+            let decoded = decode_one(&mut buf, max_bytes);
+            let consumed = before.len() - buf.len();
+            let len = len as usize;
+            prop_assert_eq!(&before[consumed..], &buf[..]);
+            match decoded {
+                Decoded::Frame(json) => {
+                    prop_assert!(len <= max_bytes && consumed == 4 + len);
+                    // Every integer of a packed array took a digit and a
+                    // `,` or `]` of the payload.
+                    prop_assert!(2 * packed_integers(&json) <= len, "{}", json.render());
+                }
+                Decoded::BadPayload(_) => prop_assert!(len <= max_bytes && consumed == 4 + len),
+                Decoded::TooLarge(claimed) => {
+                    prop_assert!(claimed == len && len > max_bytes && consumed == 0);
+                }
+                Decoded::NeedMore => {
+                    prop_assert!(consumed == 0 && (before.len() < 4 || before.len() < 4 + len));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_one_reads_a_packed_map_frame_and_leaves_the_next() {
+        let mut buf = map_frame(4, &[(0, 1, 9), (2, 3, 1234)]);
+        let first = buf.len();
+        buf.extend_from_slice(&map_frame(2, &[(0, 1, 3)]));
+        let Decoded::Frame(json) = decode_one(&mut buf, 1 << 20) else {
+            panic!("a whole frame decodes");
+        };
+        assert_eq!(packed_integers(&json), 16);
+        assert_eq!(buf, map_frame(2, &[(0, 1, 3)]));
+        assert!(first > buf.len());
+        let Ok(Request::Map { matrix, .. }) = Request::from_json(&json) else {
+            panic!("the frame is a map request");
+        };
+        assert_eq!((matrix.get(0, 1), matrix.get(3, 2)), (9, 1234));
+        buf.truncate(buf.len() - 1);
+        assert!(matches!(decode_one(&mut buf, 1 << 20), Decoded::NeedMore));
+        assert!(matches!(decode_one(&mut buf, 8), Decoded::TooLarge(_)));
+    }
+}

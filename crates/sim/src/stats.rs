@@ -2,7 +2,7 @@
 
 use tlbmap_cache::CacheStats;
 use tlbmap_mem::TlbStats;
-use tlbmap_obs::{Json, JsonError};
+use tlbmap_obs::{Items, Json, JsonError};
 
 /// Everything measured during one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,15 +132,15 @@ impl RunStats {
     /// Returns an error naming the first missing or mistyped field.
     pub fn from_json(json: &Json) -> Result<RunStats, JsonError> {
         let core_cycles = req_array(json, "core_cycles")?
-            .iter()
-            .map(|c| c.as_u64().ok_or_else(|| schema_err("core_cycles element")))
-            .collect::<Result<Vec<_>, _>>()?;
+            .u64s()
+            .ok_or_else(|| schema_err("core_cycles element"))?
+            .into_owned();
         let tlb = req_array(json, "tlb")?
             .iter()
             .map(|t| {
                 Ok(TlbStats {
-                    hits: req_u64(t, "hits")?,
-                    misses: req_u64(t, "misses")?,
+                    hits: req_u64(&t, "hits")?,
+                    misses: req_u64(&t, "misses")?,
                 })
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
@@ -173,9 +173,9 @@ fn req_u64(json: &Json, key: &str) -> Result<u64, JsonError> {
         .ok_or_else(|| schema_err(key))
 }
 
-fn req_array<'j>(json: &'j Json, key: &str) -> Result<&'j [Json], JsonError> {
+fn req_array<'j>(json: &'j Json, key: &str) -> Result<Items<'j>, JsonError> {
     json.get(key)
-        .and_then(Json::as_array)
+        .and_then(Json::items)
         .ok_or_else(|| schema_err(key))
 }
 
