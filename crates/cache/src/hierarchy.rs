@@ -18,7 +18,6 @@ use crate::config::HierarchyConfig;
 use crate::linetable::{LineTable, EVER, HOLDERS, LOST};
 use crate::mesi::MesiState;
 use crate::stats::{CacheStats, MissKind};
-use std::collections::HashSet;
 
 /// Load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -601,14 +600,6 @@ impl MemoryHierarchy {
             }
         }
         true
-    }
-
-    /// All distinct lines currently resident in any L2 (diagnostics).
-    pub fn resident_lines(&self) -> HashSet<LineAddr> {
-        self.l2
-            .iter()
-            .flat_map(|c| c.lines().map(|(a, _)| a))
-            .collect()
     }
 }
 

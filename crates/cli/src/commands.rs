@@ -10,7 +10,7 @@ use tlbmap_mapping::{
     RecursiveBisectionMapper,
 };
 use tlbmap_obs::{Json, ObsConfig, Recorder, COUNTERS, HISTS};
-use tlbmap_prof::{compute_timeline, Timeline, DEFAULT_PHASE_THRESHOLD};
+use tlbmap_prof::{compute_timeline, Timeline};
 use tlbmap_sim::{simulate, simulate_observed, NoHooks, RunStats, SimConfig, Topology};
 
 fn topology(o: &Options) -> Topology {
@@ -66,11 +66,7 @@ fn accuracy_timeline(o: &Options, rec: &Recorder) -> Result<Option<Timeline>, St
         return Ok(None);
     }
     let truth = ground_truth_matrix(o)?;
-    Ok(Some(compute_timeline(
-        &snaps,
-        &truth,
-        DEFAULT_PHASE_THRESHOLD,
-    )))
+    Ok(Some(compute_timeline(&snaps, &truth)))
 }
 
 /// Write every artifact the options asked for. `timeline` (when present)

@@ -98,9 +98,6 @@ impl CounterEstimator {
 }
 
 impl MatrixSource for CounterEstimator {
-    fn matrix(&self) -> &CommMatrix {
-        &self.matrix
-    }
     fn take_matrix(&mut self) -> CommMatrix {
         let n = self.matrix.num_threads();
         std::mem::replace(&mut self.matrix, CommMatrix::new(n))
@@ -182,10 +179,10 @@ mod tests {
         let mut e = CounterEstimator::new(2, CounterConfig { window_accesses: 2 });
         e.on_access_outcome(0, 0, &outcome(true));
         e.on_access_outcome(1, 1, &outcome(true));
-        assert_eq!(MatrixSource::matrix(&e).get(0, 1), 1);
+        assert_eq!(e.matrix().get(0, 1), 1);
         let m = e.take_matrix();
         assert_eq!(m.get(0, 1), 1);
-        assert_eq!(MatrixSource::matrix(&e).total(), 0);
+        assert_eq!(e.matrix().total(), 0);
     }
 
     #[test]

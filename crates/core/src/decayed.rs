@@ -24,7 +24,6 @@ use crate::matrix::CommMatrix;
 pub struct DecayedMatrix {
     window: CommMatrix,
     shift: u32,
-    rounds: u64,
 }
 
 impl DecayedMatrix {
@@ -35,23 +34,12 @@ impl DecayedMatrix {
         DecayedMatrix {
             window: CommMatrix::new(n),
             shift: shift.min(63),
-            rounds: 0,
         }
     }
 
     /// Number of threads.
     pub fn num_threads(&self) -> usize {
         self.window.num_threads()
-    }
-
-    /// Configured decay shift.
-    pub fn shift(&self) -> u32 {
-        self.shift
-    }
-
-    /// Deltas ingested so far.
-    pub fn rounds(&self) -> u64 {
-        self.rounds
     }
 
     /// The current window as a plain matrix (what the mapper consumes).
@@ -85,19 +73,6 @@ impl DecayedMatrix {
             }
         }
         self.window = next;
-        self.rounds += 1;
-    }
-
-    /// Age the window one round without adding anything (idle tick).
-    pub fn decay_once(&mut self) {
-        let zero = CommMatrix::new(self.window.num_threads());
-        self.ingest(&zero);
-    }
-
-    /// Upper-triangle cells in `(i, j)` order, `i < j` — the vector the
-    /// drift judge (`tlbmap_obs::drift::cosine_u64`) compares.
-    pub fn upper_cells(&self) -> Vec<u64> {
-        self.window.pairs().map(|(_, _, v)| v).collect()
     }
 }
 
@@ -119,11 +94,10 @@ mod tests {
         let mut w = DecayedMatrix::new(4, 1);
         w.ingest(&delta(4, &[(0, 1, 1000)]));
         assert_eq!(w.window().get(0, 1), 1000);
-        w.decay_once();
+        w.ingest(&CommMatrix::new(4));
         assert_eq!(w.window().get(0, 1), 500);
-        w.decay_once();
+        w.ingest(&CommMatrix::new(4));
         assert_eq!(w.window().get(0, 1), 250);
-        assert_eq!(w.rounds(), 3);
     }
 
     #[test]
@@ -149,7 +123,7 @@ mod tests {
             w.ingest(&b);
         }
         let want: Vec<u64> = b.pairs().map(|(_, _, v)| v).collect();
-        let sim = cosine_u64(&w.upper_cells(), &want);
+        let sim = cosine_u64(&w.window().upper_cells(), &want);
         assert!(sim > 0.99, "window should track phase B, cosine = {sim}");
     }
 
@@ -178,8 +152,10 @@ mod tests {
 
     #[test]
     fn oversized_shift_is_clamped() {
-        let w = DecayedMatrix::new(2, 200);
-        assert_eq!(w.shift(), 63);
+        let mut w = DecayedMatrix::new(2, 200);
+        w.ingest(&delta(2, &[(0, 1, 1000)]));
+        w.ingest(&CommMatrix::new(2));
+        assert_eq!(w.window().get(0, 1), 1000, "shift 63 keeps all history");
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl GroundTruthDetector {
         self
     }
 
-    /// Swap the observability sink in place.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.recorder = rec;
-    }
-
     /// The accumulated communication matrix.
     pub fn matrix(&self) -> &CommMatrix {
         &self.matrix

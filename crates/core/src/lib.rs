@@ -19,8 +19,8 @@
 //!
 //! [`overhead`] reproduces the cost model of Section VI-C (231-cycle SM
 //! routine, 84,297-cycle HM routine for the paper's configuration), and
-//! [`dynamic`] implements the future-work extension: windowed matrices and
-//! phase-change detection for dynamic remapping.
+//! [`dynamic`] implements the future-work extension: an online remapper
+//! that migrates threads when the detected pattern changes phase.
 
 pub mod counters;
 pub mod decayed;
@@ -34,7 +34,7 @@ pub mod sm;
 
 pub use counters::{CounterConfig, CounterEstimator};
 pub use decayed::DecayedMatrix;
-pub use dynamic::{detect_phase_changes, OnlineRemapper, PhaseConfig, WindowedDetector};
+pub use dynamic::OnlineRemapper;
 pub use ground_truth::{GroundTruthConfig, GroundTruthDetector};
 pub use hm::{HmConfig, HmDetector};
 pub use matrix::CommMatrix;

@@ -106,6 +106,12 @@ impl CommMatrix {
         (0..self.n).flat_map(move |i| ((i + 1)..self.n).map(move |j| (i, j, self.get(i, j))))
     }
 
+    /// Upper-triangle cell values in `(i, j)` order, `i < j` — the vector
+    /// the phase judge (`tlbmap_obs::PhaseTracker`) compares.
+    pub fn upper_cells(&self) -> Vec<u64> {
+        self.pairs().map(|(_, _, v)| v).collect()
+    }
+
     /// Normalized copy: every cell divided by the maximum (all in `[0, 1]`).
     /// An all-zero matrix normalizes to all zeros.
     pub fn normalized(&self) -> Vec<f64> {

@@ -85,11 +85,6 @@ impl SmDetector {
         self
     }
 
-    /// Swap the observability sink in place.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.recorder = rec;
-    }
-
     /// The communication matrix accumulated so far.
     pub fn matrix(&self) -> &CommMatrix {
         &self.matrix

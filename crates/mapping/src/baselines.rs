@@ -7,12 +7,6 @@ use tlbmap_core::CommMatrix;
 use tlbmap_obs::Recorder;
 use tlbmap_sim::{Mapping, Topology};
 
-/// The "OS" baseline of the paper's figures: threads placed in creation
-/// order (thread `t` on core `t`), oblivious to communication.
-pub fn os_default(n_threads: usize) -> Mapping {
-    Mapping::identity(n_threads)
-}
-
 /// Scatter placement: consecutive threads spread across different L2
 /// groups first (what a load-balancing scheduler tends to do).
 ///
@@ -63,12 +57,6 @@ mod tests {
     use super::*;
     use crate::cost::mapping_cost;
     use crate::hierarchy_map::HierarchicalMapper;
-
-    #[test]
-    fn os_default_is_identity() {
-        let m = os_default(4);
-        assert_eq!(m.as_slice(), &[0, 1, 2, 3]);
-    }
 
     #[test]
     fn scatter_spreads_consecutive_threads() {

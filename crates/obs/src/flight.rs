@@ -1,24 +1,19 @@
 //! The flight recorder: a bounded in-engine ring of windowed
 //! communication-matrix deltas with an online phase detector.
 //!
-//! The offline phase machinery (`tlbmap_core::detect_phase_changes`, the
-//! `tlbmap_prof` accuracy timeline) runs after a batch run against full
-//! matrix snapshots. The flight recorder is its online counterpart: while
-//! the engine runs, it accumulates the *delta* of the communication
-//! matrix over fixed-length cycle windows plus per-core TLB-miss activity,
-//! closes each window as the clock passes its boundary, and compares the
-//! closed window's pattern against the current phase's reference pattern
-//! (the first non-empty window of the phase) using the same cosine drift
-//! kernel the offline gates use ([`crate::drift`]). Windows carrying less
-//! than a quarter of the reference's traffic are attributed to the
-//! current phase without judgement — sampling detectors produce sparse
-//! fragment windows whose shape is noise, not signal. A dense window whose
-//! similarity falls below [`PHASE_SIMILARITY_THRESHOLD`] starts a new
-//! phase: the recorder emits [`crate::Event::PhaseChange`], bumps the
-//! run's `phase_id`, and snapshots the cumulative cycle profile and core
-//! counters so exports can attribute cycles *per phase* without any
-//! hot-path cost (per-phase values are deltas between marks, not split
-//! atomics).
+//! The `tlbmap_prof` accuracy timeline judges phases after a batch run,
+//! over the deltas of full matrix snapshots. The flight recorder is its
+//! online counterpart: while the engine runs, it accumulates the *delta*
+//! of the communication matrix over fixed-length cycle windows plus
+//! per-core TLB-miss activity, closes each window as the clock passes its
+//! boundary, and hands the closed window to the same judge the timeline
+//! uses ([`PhaseTracker`]: compared against the current phase's reference
+//! window, sparse and empty windows left unjudged). A window the judge
+//! calls a change starts a new phase: the recorder emits
+//! [`crate::Event::PhaseChange`], bumps the run's `phase_id`, and
+//! snapshots the cumulative cycle profile and core counters so exports
+//! can attribute cycles *per phase* without any hot-path cost (per-phase
+//! values are deltas between marks, not split atomics).
 //!
 //! Memory is bounded: the window ring keeps the newest
 //! `flight_capacity` windows (older ones are dropped and counted), while
@@ -26,15 +21,10 @@
 //! window. Everything is keyed to simulated cycles, so two identical
 //! seeded runs produce byte-identical flight sections.
 
-use crate::drift::cosine_u64;
+use crate::drift::{PhaseTracker, Verdict};
 use crate::json::Json;
 use crate::profile::{Profile, PROF_NODES};
 use std::collections::VecDeque;
-
-/// Two consecutive patterns with cosine similarity below this are a phase
-/// change. Matches `tlbmap_prof::DEFAULT_PHASE_THRESHOLD` so the online
-/// detector and the offline timeline agree on what "diverged" means.
-pub const PHASE_SIMILARITY_THRESHOLD: f64 = 0.75;
 
 /// One closed flight-recorder window.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,7 +43,7 @@ pub struct FlightWindow {
     pub core_activity: Vec<u64>,
     /// Cosine similarity to the phase reference, in parts-per-million
     /// (kept integral so exports stay byte-stable). `None` when the window
-    /// was empty or there was no reference yet to compare against.
+    /// was not compared: empty, sparse, or the run's first phase opening.
     pub similarity_ppm: Option<u64>,
 }
 
@@ -96,6 +86,18 @@ struct PhaseMark {
     prof_cycles: Vec<u64>,
     /// Cumulative calls per [`crate::ProfId`], in [`PROF_NODES`] order.
     prof_calls: Vec<u64>,
+}
+
+impl PhaseMark {
+    fn of(prof: &Profile) -> PhaseMark {
+        PhaseMark {
+            prof_cycles: PROF_NODES
+                .iter()
+                .map(|&id| prof.exclusive_cycles(id))
+                .collect(),
+            prof_calls: PROF_NODES.iter().map(|&id| prof.calls(id)).collect(),
+        }
+    }
 }
 
 /// Exact per-phase aggregate (never dropped, one per phase).
@@ -148,10 +150,8 @@ pub(crate) struct FlightState {
     windows: VecDeque<FlightWindow>,
     /// Closed windows dropped from the ring.
     dropped: u64,
-    /// Current phase id.
-    phase: u64,
-    /// Reference pattern of the current phase (first non-empty window).
-    reference: Option<Vec<u64>>,
+    /// The phase judge; its phase index is the current phase id.
+    tracker: PhaseTracker,
     /// Cumulative state at each phase boundary (len = phase count - 1).
     marks: Vec<PhaseMark>,
     /// Exact per-phase aggregates.
@@ -171,8 +171,7 @@ impl FlightState {
             next_index: 0,
             windows: VecDeque::new(),
             dropped: 0,
-            phase: 0,
-            reference: None,
+            tracker: PhaseTracker::default(),
             marks: Vec::new(),
             aggs: Vec::new(),
         }
@@ -192,7 +191,7 @@ impl FlightState {
     /// Current phase id.
     #[cfg(test)]
     pub(crate) fn phase(&self) -> u64 {
-        self.phase
+        self.tracker.phase()
     }
 
     /// Record a symmetric matrix increment into the open window.
@@ -230,50 +229,22 @@ impl FlightState {
         let start_cycle = self.window_start;
         self.window_start = end_cycle;
 
-        let total: u64 = cells.iter().sum();
-        let mut similarity_ppm = None;
-        let mut phase_change = None;
-        if total > 0 {
-            match &self.reference {
-                None => {
-                    // First non-empty window of the run establishes the
-                    // phase-0 reference; nothing to diverge from yet.
-                    self.reference = Some(cells.clone());
-                }
-                // A window carrying less than a quarter of the reference
-                // window's traffic is too sparse to judge: with sampling
-                // detectors such windows hold arbitrary fragments of the
-                // true pattern (an iteration tail clipped by the window
-                // boundary) and comparing fragments flags sampling noise
-                // as phase changes. Attribute it to the current phase and
-                // wait for a denser window.
-                Some(reference) if total * 4 < reference.iter().sum() => {}
-                Some(reference) => {
-                    let sim = cosine_u64(reference, &cells);
-                    similarity_ppm = Some((sim.clamp(0.0, 1.0) * 1e6).round() as u64);
-                    if sim < PHASE_SIMILARITY_THRESHOLD {
-                        self.phase += 1;
-                        phase_change = Some(self.phase);
-                        self.reference = Some(cells.clone());
-                        self.marks.push(PhaseMark {
-                            prof_cycles: PROF_NODES
-                                .iter()
-                                .map(|&id| prof.exclusive_cycles(id))
-                                .collect(),
-                            prof_calls: PROF_NODES.iter().map(|&id| prof.calls(id)).collect(),
-                        });
-                    }
-                }
-            }
-        }
-        // Empty windows stay in the current phase and leave the reference
-        // untouched — sampling detectors legitimately produce them.
+        let n = self.n;
+        let upper: Vec<u64> = (0..n)
+            .flat_map(|i| cells[i * n + i + 1..(i + 1) * n].iter().copied())
+            .collect();
+        let verdict = self.tracker.judge(&upper);
+        let phase_change = matches!(verdict, Verdict::Changed(Some(_))).then(|| {
+            self.marks.push(PhaseMark::of(prof));
+            self.tracker.phase()
+        });
+        let similarity_ppm = verdict.similarity_ppm();
 
         let window = FlightWindow {
             index,
             start_cycle,
             end_cycle,
-            phase: self.phase,
+            phase: self.tracker.phase(),
             cells,
             core_activity,
             similarity_ppm,
@@ -332,13 +303,7 @@ impl FlightState {
     /// cumulative profile so the last (still-open) phase gets attributed.
     pub(crate) fn to_json(&self, prof: &Profile) -> Json {
         let windows: Vec<Json> = self.windows.iter().map(|w| w.to_json(self.n)).collect();
-        let final_mark = PhaseMark {
-            prof_cycles: PROF_NODES
-                .iter()
-                .map(|&id| prof.exclusive_cycles(id))
-                .collect(),
-            prof_calls: PROF_NODES.iter().map(|&id| prof.calls(id)).collect(),
-        };
+        let final_mark = PhaseMark::of(prof);
         let zero = PhaseMark {
             prof_cycles: vec![0; PROF_NODES.len()],
             prof_calls: vec![0; PROF_NODES.len()],
@@ -399,7 +364,7 @@ impl FlightState {
             ("n", Json::U64(self.n as u64)),
             ("windows_closed", Json::U64(self.next_index)),
             ("windows_dropped", Json::U64(self.dropped)),
-            ("phase", Json::U64(self.phase)),
+            ("phase", Json::U64(self.tracker.phase())),
             ("windows", Json::Arr(windows)),
             ("phases", Json::Arr(phases)),
         ])
@@ -414,32 +379,6 @@ mod tests {
     fn close(state: &mut FlightState, end: u64) -> WindowClose {
         let prof = Profile::default();
         state.close_window(end, &prof)
-    }
-
-    #[test]
-    fn first_nonempty_window_sets_the_reference_without_a_change() {
-        let mut s = FlightState::new(2, 100, 8);
-        s.record_inc(0, 1, 5);
-        let c = close(&mut s, 100);
-        assert_eq!(c.index, 0);
-        assert_eq!(c.similarity_ppm, None, "nothing to compare yet");
-        assert_eq!(c.phase_change, None);
-        assert_eq!(s.phase(), 0);
-    }
-
-    #[test]
-    fn stable_pattern_stays_in_one_phase() {
-        let mut s = FlightState::new(2, 100, 8);
-        for k in 0..5 {
-            s.record_inc(0, 1, 3);
-            let c = close(&mut s, (k + 1) * 100);
-            if k > 0 {
-                assert_eq!(c.similarity_ppm, Some(1_000_000));
-            }
-            assert_eq!(c.phase_change, None);
-        }
-        assert_eq!(s.phase(), 0);
-        assert_eq!(s.retained().len(), 5);
     }
 
     #[test]
@@ -459,45 +398,6 @@ mod tests {
         s.record_inc(2, 3, 10);
         let c = close(&mut s, 400);
         assert_eq!(c.phase_change, None);
-        assert_eq!(c.similarity_ppm, Some(1_000_000));
-    }
-
-    #[test]
-    fn sparse_windows_are_not_judged() {
-        let mut s = FlightState::new(4, 100, 8);
-        s.record_inc(0, 1, 20);
-        close(&mut s, 100);
-        // A 4-sample fragment on a disjoint pair: under a quarter of the
-        // reference's 40-unit volume, so it carries too little evidence
-        // to re-reference — no judgement, no phase change.
-        s.record_inc(2, 3, 2);
-        let c = close(&mut s, 200);
-        assert_eq!(c.similarity_ppm, None);
-        assert_eq!(c.phase_change, None);
-        assert_eq!(s.phase(), 0);
-        // Exactly a quarter is enough evidence, and a quarter-volume
-        // window on the *same* pattern is perfectly similar.
-        s.record_inc(0, 1, 5);
-        let c = close(&mut s, 300);
-        assert_eq!(c.similarity_ppm, Some(1_000_000));
-        // A dense divergent window still flips the phase.
-        s.record_inc(2, 3, 20);
-        let c = close(&mut s, 400);
-        assert_eq!(c.phase_change, Some(1));
-    }
-
-    #[test]
-    fn empty_windows_do_not_judge_or_touch_the_reference() {
-        let mut s = FlightState::new(2, 100, 8);
-        s.record_inc(0, 1, 5);
-        close(&mut s, 100);
-        let c = close(&mut s, 200); // nothing recorded
-        assert_eq!(c.similarity_ppm, None);
-        assert_eq!(c.phase_change, None);
-        assert_eq!(s.phase(), 0);
-        // The old reference still applies after the gap.
-        s.record_inc(0, 1, 2);
-        let c = close(&mut s, 300);
         assert_eq!(c.similarity_ppm, Some(1_000_000));
     }
 

@@ -24,7 +24,7 @@
 //!   ring of windowed communication-matrix *deltas* plus per-core activity,
 //!   maintained on the detector hot path, with an online phase detector
 //!   that stamps a `phase_id` into events and splits the cycle profile
-//!   per phase (built on the shared [`drift`] kernels).
+//!   per phase (judged by the shared [`PhaseTracker`]).
 //! * **Self-profiling** ([`ProfId`], [`Profile`]) — scoped accounting of
 //!   where *simulated* cycles go (compute, TLB, cache, detection scans,
 //!   barriers, migrations, mapper), rendered as inclusive/exclusive
@@ -59,8 +59,9 @@ pub mod profile;
 pub mod recorder;
 pub mod ring;
 
+pub use drift::{PhaseTracker, Verdict, DEFAULT_PHASE_THRESHOLD};
 pub use event::{Event, Mechanism};
-pub use flight::{FlightWindow, PHASE_SIMILARITY_THRESHOLD};
+pub use flight::FlightWindow;
 pub use json::{Items, Json, JsonError};
 pub use live::{LiveConfig, LiveRegistry, WindowSnapshot, WindowedHistogram};
 pub use metrics::{

@@ -3,10 +3,9 @@
 //! Answers "where do simulated cycles go?" — the engine charges every
 //! cycle it spends to a component in a fixed tree (compute, TLB lookup,
 //! cache access, detection scans, barriers, migrations, ticks, mapper
-//! rounds). Components form a static stack, so the profile renders as a
-//! collapsed-stack/flamegraph text format (`engine;access;tlb 12345`, one
-//! line per component — paste into `flamegraph.pl` or speedscope) and as
-//! inclusive/exclusive totals with call counts.
+//! rounds). Components form a static stack, so the profile exports as
+//! inclusive/exclusive totals with call counts per `root;...;leaf` path,
+//! which `tlbmap analyze` renders as collapsed-stack/flamegraph text.
 //!
 //! Charging uses *simulated* cycles, not host time, so two identical
 //! seeded runs produce byte-identical profiles — the property the
@@ -178,11 +177,6 @@ impl Profile {
         total
     }
 
-    /// Sum of all charged cycles (the shares denominator).
-    pub fn total_cycles(&self) -> u64 {
-        PROF_NODES.iter().map(|&n| self.exclusive_cycles(n)).sum()
-    }
-
     /// Whether `id` or any descendant saw a call.
     fn active(&self, id: ProfId) -> bool {
         if self.calls(id) > 0 {
@@ -198,21 +192,6 @@ impl Profile {
             }
             false
         })
-    }
-
-    /// Collapsed-stack text: one `path cycles` line per component with
-    /// activity, in tree order. Feed to `flamegraph.pl` / speedscope.
-    pub fn collapsed(&self) -> String {
-        let mut out = String::new();
-        for node in PROF_NODES {
-            if self.calls(node) > 0 {
-                out.push_str(&node.path());
-                out.push(' ');
-                out.push_str(&self.exclusive_cycles(node).to_string());
-                out.push('\n');
-            }
-        }
-        out
     }
 
     /// JSON export: one record per active component with call counts and
@@ -256,17 +235,7 @@ mod tests {
         assert_eq!(p.exclusive_cycles(ProfId::TlbLookup), 100);
         assert_eq!(p.inclusive_cycles(ProfId::EngineAccess), 140);
         assert_eq!(p.inclusive_cycles(ProfId::Engine), 150);
-        assert_eq!(p.total_cycles(), 150);
         assert_eq!(p.calls(ProfId::MissDetectScan), 1);
-    }
-
-    #[test]
-    fn collapsed_lists_only_active_components() {
-        let p = Profile::default();
-        p.charge(ProfId::EngineCompute, 7);
-        p.charge(ProfId::MapperLevel, 0);
-        let text = p.collapsed();
-        assert_eq!(text, "engine;compute 7\nmapper;level 0\n");
     }
 
     #[test]
@@ -291,7 +260,6 @@ mod tests {
     #[test]
     fn empty_profile_renders_empty() {
         let p = Profile::default();
-        assert_eq!(p.collapsed(), "");
         assert_eq!(p.to_json().as_array().unwrap().len(), 0);
     }
 }

@@ -268,13 +268,6 @@ impl Recorder {
         }
     }
 
-    /// Count of a histogram's observations.
-    pub fn hist_count(&self, id: HistId) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.hists[id as usize].count())
-    }
-
     /// Stamp the global cycle estimate (the engine calls this as its clock
     /// advances; detectors never see cycles directly).
     #[inline]
@@ -551,18 +544,17 @@ impl Recorder {
     /// in-engine flight recorder mints its own). Bumps the run's phase id
     /// and stamps it into the event.
     #[inline]
-    pub fn record_phase_change(&self, window: u64, similarity: f64) {
+    pub fn record_phase_change(&self, window: u64, similarity_ppm: u64) {
         if let Some(inner) = &self.inner {
             inner.counters[CounterId::PhaseChanges as usize].fetch_add(1, Ordering::Relaxed);
             let phase = inner.phase.fetch_add(1, Ordering::Relaxed) + 1;
-            let ppm = (similarity.clamp(0.0, 1.0) * 1e6).round() as u64;
             self.push_event(
                 inner,
                 Event::PhaseChange {
                     cycle: inner.now.load(Ordering::Relaxed),
                     window,
                     phase,
-                    similarity_ppm: ppm,
+                    similarity_ppm,
                 },
             );
         }
@@ -607,37 +599,6 @@ impl Recorder {
         }
     }
 
-    /// Exclusive cycles charged to a profile component.
-    pub fn prof_exclusive_cycles(&self, id: ProfId) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.prof.exclusive_cycles(id))
-    }
-
-    /// Inclusive cycles (own + descendants) of a profile component.
-    pub fn prof_inclusive_cycles(&self, id: ProfId) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.prof.inclusive_cycles(id))
-    }
-
-    /// Calls charged to a profile component.
-    pub fn prof_calls(&self, id: ProfId) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.prof.calls(id))
-    }
-
-    /// Sum of all cycles the profiler accounted for.
-    pub fn prof_total_cycles(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.prof.total_cycles())
-    }
-
-    /// The profile as collapsed-stack text (`path cycles` lines).
-    pub fn profile_collapsed(&self) -> String {
-        self.inner
-            .as_ref()
-            .map_or_else(String::new, |i| i.prof.collapsed())
-    }
-
     // ----- flight recorder -----
 
     /// Current phase id (0 until an online detector flags a change).
@@ -645,11 +606,6 @@ impl Recorder {
         self.inner
             .as_ref()
             .map_or(0, |i| i.phase.load(Ordering::Relaxed))
-    }
-
-    /// Whether the flight recorder is armed.
-    pub fn flight_enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.flight.is_some())
     }
 
     /// Closed flight windows still retained in the ring, oldest first.
@@ -781,6 +737,26 @@ mod tests {
     use super::*;
     use crate::event::Mechanism;
 
+    /// A histogram's observation count, as the metrics document exports it.
+    fn hist_count(r: &Recorder, id: HistId) -> u64 {
+        let m = r.metrics_json();
+        let hist = m.get("histograms").and_then(|h| h.get(id.as_str()));
+        hist.and_then(|h| h.get("count"))
+            .and_then(Json::as_u64)
+            .unwrap()
+    }
+
+    /// One field of a component's record in the metrics document's
+    /// `profile` section (0 when the component is absent).
+    fn prof_field(r: &Recorder, component: &str, field: &str) -> u64 {
+        let m = r.metrics_json();
+        let profile = m.get("profile").and_then(Json::as_array).unwrap();
+        profile
+            .iter()
+            .find(|c| c.get("component").and_then(Json::as_str) == Some(component))
+            .map_or(0, |c| c.get(field).and_then(Json::as_u64).unwrap())
+    }
+
     #[test]
     fn disabled_recorder_is_inert() {
         let r = Recorder::disabled();
@@ -792,7 +768,7 @@ mod tests {
         r.advance(1_000_000);
         r.finish(2_000_000);
         assert_eq!(r.counter(CounterId::Accesses), 0);
-        assert_eq!(r.hist_count(HistId::DetectionSearchCycles), 0);
+        assert_eq!(hist_count(&r, HistId::DetectionSearchCycles), 0);
         assert!(r.events().is_empty());
         assert!(r.snapshots().is_empty());
         let mut out = Vec::new();
@@ -807,7 +783,7 @@ mod tests {
         r.add(CounterId::Accesses, 9);
         r.observe(HistId::DetectionSearchCycles, 231);
         assert_eq!(r.counter(CounterId::Accesses), 10);
-        assert_eq!(r.hist_count(HistId::DetectionSearchCycles), 1);
+        assert_eq!(hist_count(&r, HistId::DetectionSearchCycles), 1);
     }
 
     #[test]
@@ -818,7 +794,7 @@ mod tests {
         r.set_cycle(160);
         r.record_tlb_miss(1, 1, 2, true); // gap 60
         assert_eq!(r.counter(CounterId::TlbMisses), 2);
-        assert_eq!(r.hist_count(HistId::TlbMissInterArrival), 1);
+        assert_eq!(hist_count(&r, HistId::TlbMissInterArrival), 1);
         let events = r.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].cycle(), 160);
@@ -863,7 +839,7 @@ mod tests {
         assert_eq!(r.counter(CounterId::DetectionSearches), 1);
         assert_eq!(r.counter(CounterId::DetectionOverheadCycles), 231);
         assert_eq!(r.counter(CounterId::SearchEntriesCompared), 28);
-        assert_eq!(r.hist_count(HistId::DetectionSearchCycles), 1);
+        assert_eq!(hist_count(&r, HistId::DetectionSearchCycles), 1);
         let events = r.events();
         assert_eq!(events.len(), 2);
         assert!(matches!(events[0], Event::SearchStart { cycle: 42, .. }));
@@ -960,14 +936,10 @@ mod tests {
         r.prof_charge(ProfId::EngineCompute, 100);
         r.prof_charge(ProfId::TlbLookup, 420);
         r.prof_charge(ProfId::CacheAccess, 210);
-        assert_eq!(r.prof_exclusive_cycles(ProfId::TlbLookup), 420);
-        assert_eq!(r.prof_inclusive_cycles(ProfId::Engine), 730);
-        assert_eq!(r.prof_total_cycles(), 730);
-        assert_eq!(r.prof_calls(ProfId::EngineCompute), 1);
-        assert!(r.profile_collapsed().contains("engine;access;tlb 420"));
-        let m = r.metrics_json();
-        assert_eq!(m.get("schema").unwrap().as_u64(), Some(3));
-        assert!(!m.get("profile").unwrap().as_array().unwrap().is_empty());
+        assert_eq!(prof_field(&r, "engine;access;tlb", "exclusive_cycles"), 420);
+        assert_eq!(prof_field(&r, "engine", "inclusive_cycles"), 730);
+        assert_eq!(prof_field(&r, "engine;compute", "calls"), 1);
+        assert_eq!(r.metrics_json().get("schema").unwrap().as_u64(), Some(3));
     }
 
     #[test]
@@ -975,14 +947,16 @@ mod tests {
         use crate::profile::ProfId;
         let r = Recorder::disabled();
         r.prof_charge(ProfId::EngineCompute, 1_000);
-        assert_eq!(r.prof_total_cycles(), 0);
-        assert_eq!(r.profile_collapsed(), "");
+        assert_eq!(
+            r.metrics_json().get("profile"),
+            Some(&Json::Arr(Vec::new()))
+        );
     }
 
     #[test]
     fn flight_windows_roll_with_the_clock() {
         let r = Recorder::new(ObsConfig::new(4).with_flight_window(Some(1000)));
-        assert!(r.flight_enabled());
+        assert_ne!(r.flight_json(), Json::Null);
         r.advance(10);
         r.record_tlb_miss(2, 2, 0x10, true);
         r.record_matrix_inc(0, 1, 3);
@@ -1077,7 +1051,7 @@ mod tests {
         // Satellite guard: window length 0 mirrors snapshot-period-0 —
         // it means "off", never a scheduler that can't advance.
         let r = Recorder::new(ObsConfig::new(2).with_flight_window(Some(0)));
-        assert!(!r.flight_enabled());
+        assert_eq!(r.flight_json(), Json::Null);
         r.record_matrix_inc(0, 1, 3);
         r.advance(10_000);
         r.finish(1_000_000);

@@ -28,4 +28,5 @@ pub mod timeline;
 
 pub use diff::{diff_docs, DiffEntry, DiffReport, Direction};
 pub use phases::{FlightReport, PhaseComponent, PhaseSummary, PhaseWindow};
-pub use timeline::{compute_timeline, Scores, Timeline, TimelineEntry, DEFAULT_PHASE_THRESHOLD};
+pub use timeline::{compute_timeline, Scores, Timeline, TimelineEntry};
+pub use tlbmap_obs::DEFAULT_PHASE_THRESHOLD;

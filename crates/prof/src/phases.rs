@@ -80,14 +80,6 @@ impl PhaseSummary {
     pub fn matrix(&self, n: usize) -> CommMatrix {
         CommMatrix::from_rows(n, self.cells.clone())
     }
-
-    /// Exclusive cycles of one component by path (0 when absent).
-    pub fn cycles_of(&self, component: &str) -> u64 {
-        self.profile
-            .iter()
-            .find(|c| c.component == component)
-            .map_or(0, |c| c.exclusive_cycles)
-    }
 }
 
 /// The parsed `flight` section of a metrics document.

@@ -6,17 +6,13 @@
 //! one entry scoring the detector's matrix against ground truth — both the
 //! cumulative matrix (does detection converge?) and the windowed delta
 //! matrix (what was detected *recently*, which shifts at phase changes).
-//! Phase boundaries are flagged where consecutive windowed patterns
-//! diverge (cosine similarity below a threshold), the same test
-//! `tlbmap_core::detect_phase_changes` applies to windowed detectors.
+//! Phase boundaries are flagged where the shared phase judge
+//! ([`PhaseTracker`]) starts a new phase on a windowed delta — the same
+//! rule the flight recorder applies online.
 
 use tlbmap_core::metrics::{cosine_similarity, normalized_mse, pearson_correlation};
-use tlbmap_core::{detect_phase_changes, CommMatrix};
-use tlbmap_obs::{Json, MatrixSnapshot};
-
-/// Default windowed-similarity threshold below which a phase boundary is
-/// flagged (matches the dynamic-remapping default in `tlbmap-core`).
-pub const DEFAULT_PHASE_THRESHOLD: f64 = 0.75;
+use tlbmap_core::CommMatrix;
+use tlbmap_obs::{Json, MatrixSnapshot, PhaseTracker, Verdict, DEFAULT_PHASE_THRESHOLD};
 
 /// Accuracy scores of one matrix against ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,7 +73,7 @@ pub struct TimelineEntry {
     /// Scores of this window's delta matrix vs ground truth.
     pub windowed: Scores,
     /// Whether this window starts a new phase (windowed pattern diverged
-    /// from the previous non-empty window).
+    /// from the current phase's reference window).
     pub phase_boundary: bool,
 }
 
@@ -171,14 +167,12 @@ fn snapshot_matrix(snap: &MatrixSnapshot) -> CommMatrix {
 }
 
 /// Compute the accuracy timeline of a run from its matrix snapshots and
-/// the ground-truth matrix. Returns an empty timeline when there are no
-/// snapshots or the matrix sizes disagree (e.g. truth from a different
+/// the ground-truth matrix, flagging phases at
+/// [`DEFAULT_PHASE_THRESHOLD`]. Returns an empty timeline when there are
+/// no snapshots or the matrix sizes disagree (e.g. truth from a different
 /// machine configuration).
-pub fn compute_timeline(
-    snaps: &[MatrixSnapshot],
-    truth: &CommMatrix,
-    phase_threshold: f64,
-) -> Timeline {
+pub fn compute_timeline(snaps: &[MatrixSnapshot], truth: &CommMatrix) -> Timeline {
+    let phase_threshold = DEFAULT_PHASE_THRESHOLD;
     let usable = snaps
         .iter()
         .all(|s| s.n == truth.num_threads() && s.cells.len() == s.n * s.n);
@@ -206,17 +200,20 @@ pub fn compute_timeline(
         windows.push(CommMatrix::from_rows(snap.n, cells));
     }
 
-    let boundaries = detect_phase_changes(&windows, phase_threshold);
+    let mut tracker = PhaseTracker::default();
     let entries = snaps
         .iter()
-        .enumerate()
-        .map(|(i, snap)| TimelineEntry {
+        .zip(&windows)
+        .map(|(snap, window)| TimelineEntry {
             index: snap.index,
             cycle: snap.cycle,
             barrier: snap.barrier,
             cumulative: Scores::of(&snapshot_matrix(snap), truth),
-            windowed: Scores::of(&windows[i], truth),
-            phase_boundary: boundaries.contains(&i),
+            windowed: Scores::of(window, truth),
+            phase_boundary: matches!(
+                tracker.judge(&window.upper_cells()),
+                Verdict::Changed(Some(_))
+            ),
         })
         .collect();
     Timeline {
@@ -256,7 +253,7 @@ mod tests {
             snap_of(1, 2000, &ring_matrix(4, 2)),
             snap_of(2, 3000, &ring_matrix(4, 3)),
         ];
-        let tl = compute_timeline(&snaps, &truth, DEFAULT_PHASE_THRESHOLD);
+        let tl = compute_timeline(&snaps, &truth);
         assert_eq!(tl.entries.len(), 3);
         for e in &tl.entries {
             // Same shape at every scale: perfect cumulative and windowed
@@ -286,7 +283,7 @@ mod tests {
             snap_of(1, 2000, &cumulative2),
             snap_of(2, 3000, &cumulative3),
         ];
-        let tl = compute_timeline(&snaps, &ring_matrix(4, 3), 0.75);
+        let tl = compute_timeline(&snaps, &ring_matrix(4, 3));
         assert_eq!(tl.phase_boundaries(), vec![2]);
         assert!(tl.entries[2].phase_boundary);
         // The windowed score of the new phase is far from the ring truth.
@@ -301,7 +298,7 @@ mod tests {
             snap_of(0, 500, &ring_matrix(4, 1)),
             snap_of(1, 1000, &ring_matrix(4, 2)),
         ];
-        let tl = compute_timeline(&snaps, &truth, 0.6);
+        let tl = compute_timeline(&snaps, &truth);
         let parsed = Timeline::from_json(&Json::parse(&tl.to_json().render()).unwrap()).unwrap();
         assert_eq!(parsed, tl);
     }
@@ -309,9 +306,9 @@ mod tests {
     #[test]
     fn empty_or_mismatched_snapshots_yield_empty_timeline() {
         let truth = ring_matrix(4, 1);
-        assert!(compute_timeline(&[], &truth, 0.75).entries.is_empty());
+        assert!(compute_timeline(&[], &truth).entries.is_empty());
         let bad = snap_of(0, 1000, &ring_matrix(8, 1));
-        assert!(compute_timeline(&[bad], &truth, 0.75).entries.is_empty());
+        assert!(compute_timeline(&[bad], &truth).entries.is_empty());
     }
 
     #[test]
@@ -324,7 +321,7 @@ mod tests {
             snap_of(1, 2000, &ring),
             snap_of(2, 3000, &ring),
         ];
-        let tl = compute_timeline(&snaps, &ring_matrix(4, 2), 0.75);
+        let tl = compute_timeline(&snaps, &ring_matrix(4, 2));
         assert!(tl.phase_boundaries().is_empty());
         assert_eq!(tl.entries[1].windowed.cosine, 0.0, "empty delta window");
     }

@@ -429,7 +429,14 @@ impl Request {
                             "delta request: cell ({i}, {j}) is not an upper-triangle pair of {n} threads"
                         ));
                     }
-                    delta.add(i as usize, j as usize, amount);
+                    let (i, j) = (i as usize, j as usize);
+                    // Repeated cells sum; a sum past u64 is refused, not wrapped.
+                    if delta.get(i, j).checked_add(amount).is_none() {
+                        return Err(format!(
+                            "delta request: the amounts of cell ({i}, {j}) overflow u64"
+                        ));
+                    }
+                    delta.add(i, j, amount);
                 }
                 Ok(Request::Delta { session, delta })
             }
@@ -1050,6 +1057,16 @@ mod tests {
             Request::Delta { delta, .. } => assert_eq!(delta.get(0, 1), 7),
             other => panic!("unexpected request {other:?}"),
         }
+        // ...but a sum past u64 is refused, naming the cell.
+        let json = Json::parse(
+            r#"{"v":1,"req":"delta","session":1,"n":4,"cells":[[0,1,18446744073709551615],[0,1,2]]}"#,
+        )
+        .unwrap();
+        let err = Request::from_json(&json).unwrap_err();
+        assert!(
+            err.contains("cell (0, 1)") && err.contains("overflow"),
+            "{err}"
+        );
     }
 
     #[test]

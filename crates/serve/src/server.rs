@@ -381,12 +381,6 @@ impl ServerHandle {
         &self.shared.live
     }
 
-    /// Whether shutdown has begun (via [`Self::shutdown`] or a client
-    /// `shutdown` request).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down()
-    }
-
     /// Begin graceful shutdown from the hosting process: stop accepting,
     /// drain admitted work, then let every thread exit. The doorbell
     /// wakes the loop immediately — there is no polling interval to wait

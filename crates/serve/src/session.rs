@@ -3,30 +3,30 @@
 //! A session is the server-side state behind the `open_session` / `delta`
 //! / `close_session` frames: an exponentially decayed [`DecayedMatrix`]
 //! window of the client's communication deltas, the currently installed
-//! mapping, and the reference matrix that mapping was computed from. Each
-//! delta drives one turn of the control loop:
+//! mapping, and a [`PhaseTracker`] holding the window the mapping was
+//! computed from. Each delta drives one turn of the control loop:
 //!
 //! ```text
 //!            ingest delta into the decayed window
 //!                           │
-//!        cosine(window, reference of installed mapping)
+//!           judge the window (PhaseTracker::judge)
 //!                           │
-//!         ≥ threshold ──────┼────── < threshold
-//!              │            │            │
-//!           stable          │     inside cooldown? ── yes ──▶ cooldown
-//!     (remap suppressed)    │            │ no          (remap suppressed)
-//!                           │            ▼
-//!                           │   warm-started remap: seed the
-//!                           │   hierarchical mapper with the previous
-//!                           │   per-level pairings, install the result,
-//!                           │   re-anchor the reference to the window
+//!   Empty / Sparse / Stable │ Cooldown              Changed
+//!              │            │    │                     │
+//!           stable          │ cooldown     warm-started remap: seed the
+//!     (remap suppressed)    │ (remap       hierarchical mapper with the
+//!                           │ suppressed)  previous per-level pairings,
+//!                           │              install the result (the
+//!                           │              window is the new reference)
 //!                           ▼
 //! ```
 //!
-//! The loop is deliberately hysteretic: a remap re-anchors the reference
-//! to the window that triggered it, and the next `cooldown_deltas` deltas
-//! cannot remap even if they cross the threshold again — a phase change
-//! costs one remap, not one per delta while the window catches up.
+//! The judge is the workspace's one phase rule (see [`PhaseTracker`]) with
+//! the session's wire-level threshold and cooldown. The loop is
+//! deliberately hysteretic: a remap re-anchors the reference to the window
+//! that triggered it, and the next `cooldown_deltas` judged deltas cannot
+//! remap even if they cross the threshold again — a phase change costs one
+//! remap, not one per delta while the window catches up.
 //!
 //! The registry is two-level locked: a short-held table mutex to resolve
 //! an ID to its session, then a per-session mutex held for the whole
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use tlbmap_core::{CommMatrix, DecayedMatrix};
 use tlbmap_mapping::{check_matrix_total, max_matrix_total, HierarchicalMapper};
-use tlbmap_obs::{drift::cosine_u64, CounterId, Event, HistId, Recorder};
+use tlbmap_obs::{CounterId, Event, HistId, PhaseTracker, Recorder, Verdict};
 use tlbmap_sim::Topology;
 
 use crate::config::ServeConfig;
@@ -58,7 +58,7 @@ pub struct DeltaOutcome {
     /// 1-based sequence number of this delta within the session.
     pub seq: u64,
     /// Cosine similarity of the decayed window to the installed mapping's
-    /// reference, scaled by 1e6.
+    /// reference, scaled by 1e6 (0 when the window was not compared).
     pub similarity_ppm: u64,
     /// What the control loop decided.
     pub decision: DeltaDecision,
@@ -89,21 +89,16 @@ struct Session {
     id: u64,
     topo: Topology,
     window: DecayedMatrix,
-    /// Upper-triangle cells of the window at the instant the current
-    /// mapping was installed — what drift is judged against.
-    reference: Vec<u64>,
+    /// The phase judge; its reference is the window the current mapping
+    /// was computed from.
+    tracker: PhaseTracker,
     mapping: Vec<usize>,
     /// Per-level pairings of the last solve, the warm-start seed.
     pairings: Vec<Vec<(usize, usize)>>,
     seq: u64,
     remaps: u64,
-    /// Sequence number of the last remap; `None` until the first one, so
-    /// cooldown can never suppress the session's initial mapping.
-    last_remap_seq: Option<u64>,
     last_similarity_ppm: u64,
     last_active: Instant,
-    drift_threshold_ppm: u64,
-    cooldown_deltas: u64,
 }
 
 impl Session {
@@ -119,31 +114,23 @@ impl Session {
         self.last_active = Instant::now();
         rec.inc(CounterId::SessionDeltas);
         self.window.ingest(delta);
-        let cells = self.window.upper_cells();
-        let similarity = cosine_u64(&cells, &self.reference);
-        let similarity_ppm = (similarity.clamp(0.0, 1.0) * 1e6).round() as u64;
+        let verdict = self.tracker.judge(&self.window.window().upper_cells());
+        let similarity_ppm = verdict.similarity_ppm().unwrap_or(0);
         self.last_similarity_ppm = similarity_ppm;
-        if similarity_ppm >= self.drift_threshold_ppm {
+        let decision = match verdict {
+            Verdict::Changed(_) => DeltaDecision::Remap,
+            Verdict::Cooldown(_) => DeltaDecision::Cooldown,
+            Verdict::Empty | Verdict::Sparse | Verdict::Stable(_) => DeltaDecision::Stable,
+        };
+        if decision != DeltaDecision::Remap {
             rec.inc(CounterId::RemapsSuppressed);
             return DeltaOutcome {
                 seq: self.seq,
                 similarity_ppm,
-                decision: DeltaDecision::Stable,
+                decision,
                 warm: false,
                 mapping: None,
             };
-        }
-        if let Some(last) = self.last_remap_seq {
-            if self.seq - last <= self.cooldown_deltas {
-                rec.inc(CounterId::RemapsSuppressed);
-                return DeltaOutcome {
-                    seq: self.seq,
-                    similarity_ppm,
-                    decision: DeltaDecision::Cooldown,
-                    warm: false,
-                    mapping: None,
-                };
-            }
         }
         let seed = if self.pairings.is_empty() {
             None
@@ -158,9 +145,7 @@ impl Session {
         let warm = result.fully_warm();
         self.mapping = result.mapping.as_slice().to_vec();
         self.pairings = result.pairings;
-        self.reference = cells;
         self.remaps += 1;
-        self.last_remap_seq = Some(self.seq);
         rec.inc(CounterId::RemapsTriggered);
         rec.inc(if warm {
             CounterId::WarmStartHits
@@ -235,9 +220,9 @@ impl SessionRegistry {
         let n = topo.num_cores();
         let window = DecayedMatrix::new(n, decay_shift.unwrap_or(self.decay_shift));
         // The empty window maps deterministically (all-zero weights), so a
-        // session always has an installed mapping; the first delta scores
-        // similarity 0 against the all-zero reference and remaps onto the
-        // first real traffic.
+        // session always has an installed mapping; the first non-empty
+        // window starts the judge's first phase and remaps onto the first
+        // real traffic.
         let result = self
             .mapper
             .try_map_warm_observed(window.window(), &topo, None, rec)
@@ -260,18 +245,18 @@ impl SessionRegistry {
             id,
             topo,
             window,
-            reference: vec![0; n.saturating_sub(1) * n / 2],
+            tracker: PhaseTracker::new(
+                drift_threshold_ppm
+                    .unwrap_or(self.drift_threshold_ppm)
+                    .min(1_000_000),
+                cooldown_deltas.unwrap_or(self.cooldown_deltas),
+            ),
             mapping: mapping.clone(),
             pairings: result.pairings,
             seq: 0,
             remaps: 0,
-            last_remap_seq: None,
             last_similarity_ppm: 0,
             last_active: Instant::now(),
-            drift_threshold_ppm: drift_threshold_ppm
-                .unwrap_or(self.drift_threshold_ppm)
-                .min(1_000_000),
-            cooldown_deltas: cooldown_deltas.unwrap_or(self.cooldown_deltas),
         };
         state.sessions.insert(id, Arc::new(Mutex::new(session)));
         rec.inc(CounterId::SessionsOpened);
@@ -430,9 +415,14 @@ mod tests {
 
     /// The opposite phase: traffic on `(0,n/2)`, `(1,n/2+1)`, …
     fn phase_b(n: usize) -> CommMatrix {
+        scaled_b(n, 1_000)
+    }
+
+    /// Phase B with `amount` on each pair.
+    fn scaled_b(n: usize, amount: u64) -> CommMatrix {
         let mut m = CommMatrix::new(n);
         for i in 0..n / 2 {
-            m.add(i, i + n / 2, 1_000);
+            m.add(i, i + n / 2, amount);
         }
         m
     }
@@ -603,6 +593,33 @@ mod tests {
         assert_eq!((rows[0].deltas, rows[0].remaps), (2, 1));
         assert_eq!(rows[0].last_similarity_ppm, 1_000_000);
         assert_eq!((rows[1].id, rows[1].deltas, rows[1].remaps), (b, 0, 0));
+    }
+
+    /// A new phase that arrives at a fortieth of the old volume still
+    /// remaps and then settles, with the default decayed window and with a
+    /// memoryless one: the judge's sparse rule skips a clipped window, not
+    /// a lasting drop in traffic.
+    #[test]
+    fn quieter_new_phase_still_remaps() {
+        for decay_shift in [None, Some(0)] {
+            let rec = recorder();
+            let reg = SessionRegistry::new(&ServeConfig::new());
+            let (id, _) = reg
+                .open(Topology::harpertown(), decay_shift, None, None, &rec)
+                .unwrap();
+            for _ in 0..16 {
+                reg.delta(id, &phase_a(8), &rec).unwrap();
+            }
+            assert_eq!(rec.counter(CounterId::RemapsTriggered), 1);
+            let decisions: Vec<_> = (0..32)
+                .map(|_| reg.delta(id, &scaled_b(8, 25), &rec).unwrap().decision)
+                .collect();
+            let last = decisions.iter().rposition(|&d| d == DeltaDecision::Remap);
+            assert!(
+                last.is_some_and(|i| i < 16),
+                "decay_shift {decay_shift:?}: decisions were {decisions:?}"
+            );
+        }
     }
 
     /// The warm path actually fires on a replayed phase: the second remap

@@ -92,3 +92,87 @@ proptest! {
         }
     }
 }
+
+/// One `delta` cell as a hostile client would send it: mostly small
+/// ordered pairs (so cells repeat), sometimes out of range or not
+/// upper-triangle, with amounts that are small, near `u64::MAX`, or
+/// anything.
+fn cell() -> impl Strategy<Value = (u64, u64, u64)> {
+    let index = || {
+        prop_oneof![
+            16 => 0u64..4,
+            1 => 0u64..=(MAX_SESSION_THREADS as u64 + 1),
+            1 => any::<u64>(),
+        ]
+    };
+    let amount = prop_oneof![
+        4 => 0u64..1000,
+        2 => (u64::MAX - 1000)..=u64::MAX,
+        1 => any::<u64>(),
+    ];
+    (index(), index(), amount, prop::bool::weighted(0.9)).prop_map(|(a, b, v, ordered)| {
+        if ordered {
+            (a.min(b), a.max(b), v)
+        } else {
+            (a, b, v)
+        }
+    })
+}
+
+/// A cell as the wire carries it; `mutation` < 3 breaks it into something
+/// that is not an `[i, j, amount]` triple of unsigned integers.
+fn render((i, j, v): (u64, u64, u64), mutation: u64) -> Json {
+    let amount = match mutation {
+        0 => Json::I64(-1),
+        1 => Json::Str("7".into()),
+        _ => Json::U64(v),
+    };
+    let mut triple = vec![Json::U64(i), Json::U64(j), amount];
+    if mutation == 2 {
+        triple.pop();
+    }
+    Json::Arr(triple)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn delta_cells_sum_with_checked_arithmetic(
+        n in prop_oneof![3 => 1u64..=8, 1 => 1u64..=(MAX_SESSION_THREADS as u64)],
+        cells in prop::collection::vec((cell(), 0u64..64), 0..8),
+    ) {
+        // The model: every triple well formed and upper-triangle within
+        // `n`, and every pair's amounts summing within u64.
+        let mut valid = true;
+        let mut sums = std::collections::BTreeMap::new();
+        for &((i, j, v), mutation) in &cells {
+            valid &= mutation >= 3 && i < j && j < n;
+            if valid {
+                let sum = sums.entry((i as usize, j as usize)).or_insert(Some(0u64));
+                *sum = sum.and_then(|s: u64| s.checked_add(v));
+                valid &= sum.is_some();
+            }
+        }
+        let rendered = cells.iter().map(|&(c, mutation)| render(c, mutation)).collect();
+        let frame = Json::obj(vec![
+            ("v", Json::U64(1)),
+            ("req", Json::Str("delta".into())),
+            ("session", Json::U64(1)),
+            ("n", Json::U64(n)),
+            ("cells", Json::Arr(rendered)),
+        ]);
+        match Request::from_json(&frame) {
+            Ok(Request::Delta { delta, .. }) => {
+                prop_assert!(valid, "accepted an invalid frame");
+                prop_assert_eq!(delta.num_threads() as u64, n);
+                for (i, j, v) in delta.pairs() {
+                    let want = sums.get(&(i, j)).copied().flatten().unwrap_or(0);
+                    prop_assert_eq!(v, want);
+                }
+            }
+            Ok(other) => prop_assert!(false, "decoded {other:?}"),
+            Err(_) => prop_assert!(!valid, "refused a valid frame"),
+        }
+    }
+}

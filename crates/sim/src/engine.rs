@@ -456,7 +456,7 @@ mod tests {
 
     #[test]
     fn profiler_accounts_every_simulated_cycle() {
-        use tlbmap_obs::ObsConfig;
+        use tlbmap_obs::{Json, ObsConfig};
         // Same workload as `single_thread_sequential_costs`: the known
         // breakdown is 100 compute + 420 TLB (trap + walk) + 212 cache.
         let traces: Vec<ThreadTrace> = vec![vec![
@@ -476,13 +476,26 @@ mod tests {
             &mut NoHooks,
             &rec,
         );
-        assert_eq!(rec.prof_exclusive_cycles(ProfId::EngineCompute), 100);
-        assert_eq!(rec.prof_exclusive_cycles(ProfId::TlbLookup), 420);
-        assert_eq!(rec.prof_exclusive_cycles(ProfId::CacheAccess), 212);
-        assert_eq!(rec.prof_calls(ProfId::EngineAccess), 2);
-        assert_eq!(rec.prof_total_cycles(), stats.total_cycles);
+        // Read back through the exported metrics document.
+        let doc = rec.metrics_json();
+        let profile = doc.get("profile").and_then(Json::as_array).unwrap();
+        let field = |id: ProfId, name: &str| {
+            profile
+                .iter()
+                .find(|c| c.get("component").and_then(Json::as_str) == Some(id.path().as_str()))
+                .map_or(0, |c| c.get(name).and_then(Json::as_u64).unwrap())
+        };
+        assert_eq!(field(ProfId::EngineCompute, "exclusive_cycles"), 100);
+        assert_eq!(field(ProfId::TlbLookup, "exclusive_cycles"), 420);
+        assert_eq!(field(ProfId::CacheAccess, "exclusive_cycles"), 212);
+        assert_eq!(field(ProfId::EngineAccess, "calls"), 2);
+        let exclusive_sum: u64 = profile
+            .iter()
+            .map(|c| c.get("exclusive_cycles").and_then(Json::as_u64).unwrap())
+            .sum();
+        assert_eq!(exclusive_sum, stats.total_cycles);
         assert_eq!(
-            rec.prof_inclusive_cycles(ProfId::Engine),
+            field(ProfId::Engine, "inclusive_cycles"),
             stats.total_cycles
         );
     }

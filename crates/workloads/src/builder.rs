@@ -1,7 +1,7 @@
 //! Multi-thread trace construction with consistent barriers.
 
 use crate::address_space::ArrayHandle;
-use tlbmap_sim::{ThreadTrace, TraceEvent, VirtAddr};
+use tlbmap_sim::{ThreadTrace, TraceEvent};
 
 /// Builds one trace per thread, enforcing that barriers are emitted for
 /// every thread at once (the engine rejects inconsistent barrier counts).
@@ -37,18 +37,6 @@ impl WorkloadBuilder {
     #[inline]
     pub fn write(&mut self, thread: usize, array: ArrayHandle, i: u64) {
         self.traces[thread].push(TraceEvent::write(array.addr(i)));
-    }
-
-    /// Record a load of a raw address.
-    #[inline]
-    pub fn read_addr(&mut self, thread: usize, addr: VirtAddr) {
-        self.traces[thread].push(TraceEvent::read(addr));
-    }
-
-    /// Record a store to a raw address.
-    #[inline]
-    pub fn write_addr(&mut self, thread: usize, addr: VirtAddr) {
-        self.traces[thread].push(TraceEvent::write(addr));
     }
 
     /// Record `cycles` of pure computation on `thread`.

@@ -3,8 +3,10 @@
 //! The paper's future work ("develop dynamic migration strategies which
 //! use the mechanisms described here"): a workload whose communication
 //! pattern *changes* half-way — neighbours first, distant pairs after.
-//! A windowed SM detector accumulates per-window matrices; when
-//! consecutive windows diverge, the mapper recomputes the placement.
+//! The SM detector's matrix is cut into cycle windows (the flight
+//! recorder's ring), and the workspace's one phase judge
+//! ([`PhaseTracker`]) splits them into phases; the mapper recomputes the
+//! placement for each phase.
 //!
 //! The example compares three strategies on the two-phase workload:
 //!   static mapping from phase-1 data only (goes stale),
@@ -16,10 +18,10 @@
 //!
 //! Run with: `cargo run --release --example dynamic_phases`
 
-use tlbmap::detect::dynamic::{detect_phase_changes, PhaseConfig, WindowedDetector};
-use tlbmap::detect::{OnlineRemapper, SmConfig, SmDetector};
+use tlbmap::detect::{CommMatrix, OnlineRemapper, SmConfig, SmDetector};
 use tlbmap::mapping::{mapping_cost, HierarchicalMapper};
-use tlbmap::sim::{simulate, Mapping, SimConfig, Topology};
+use tlbmap::obs::{ObsConfig, PhaseTracker, Recorder, Verdict};
+use tlbmap::sim::{simulate, simulate_observed, Mapping, SimConfig, Topology};
 use tlbmap::workloads::synthetic;
 
 fn main() {
@@ -33,40 +35,45 @@ fn main() {
         workload.total_events()
     );
 
-    // Windowed detection over the whole run.
+    // A plain run sizes the windows (about one per iteration) and gives
+    // the whole-run matrix.
     let sim = SimConfig::paper_software_managed(&topo);
-    let inner = SmDetector::new(n, SmConfig::every_miss());
-    let phase_cfg = PhaseConfig {
-        window_accesses: workload.total_events() as u64 / 12,
-        similarity_threshold: 0.6,
-    };
-    let mut windowed = WindowedDetector::new(inner, phase_cfg);
-    simulate(
+    let identity = Mapping::identity(n);
+    let mut whole = SmDetector::new(n, SmConfig::every_miss());
+    let plain = simulate(&sim, &topo, &workload.traces, &identity, &mut whole);
+    let cumulative = whole.matrix().clone();
+
+    // The same run again, its matrix windowed by the flight recorder.
+    let rec = Recorder::new(ObsConfig::new(n).with_flight_window(Some(plain.total_cycles / 12)));
+    let mut windowed = SmDetector::new(n, SmConfig::every_miss()).with_recorder(rec.clone());
+    simulate_observed(
         &sim,
         &topo,
         &workload.traces,
-        &Mapping::identity(n),
+        &identity,
         &mut windowed,
-    );
-    let cumulative = windowed.cumulative_matrix();
-    let windows = windowed.finish();
-    let changes = detect_phase_changes(&windows, phase_cfg.similarity_threshold);
-    println!(
-        "windows collected: {}, phase changes detected at: {:?}",
-        windows.len(),
-        changes
+        &rec,
     );
 
-    // Phase matrices: sum windows before/after the first detected change.
-    let split = *changes.first().unwrap_or(&(windows.len() / 2));
-    let mut phase1 = windows[0].clone();
-    for w in &windows[1..split] {
-        phase1.merge(w);
+    // Judge the windows and sum each phase's traffic.
+    let mut tracker = PhaseTracker::default();
+    let mut phases: Vec<CommMatrix> = Vec::new();
+    for window in rec.flight_windows() {
+        let m = CommMatrix::from_rows(n, window.cells);
+        let verdict = tracker.judge(&m.upper_cells());
+        println!("window {:>2}: {verdict:?}", window.index);
+        if matches!(verdict, Verdict::Changed(_)) {
+            phases.push(CommMatrix::new(n));
+        }
+        if let Some(phase) = phases.last_mut() {
+            phase.merge(&m);
+        }
     }
-    let mut phase2 = windows[split].clone();
-    for w in &windows[split + 1..] {
-        phase2.merge(w);
-    }
+    println!("phases detected: {}", phases.len());
+    let (phase1, phase2) = match phases.as_slice() {
+        [first, .., last] => (first.clone(), last.clone()),
+        _ => panic!("expected the midpoint flip to start a second phase"),
+    };
     println!("\nphase 1 pattern:");
     print!("{}", phase1.heatmap());
     println!("phase 2 pattern:");
@@ -107,7 +114,6 @@ fn main() {
     let mut online = OnlineRemapper::new(
         SmDetector::new(n, SmConfig::every_miss()),
         2,
-        0.7,
         Box::new(move |m| HierarchicalMapper::new().map(m, &topo2)),
     );
     let dynamic_run = simulate(&sim, &topo, &long.traces, &stale, &mut online);

