@@ -1,18 +1,26 @@
 //! A generic set-associative cache of line metadata with LRU replacement.
 //!
-//! Only metadata is stored — tags and MESI state — because the simulator
-//! never needs line *contents* (workloads compute on native Rust data). One
-//! structure serves both L1s (which ignore the MESI field beyond
-//! valid/invalid) and the coherent L2s.
+//! Only metadata is stored — line ids and MESI state — because the
+//! simulator never needs line *contents* (workloads compute on native Rust
+//! data). One structure serves both L1s (which ignore the MESI field beyond
+//! valid/invalid) and the coherent L2s. Every operation names its line
+//! twice: by [`LineAddr`], which picks the set, and by the dense `u32` id
+//! the hierarchy's line table gave it, which is what a way stores.
 //!
-//! ## Packed, recency-ordered sets
+//! ## Packed, recency-ordered sets of 32-bit ids
 //!
-//! Every set is `ways` consecutive `u64` words in one flat `n_sets × ways`
-//! array. A resident line is the word `addr << 3 | VALID | mesi`; an empty
-//! way is `0`, so the array is one zeroed allocation, and when the allocator
-//! maps it fresh the pages of sets a run never touches are never faulted
-//! in. Each set keeps its most recently used word first and its empty ways
-//! at the tail, which makes LRU a word's *position* rather than a stored
+//! Every set is `ways` consecutive `u32` words in one flat `n_sets × ways`
+//! array. A resident line is the word `id << 3 | VALID | mesi`; line ids
+//! are below 2^29, so the word fits. An empty way is `0`, so the array is
+//! one zeroed allocation, and when the allocator maps it fresh the pages of
+//! sets a run never touches are never faulted in. The set index is
+//! `line address % n_sets`, the same function of the same address as when
+//! ways held addresses, so every set, victim and counter is unchanged; only
+//! the tag is narrower: a set of the paper's 8-way L2 is 32 bytes, and the
+//! array of one 6 MiB L2 is 384 KiB instead of 768 KiB.
+//!
+//! Each set keeps its most recently used word first and its empty ways at
+//! the tail, which makes LRU a word's *position* rather than a stored
 //! stamp:
 //!
 //! * `touch`, `touch_or_insert` and `insert` move the line to the front;
@@ -23,8 +31,7 @@
 //! Position order is the order per-line LRU stamps would give — stamps are
 //! unique, monotone and only ever compared within one set — so every victim
 //! is the one stamp-based LRU picks; the tests drive the cache against such
-//! a reference model. A probe reads one contiguous run of 8-byte words — on
-//! the paper's 8-way L2, 64 bytes — with no per-set header to chase.
+//! a reference model.
 //!
 //! ## Set indexing without a divide
 //!
@@ -51,18 +58,24 @@ impl LineAddr {
 
 /// A line pushed out of the cache by replacement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvictedLine {
-    /// Which line was evicted.
-    pub addr: LineAddr,
+pub(crate) struct EvictedLine {
+    /// The evicted line's id.
+    pub id: u32,
     /// The state it was in (dirty ⇒ writeback needed).
     pub state: MesiState,
 }
 
 /// Set in every resident way word, so that an empty way is `0`.
-const VALID: u64 = 0b100;
+const VALID: u32 = 0b100;
+
+/// Width of a line id: a way word is `id << 3 | VALID | mesi` in a `u32`.
+pub(crate) const ID_BITS: u32 = u32::BITS - 3;
+
+/// `hot_id` when no line is memoised; never a line id.
+const NO_LINE: u32 = u32::MAX;
 
 #[inline]
-fn encode_state(state: MesiState) -> u64 {
+fn encode_state(state: MesiState) -> u32 {
     match state {
         MesiState::Modified => 0,
         MesiState::Exclusive => 1,
@@ -72,7 +85,7 @@ fn encode_state(state: MesiState) -> u64 {
 }
 
 #[inline]
-fn decode_state(word: u64) -> MesiState {
+fn decode_state(word: u32) -> MesiState {
     match word & 3 {
         0 => MesiState::Modified,
         1 => MesiState::Exclusive,
@@ -81,19 +94,12 @@ fn decode_state(word: u64) -> MesiState {
     }
 }
 
-/// The way word of `addr` with its MESI bits cleared — what a resident
+/// The way word of line `id` with its MESI bits cleared — what a resident
 /// word of that line equals under `& !3`.
 #[inline]
-fn tag_of(addr: LineAddr) -> u64 {
-    // `CacheConfig::validate` requires `line_size >= 8`, so a line address
-    // derived from a 64-bit physical address fits in 61 bits.
-    debug_assert!(addr.0 >> 61 == 0, "line address {addr:?} exceeds 61 bits");
-    (addr.0 << 3) | VALID
-}
-
-#[inline]
-fn word_addr(word: u64) -> LineAddr {
-    LineAddr(word >> 3)
+fn tag_of(id: u32) -> u32 {
+    debug_assert!(id >> ID_BITS == 0, "line id {id} exceeds {ID_BITS} bits");
+    (id << 3) | VALID
 }
 
 /// The set-index function `addr % n_sets` for a fixed set count, with no
@@ -140,18 +146,18 @@ impl SetIndex {
 
 /// Set-associative cache of line metadata.
 #[derive(Debug, Clone)]
-pub struct Cache {
+pub(crate) struct Cache {
     config: CacheConfig,
     /// `words[set * ways ..][..ways]`: one set, most recent line first,
     /// empty (`0`) ways at the tail. See the module docs.
-    words: Vec<u64>,
+    words: Vec<u32>,
     sets: SetIndex,
-    /// Address of the most recently used line (`u64::MAX` when unset),
-    /// with its current state. That line is at the front of its set, so a
-    /// repeat probe may return its state without moving anything. Back-to-
-    /// back probes of the same line — the common case under spatial
-    /// locality — then skip the set scan.
-    hot_addr: u64,
+    /// Id of the most recently used line ([`NO_LINE`] when unset), with its
+    /// current state. That line is at the front of its set, so a repeat
+    /// probe may return its state without moving anything. Back-to-back
+    /// probes of the same line — the common case under spatial locality —
+    /// then skip the set scan.
+    hot_id: u32,
     hot_state: MesiState,
 }
 
@@ -167,26 +173,21 @@ impl Cache {
             config,
             words: vec![0; n_sets * config.ways],
             sets: SetIndex::new(n_sets as u64),
-            hot_addr: u64::MAX,
+            hot_id: NO_LINE,
             hot_state: MesiState::Invalid,
         }
     }
 
-    /// The cache's configuration.
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
+    /// Index of the first word of `line`'s set.
+    #[inline]
+    fn base(&self, line: LineAddr) -> usize {
+        self.sets.of(line.0) as usize * self.config.ways
     }
 
-    /// Index of the first word of `addr`'s set.
+    /// Way of line `id` within the set starting at word `base`, if resident.
     #[inline]
-    fn base(&self, addr: LineAddr) -> usize {
-        self.sets.of(addr.0) as usize * self.config.ways
-    }
-
-    /// Way of `addr` within the set starting at word `base`, if resident.
-    #[inline]
-    fn find(&self, base: usize, addr: LineAddr) -> Option<usize> {
-        let tag = tag_of(addr);
+    fn find(&self, base: usize, id: u32) -> Option<usize> {
+        let tag = tag_of(id);
         self.words[base..base + self.config.ways]
             .iter()
             .position(|&w| w & !3 == tag)
@@ -195,58 +196,58 @@ impl Cache {
     /// Shift the first `way` words of the set at `base` one place towards
     /// the tail and put `word` first.
     #[inline]
-    fn move_to_front(&mut self, base: usize, way: usize, word: u64) {
+    fn move_to_front(&mut self, base: usize, way: usize, word: u32) {
         let mut carry = word;
         for slot in &mut self.words[base..=base + way] {
             carry = std::mem::replace(slot, carry);
         }
     }
 
-    /// Put the absent `addr` with `state` at the front of the set at
+    /// Put the absent line `id` with `state` at the front of the set at
     /// `base`, evicting the set's last (least recently used) line if the
     /// set is full.
     #[inline]
-    fn install(&mut self, base: usize, addr: LineAddr, state: MesiState) -> Option<EvictedLine> {
+    fn install(&mut self, base: usize, id: u32, state: MesiState) -> Option<EvictedLine> {
         let last = self.config.ways - 1;
         let victim = self.words[base + last];
-        self.move_to_front(base, last, tag_of(addr) | encode_state(state));
-        self.hot_addr = addr.0;
+        self.move_to_front(base, last, tag_of(id) | encode_state(state));
+        self.hot_id = id;
         self.hot_state = state;
         (victim != 0).then(|| EvictedLine {
-            addr: word_addr(victim),
+            id: victim >> 3,
             state: decode_state(victim),
         })
     }
 
-    /// State of `addr` if resident, touching LRU.
+    /// State of the line if resident, touching LRU.
     #[inline]
-    pub fn touch(&mut self, addr: LineAddr) -> Option<MesiState> {
-        if addr.0 == self.hot_addr {
+    pub fn touch(&mut self, line: LineAddr, id: u32) -> Option<MesiState> {
+        if id == self.hot_id {
             return Some(self.hot_state);
         }
-        let base = self.base(addr);
-        let way = self.find(base, addr)?;
+        let base = self.base(line);
+        let way = self.find(base, id)?;
         let word = self.words[base + way];
         self.move_to_front(base, way, word);
-        self.hot_addr = addr.0;
+        self.hot_id = id;
         self.hot_state = decode_state(word);
         Some(self.hot_state)
     }
 
-    /// State of `addr` if resident, without touching LRU (snoop path).
+    /// State of the line if resident, without touching LRU (snoop path).
     #[inline]
-    pub fn peek(&self, addr: LineAddr) -> Option<MesiState> {
-        if addr.0 == self.hot_addr {
+    pub fn peek(&self, line: LineAddr, id: u32) -> Option<MesiState> {
+        if id == self.hot_id {
             return Some(self.hot_state);
         }
-        let base = self.base(addr);
-        self.find(base, addr)
+        let base = self.base(line);
+        self.find(base, id)
             .map(|way| decode_state(self.words[base + way]))
     }
 
     /// Change the state of a resident line. Returns `false` if absent.
-    pub fn set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
-        self.replace_state(addr, state).is_some()
+    pub fn set_state(&mut self, line: LineAddr, id: u32, state: MesiState) -> bool {
+        self.replace_state(line, id, state).is_some()
     }
 
     /// Change the state of a resident line, returning its previous state
@@ -254,59 +255,65 @@ impl Cache {
     /// pair would take two — the coherence miss paths read the old state and
     /// write the new one for every holder the owner directory names.
     #[inline]
-    pub fn replace_state(&mut self, addr: LineAddr, state: MesiState) -> Option<MesiState> {
+    pub fn replace_state(
+        &mut self,
+        line: LineAddr,
+        id: u32,
+        state: MesiState,
+    ) -> Option<MesiState> {
         debug_assert_ne!(state, MesiState::Invalid, "use remove() to invalidate");
-        let base = self.base(addr);
-        let way = self.find(base, addr)?;
+        let base = self.base(line);
+        let way = self.find(base, id)?;
         let word = &mut self.words[base + way];
         let old = decode_state(*word);
         *word = (*word & !3) | encode_state(state);
-        if addr.0 == self.hot_addr {
+        if id == self.hot_id {
             self.hot_state = state;
         }
         Some(old)
     }
 
-    /// Install `addr` with `state`, evicting the LRU line of the set if it
-    /// is full. Returns the evicted line, if any.
+    /// Install the line with `state`, evicting the LRU line of the set if
+    /// it is full. Returns the evicted line, if any.
     ///
     /// # Panics
-    /// Panics (debug) if `addr` is already resident — callers must use
+    /// Panics (debug) if the line is already resident — callers must use
     /// [`Cache::set_state`] for state changes.
-    pub fn insert(&mut self, addr: LineAddr, state: MesiState) -> Option<EvictedLine> {
-        let base = self.base(addr);
+    pub fn insert(&mut self, line: LineAddr, id: u32, state: MesiState) -> Option<EvictedLine> {
+        let base = self.base(line);
         debug_assert!(
-            self.find(base, addr).is_none(),
-            "insert of already-resident line {addr:?}"
+            self.find(base, id).is_none(),
+            "insert of already-resident line {line:?}"
         );
-        self.install(base, addr, state)
+        self.install(base, id, state)
     }
 
-    /// Write-allocate probe: move `addr` to the front of its set if it is
+    /// Write-allocate probe: move the line to the front of its set if it is
     /// resident, else install it with `state` (evicting the set's LRU line
     /// if full). Returns whether the line was already resident, plus any
     /// eviction.
     #[inline]
     pub fn touch_or_insert(
         &mut self,
-        addr: LineAddr,
+        line: LineAddr,
+        id: u32,
         state: MesiState,
     ) -> (bool, Option<EvictedLine>) {
-        if self.touch(addr).is_some() {
+        if self.touch(line, id).is_some() {
             return (true, None);
         }
-        (false, self.install(self.base(addr), addr, state))
+        (false, self.install(self.base(line), id, state))
     }
 
-    /// Remove `addr` (coherence invalidation or back-invalidation). Returns
-    /// the state it was in, if resident.
+    /// Remove the line (coherence invalidation or back-invalidation).
+    /// Returns the state it was in, if resident.
     #[inline]
-    pub fn remove(&mut self, addr: LineAddr) -> Option<MesiState> {
-        if addr.0 == self.hot_addr {
-            self.hot_addr = u64::MAX;
+    pub fn remove(&mut self, line: LineAddr, id: u32) -> Option<MesiState> {
+        if id == self.hot_id {
+            self.hot_id = NO_LINE;
         }
-        let base = self.base(addr);
-        let way = self.find(base, addr)?;
+        let base = self.base(line);
+        let way = self.find(base, id)?;
         let set = &mut self.words[base..base + self.config.ways];
         let word = set[way];
         set.copy_within(way + 1.., way);
@@ -314,23 +321,24 @@ impl Cache {
         Some(decode_state(word))
     }
 
-    /// Number of resident lines.
-    pub fn occupancy(&self) -> usize {
-        self.words.iter().filter(|&&w| w != 0).count()
-    }
-
-    /// Iterate over all resident lines as `(addr, state)`.
-    pub fn lines(&self) -> impl Iterator<Item = (LineAddr, MesiState)> + '_ {
+    /// Iterate over all resident lines as `(id, state)`.
+    pub fn lines(&self) -> impl Iterator<Item = (u32, MesiState)> + '_ {
         self.words
             .iter()
             .filter(|&&w| w != 0)
-            .map(|&w| (word_addr(w), decode_state(w)))
+            .map(|&w| (w >> 3, decode_state(w)))
+    }
+
+    /// Host bytes of the way words.
+    pub fn way_bytes(&self) -> usize {
+        std::mem::size_of_val(self.words.as_slice())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linetable::LineTable;
     use proptest::prelude::*;
 
     fn tiny() -> Cache {
@@ -343,42 +351,56 @@ mod tests {
         })
     }
 
+    /// A small line and an id for it: the cache treats ids as opaque
+    /// tags, so any one-to-one choice below 2^29 will do.
+    fn l(addr: u64) -> (LineAddr, u32) {
+        (LineAddr(addr), addr as u32 + 1)
+    }
+
+    fn resident(c: &Cache) -> usize {
+        c.lines().count()
+    }
+
     #[test]
     fn insert_then_touch() {
         let mut c = tiny();
-        assert_eq!(c.touch(LineAddr(1)), None);
-        c.insert(LineAddr(1), MesiState::Exclusive);
-        assert_eq!(c.touch(LineAddr(1)), Some(MesiState::Exclusive));
+        let (a, id) = l(1);
+        assert_eq!(c.touch(a, id), None);
+        c.insert(a, id, MesiState::Exclusive);
+        assert_eq!(c.touch(a, id), Some(MesiState::Exclusive));
     }
 
     #[test]
     fn peek_does_not_update_lru() {
         let mut c = tiny();
         // Set 0: lines 0, 4 (4 sets → addr & 3).
-        c.insert(LineAddr(0), MesiState::Shared);
-        c.insert(LineAddr(4), MesiState::Shared);
+        let [zero, four, eight] = [l(0), l(4), l(8)];
+        c.insert(zero.0, zero.1, MesiState::Shared);
+        c.insert(four.0, four.1, MesiState::Shared);
         // Peek line 0 — should NOT protect it from eviction.
-        assert_eq!(c.peek(LineAddr(0)), Some(MesiState::Shared));
-        let ev = c.insert(LineAddr(8), MesiState::Shared).unwrap();
-        assert_eq!(ev.addr, LineAddr(0));
+        assert_eq!(c.peek(zero.0, zero.1), Some(MesiState::Shared));
+        let ev = c.insert(eight.0, eight.1, MesiState::Shared).unwrap();
+        assert_eq!(ev.id, zero.1);
     }
 
     #[test]
     fn touch_protects_from_eviction() {
         let mut c = tiny();
-        c.insert(LineAddr(0), MesiState::Shared);
-        c.insert(LineAddr(4), MesiState::Shared);
-        c.touch(LineAddr(0));
-        let ev = c.insert(LineAddr(8), MesiState::Shared).unwrap();
-        assert_eq!(ev.addr, LineAddr(4));
+        let [zero, four, eight] = [l(0), l(4), l(8)];
+        c.insert(zero.0, zero.1, MesiState::Shared);
+        c.insert(four.0, four.1, MesiState::Shared);
+        c.touch(zero.0, zero.1);
+        let ev = c.insert(eight.0, eight.1, MesiState::Shared).unwrap();
+        assert_eq!(ev.id, four.1);
     }
 
     #[test]
     fn eviction_reports_dirty_state() {
         let mut c = tiny();
-        c.insert(LineAddr(0), MesiState::Modified);
-        c.insert(LineAddr(4), MesiState::Exclusive);
-        let ev = c.insert(LineAddr(8), MesiState::Shared).unwrap();
+        let [zero, four, eight] = [l(0), l(4), l(8)];
+        c.insert(zero.0, zero.1, MesiState::Modified);
+        c.insert(four.0, four.1, MesiState::Exclusive);
+        let ev = c.insert(eight.0, eight.1, MesiState::Shared).unwrap();
         assert_eq!(ev.state, MesiState::Modified);
         assert!(ev.state.dirty());
     }
@@ -386,30 +408,54 @@ mod tests {
     #[test]
     fn remove_returns_state() {
         let mut c = tiny();
-        c.insert(LineAddr(5), MesiState::Modified);
-        assert_eq!(c.remove(LineAddr(5)), Some(MesiState::Modified));
-        assert_eq!(c.remove(LineAddr(5)), None);
-        assert_eq!(c.occupancy(), 0);
+        let (a, id) = l(5);
+        c.insert(a, id, MesiState::Modified);
+        assert_eq!(c.remove(a, id), Some(MesiState::Modified));
+        assert_eq!(c.remove(a, id), None);
+        assert_eq!(resident(&c), 0);
     }
 
     #[test]
     fn set_state_transitions() {
         let mut c = tiny();
-        c.insert(LineAddr(2), MesiState::Exclusive);
-        assert!(c.set_state(LineAddr(2), MesiState::Modified));
-        assert_eq!(c.peek(LineAddr(2)), Some(MesiState::Modified));
-        assert!(!c.set_state(LineAddr(99), MesiState::Shared));
+        let (a, id) = l(2);
+        c.insert(a, id, MesiState::Exclusive);
+        assert!(c.set_state(a, id, MesiState::Modified));
+        assert_eq!(c.peek(a, id), Some(MesiState::Modified));
+        let (b, other) = l(99);
+        assert!(!c.set_state(b, other, MesiState::Shared));
     }
 
     #[test]
-    fn occupancy_bounded_by_capacity() {
+    fn resident_lines_bounded_by_capacity() {
         let mut c = tiny();
         for i in 0..100 {
-            if c.peek(LineAddr(i)).is_none() {
-                c.insert(LineAddr(i), MesiState::Shared);
+            let (a, id) = l(i);
+            if c.peek(a, id).is_none() {
+                c.insert(a, id, MesiState::Shared);
             }
         }
-        assert!(c.occupancy() <= 8);
+        assert_eq!(resident(&c), 8);
+        assert_eq!(c.way_bytes(), 8 * 4);
+    }
+
+    #[test]
+    fn the_largest_id_round_trips_through_a_way_word() {
+        let mut c = tiny();
+        let (a, id) = (LineAddr((1 << 58) - 1), (1 << 29) - 1);
+        c.insert(a, id, MesiState::Modified);
+        assert_eq!(c.lines().collect::<Vec<_>>(), [(id, MesiState::Modified)]);
+        // Lines 4 and 8 below it share its set (4 sets → addr & 3).
+        c.insert(LineAddr(a.0 - 4), 1, MesiState::Shared);
+        c.touch(LineAddr(a.0 - 4), 1);
+        let ev = c.insert(LineAddr(a.0 - 8), 2, MesiState::Shared).unwrap();
+        assert_eq!(
+            ev,
+            EvictedLine {
+                id,
+                state: MesiState::Modified
+            }
+        );
     }
 
     #[test]
@@ -474,16 +520,17 @@ mod tests {
 
     /// Stamp-based LRU, the reference model for the proptest below: each
     /// line carries the cache clock of its last use and the victim is the
-    /// set's oldest stamp.
+    /// set's oldest stamp. The model keys lines by address and reports
+    /// victims by id.
     struct StampLru {
         ways: usize,
         clock: u64,
-        /// Per set: `(addr, state, stamp)` in no particular order.
-        sets: Vec<Vec<(u64, MesiState, u64)>>,
+        /// Per set: `(addr, id, state, stamp)` in no particular order.
+        sets: Vec<Vec<(u64, u32, MesiState, u64)>>,
     }
 
     impl StampLru {
-        fn set(&mut self, addr: LineAddr) -> &mut Vec<(u64, MesiState, u64)> {
+        fn set(&mut self, addr: LineAddr) -> &mut Vec<(u64, u32, MesiState, u64)> {
             let n = self.sets.len() as u64;
             &mut self.sets[(addr.0 % n) as usize]
         }
@@ -493,66 +540,66 @@ mod tests {
             let clock = self.clock;
             let line = self.set(addr).iter_mut().find(|l| l.0 == addr.0)?;
             if stamp {
-                line.2 = clock;
+                line.3 = clock;
             }
-            Some(line.1)
+            Some(line.2)
         }
 
         fn replace_state(&mut self, addr: LineAddr, state: MesiState) -> Option<MesiState> {
             let line = self.set(addr).iter_mut().find(|l| l.0 == addr.0)?;
-            Some(std::mem::replace(&mut line.1, state))
+            Some(std::mem::replace(&mut line.2, state))
         }
 
-        fn install(&mut self, addr: LineAddr, state: MesiState) -> Option<EvictedLine> {
+        fn install(&mut self, addr: LineAddr, id: u32, state: MesiState) -> Option<EvictedLine> {
             self.clock += 1;
             let (clock, ways) = (self.clock, self.ways);
             let set = self.set(addr);
             let evicted = (set.len() == ways).then(|| {
-                let oldest = (0..ways).min_by_key(|&i| set[i].2).unwrap();
-                let (vaddr, vstate, _) = set.swap_remove(oldest);
+                let oldest = (0..ways).min_by_key(|&i| set[i].3).unwrap();
+                let (_, vid, vstate, _) = set.swap_remove(oldest);
                 EvictedLine {
-                    addr: LineAddr(vaddr),
+                    id: vid,
                     state: vstate,
                 }
             });
-            set.push((addr.0, state, clock));
+            set.push((addr.0, id, state, clock));
             evicted
         }
 
         fn remove(&mut self, addr: LineAddr) -> Option<MesiState> {
             let set = self.set(addr);
             let i = set.iter().position(|l| l.0 == addr.0)?;
-            Some(set.swap_remove(i).1)
+            Some(set.swap_remove(i).2)
         }
     }
 
     /// Each set of `cache` must hold exactly the reference set's lines,
-    /// packed at the front in most-recent-first order with unique tags and
+    /// packed at the front in most-recent-first order with unique ids and
     /// an all-empty tail.
     fn check_sets(cache: &Cache, model: &StampLru) -> Result<(), String> {
         for (i, lines) in model.sets.iter().enumerate() {
             let set = &cache.words[i * cache.config.ways..(i + 1) * cache.config.ways];
             let mut expect = lines.clone();
-            expect.sort_by_key(|l| std::cmp::Reverse(l.2));
+            expect.sort_by_key(|l| std::cmp::Reverse(l.3));
             let got: Vec<_> = set[..expect.len()]
                 .iter()
-                .map(|&w| (word_addr(w).0, decode_state(w)))
+                .map(|&w| (w >> 3, decode_state(w)))
                 .collect();
-            let want: Vec<_> = expect.iter().map(|l| (l.0, l.1)).collect();
+            let want: Vec<_> = expect.iter().map(|l| (l.1, l.2)).collect();
             if got != want {
                 return Err(format!(
                     "set {i}: {got:x?} is not {want:x?} (most recent first)"
                 ));
             }
-            let mut tags: Vec<_> = set.iter().filter(|&&w| w != 0).map(|&w| w >> 3).collect();
-            let resident = tags.len();
-            tags.sort_unstable();
-            tags.dedup();
-            if tags.len() != resident
+            let mut ids: Vec<_> = set.iter().filter(|&&w| w != 0).map(|&w| w >> 3).collect();
+            let resident = ids.len();
+            ids.sort_unstable();
+            ids.dedup();
+            if ids.len() != resident
                 || resident != expect.len()
                 || set[resident..].iter().any(|&w| w != 0)
             {
-                return Err(format!("set {i} is not packed with unique tags: {set:x?}"));
+                return Err(format!("set {i} is not packed with unique ids: {set:x?}"));
             }
         }
         Ok(())
@@ -563,7 +610,9 @@ mod tests {
 
         /// The packed, recency-ordered layout behaves exactly like
         /// stamp-based LRU on every operation, including 1-way sets,
-        /// non-power-of-two set counts and 58-bit line addresses.
+        /// non-power-of-two set counts and 58-bit line addresses. Ids come
+        /// from a line table, as in the hierarchy, so the lines that share
+        /// a set have ids from different blocks.
         #[test]
         fn packed_layout_matches_stamp_lru(
             (n_sets, ways) in prop::sample::select(vec![(1, 1), (4, 1), (3, 1), (1, 4), (4, 2), (6, 3), (5, 4), (12, 8)]),
@@ -577,34 +626,36 @@ mod tests {
                 latency: 1,
             });
             let mut model = StampLru { ways, clock: 0, sets: vec![Vec::new(); n_sets] };
+            let mut ids = LineTable::default();
             let states = [MesiState::Modified, MesiState::Exclusive, MesiState::Shared];
             for (step, &(op, offset, s)) in ops.iter().enumerate() {
                 let (addr, state) = (LineAddr(base + offset), states[s]);
+                let id = ids.id_of(addr.0);
                 match op {
-                    0 => prop_assert_eq!(cache.touch(addr), model.lookup(addr, true), "touch @{}", step),
-                    1 => prop_assert_eq!(cache.peek(addr), model.lookup(addr, false), "peek @{}", step),
+                    0 => prop_assert_eq!(cache.touch(addr, id), model.lookup(addr, true), "touch @{}", step),
+                    1 => prop_assert_eq!(cache.peek(addr, id), model.lookup(addr, false), "peek @{}", step),
                     2 => prop_assert_eq!(
-                        cache.replace_state(addr, state),
+                        cache.replace_state(addr, id, state),
                         model.replace_state(addr, state),
                         "replace_state @{}", step
                     ),
                     3 => {
                         let want = match model.lookup(addr, true) {
                             Some(_) => (true, None),
-                            None => (false, model.install(addr, state)),
+                            None => (false, model.install(addr, id, state)),
                         };
-                        prop_assert_eq!(cache.touch_or_insert(addr, state), want, "touch_or_insert @{}", step);
+                        prop_assert_eq!(cache.touch_or_insert(addr, id, state), want, "touch_or_insert @{}", step);
                     }
                     4 => {
                         // `insert` requires an absent line.
                         if model.lookup(addr, false).is_none() {
-                            prop_assert_eq!(cache.insert(addr, state), model.install(addr, state), "insert @{}", step);
+                            prop_assert_eq!(cache.insert(addr, id, state), model.install(addr, id, state), "insert @{}", step);
                         }
                     }
-                    _ => prop_assert_eq!(cache.remove(addr), model.remove(addr), "remove @{}", step),
+                    _ => prop_assert_eq!(cache.remove(addr, id), model.remove(addr), "remove @{}", step),
                 }
                 let occupancy: usize = model.sets.iter().map(Vec::len).sum();
-                prop_assert_eq!(cache.occupancy(), occupancy, "occupancy @{}", step);
+                prop_assert_eq!(resident(&cache), occupancy, "occupancy @{}", step);
                 if let Err(msg) = check_sets(&cache, &model) {
                     return Err(format!("after step {step}: {msg}"));
                 }

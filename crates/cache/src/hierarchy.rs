@@ -93,6 +93,21 @@ fn l2s_in(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// Host memory a hierarchy's line state takes
+/// ([`MemoryHierarchy::line_footprint`]).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LineFootprint {
+    /// Distinct lines accessed.
+    pub lines: usize,
+    /// Blocks of 64 consecutive lines those lines fall in.
+    pub blocks: usize,
+    /// Bytes of way words over every L1 and L2.
+    pub way_bytes: usize,
+    /// Bytes of coherence records: one per line id, 64 per block.
+    pub record_bytes: usize,
+}
+
 /// The coherent hierarchy for one machine.
 pub struct MemoryHierarchy {
     cfg: HierarchyConfig,
@@ -105,15 +120,17 @@ pub struct MemoryHierarchy {
     /// Sibling-L1 copies invalidated under the same L2 (not an interconnect
     /// event; kept out of `CacheStats::invalidations`).
     l1_sibling_invalidations: u64,
-    /// Coherence line table: per line, the bitmaps of L2s that hold it
-    /// now (the sparse owner directory), ever held it (cold vs capacity
-    /// misses) and lost it to an invalidation (coherence misses). Holder
-    /// bits change only where L2 residency does ([`Self::install_l2`] and
-    /// the two invalidation paths), so holder search, sharer invalidation
-    /// and MESI audits iterate the popcount of actual sharers instead of
-    /// scanning every L2. The table changes *where* the protocol looks,
-    /// never *what* it charges: all modeled latencies and counters are
-    /// identical to the full-snoop scan it replaced.
+    /// Line table: the dense id of every line an access has named (what
+    /// the caches' ways store), and per id the bitmaps of L2s that hold the
+    /// line now (the sparse owner directory), ever held it (cold vs
+    /// capacity misses) and lost it to an invalidation (coherence misses).
+    /// Holder bits change only where L2 residency does
+    /// ([`Self::install_l2`] and the two invalidation paths), so holder
+    /// search, sharer invalidation and MESI audits iterate the popcount of
+    /// actual sharers instead of scanning every L2. The table changes
+    /// *where* the protocol looks, never *what* it charges: all modeled
+    /// latencies and counters are identical to the full-snoop scan it
+    /// replaced.
     lines: LineTable,
 }
 
@@ -170,7 +187,22 @@ impl MemoryHierarchy {
 
     /// MESI state of `line` in L2 `g` (test/diagnostic hook).
     pub fn l2_state(&self, g: usize, line: LineAddr) -> Option<MesiState> {
-        self.l2[g].peek(line)
+        let id = self.lines.find(line.0)?;
+        self.l2[g].peek(line, id)
+    }
+
+    /// Host memory the line state takes (diagnostic hook): the caches' way
+    /// words and the line table's records.
+    #[doc(hidden)]
+    pub fn line_footprint(&self) -> LineFootprint {
+        let caches = self.l1i.iter().chain(&self.l1d).chain(&self.l2);
+        let records = self.lines.records();
+        LineFootprint {
+            lines: records.iter().filter(|r| r[EVER] != 0).count(),
+            blocks: self.lines.blocks(),
+            way_bytes: caches.map(Cache::way_bytes).sum(),
+            record_bytes: std::mem::size_of_val(records),
+        }
     }
 
     /// Perform one memory access by `core` to physical address `paddr`
@@ -199,9 +231,10 @@ impl MemoryHierarchy {
         home_chip: Option<usize>,
     ) -> AccessOutcome {
         let line = LineAddr::of(paddr, self.cfg.l2.line_shift());
+        let id = self.lines.id_of(line.0);
         match op {
-            MemOp::Read => self.read(core, line, kind, home_chip),
-            MemOp::Write => self.write(core, line, kind, home_chip),
+            MemOp::Read => self.read(core, line, id, kind, home_chip),
+            MemOp::Write => self.write(core, line, id, kind, home_chip),
         }
     }
 
@@ -242,11 +275,12 @@ impl MemoryHierarchy {
         &mut self,
         core: usize,
         line: LineAddr,
+        id: u32,
         kind: AccessKind,
         home_chip: Option<usize>,
     ) -> AccessOutcome {
         let l1_latency = self.cfg.l1d.latency;
-        if self.l1_mut(core, kind).touch(line).is_some() {
+        if self.l1_mut(core, kind).touch(line, id).is_some() {
             self.note_l1(kind, true);
             return AccessOutcome {
                 cycles: l1_latency,
@@ -262,11 +296,11 @@ impl MemoryHierarchy {
         let mut l2_hit = true;
         let mut snooped = false;
 
-        if self.l2[g].touch(line).is_none() {
+        if self.l2[g].touch(line, id).is_none() {
             // L2 read miss: classify, snoop, fetch, install.
             l2_hit = false;
-            let slot = self.classify_miss(g, line);
-            let (extra, was_snooped) = self.service_read_miss(g, line, slot, home_chip);
+            self.classify_miss(g, id);
+            let (extra, was_snooped) = self.service_read_miss(g, line, id, home_chip);
             cycles += extra;
             snooped = was_snooped;
         } else {
@@ -275,7 +309,7 @@ impl MemoryHierarchy {
 
         // The L2 path above only ever removes L1 lines, so the line that
         // just missed in this L1 is still absent: install it directly.
-        self.l1_mut(core, kind).insert(line, MesiState::Shared);
+        self.l1_mut(core, kind).insert(line, id, MesiState::Shared);
         AccessOutcome {
             cycles,
             l1_hit: false,
@@ -288,6 +322,7 @@ impl MemoryHierarchy {
         &mut self,
         core: usize,
         line: LineAddr,
+        id: u32,
         kind: AccessKind,
         home_chip: Option<usize>,
     ) -> AccessOutcome {
@@ -296,26 +331,25 @@ impl MemoryHierarchy {
         let mut l2_hit = true;
         let mut snooped = false;
 
-        match self.l2[g].touch(line) {
+        match self.l2[g].touch(line, id) {
             Some(MesiState::Modified) => {}
             Some(MesiState::Exclusive) => {
                 // Silent E→M upgrade.
-                self.l2[g].set_state(line, MesiState::Modified);
+                self.l2[g].set_state(line, id, MesiState::Modified);
             }
             Some(MesiState::Shared) => {
                 // Upgrade: invalidate every remote copy.
-                let slot = self.lines.find(line.0).expect("resident line has an entry");
-                let (invalidated, _) = self.invalidate_remote_copies(g, line, slot);
+                let (invalidated, _) = self.invalidate_remote_copies(g, line, id);
                 if invalidated > 0 {
                     cycles += self.cfg.write_invalidate_penalty;
                 }
-                self.l2[g].set_state(line, MesiState::Modified);
+                self.l2[g].set_state(line, id, MesiState::Modified);
             }
             Some(MesiState::Invalid) | None => {
                 // Write miss: read-for-ownership (BusRdX).
                 l2_hit = false;
-                let slot = self.classify_miss(g, line);
-                let (extra, was_snooped) = self.service_write_miss(g, line, slot, home_chip);
+                self.classify_miss(g, id);
+                let (extra, was_snooped) = self.service_write_miss(g, line, id, home_chip);
                 cycles += self.cfg.l2.latency + extra;
                 snooped = was_snooped;
             }
@@ -326,12 +360,12 @@ impl MemoryHierarchy {
 
         // Keep sibling L1 copies (cores under the same L2) coherent: they
         // would otherwise read a stale line through their write-through L1.
-        self.invalidate_sibling_l1s(core, g, line);
+        self.invalidate_sibling_l1s(core, g, line, id);
 
         // Write-allocate into the local L1 (write-through to L2 is implied).
         let (hit, _) = self
             .l1_mut(core, kind)
-            .touch_or_insert(line, MesiState::Shared);
+            .touch_or_insert(line, id, MesiState::Shared);
         self.note_l1(kind, hit);
         AccessOutcome {
             cycles,
@@ -341,7 +375,7 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Snoop the remote L2s for `line` (table slot `slot`) on a read miss;
+    /// Snoop the remote L2s for `line` (line id `id`) on a read miss;
     /// transfer cache-to-cache if anyone has it, otherwise fetch from
     /// memory. Installs the line in `g` and handles the eviction. Returns
     /// `(extra_cycles, snooped)`.
@@ -349,7 +383,7 @@ impl MemoryHierarchy {
         &mut self,
         g: usize,
         line: LineAddr,
-        slot: usize,
+        id: u32,
         home_chip: Option<usize>,
     ) -> (u64, bool) {
         #[cfg(debug_assertions)]
@@ -357,8 +391,8 @@ impl MemoryHierarchy {
         // One pass over the holder bitmap: every holder is demoted to
         // Shared (BusRd seen) while its old state picks the supplier.
         let mut supplier = Supplier::default();
-        for other in l2s_in(self.lines[slot][HOLDERS] & !(1u64 << g)) {
-            let old = self.l2[other].replace_state(line, MesiState::Shared);
+        for other in l2s_in(self.lines[id][HOLDERS] & !(1u64 << g)) {
+            let old = self.l2[other].replace_state(line, id, MesiState::Shared);
             debug_assert!(old.is_some(), "holder bit set for non-resident line");
             if let Some(old) = old {
                 supplier.offer(&self.cfg, g, other, old);
@@ -380,7 +414,7 @@ impl MemoryHierarchy {
                 (latency, MesiState::Exclusive, false)
             }
         };
-        self.install_l2(g, line, slot, state);
+        self.install_l2(g, line, id, state);
         (extra, snooped)
     }
 
@@ -391,12 +425,12 @@ impl MemoryHierarchy {
         &mut self,
         g: usize,
         line: LineAddr,
-        slot: usize,
+        id: u32,
         home_chip: Option<usize>,
     ) -> (u64, bool) {
         #[cfg(debug_assertions)]
         let expected = self.find_holder_scan(g, line);
-        let (invalidated, supplier) = self.invalidate_remote_copies(g, line, slot);
+        let (invalidated, supplier) = self.invalidate_remote_copies(g, line, id);
         #[cfg(debug_assertions)]
         debug_assert_eq!(supplier, expected);
         let (extra, snooped) = match supplier {
@@ -411,7 +445,7 @@ impl MemoryHierarchy {
         } else {
             0
         };
-        self.install_l2(g, line, slot, MesiState::Modified);
+        self.install_l2(g, line, id, MesiState::Modified);
         (extra + penalty, snooped)
     }
 
@@ -420,9 +454,10 @@ impl MemoryHierarchy {
     /// their own pass over the bitmap).
     #[doc(hidden)]
     pub fn find_holder_directory(&self, g: usize, line: LineAddr) -> Option<usize> {
+        let id = self.lines.find(line.0)?;
         let mut supplier = Supplier::default();
-        for other in l2s_in(self.lines.get(line.0)[HOLDERS] & !(1u64 << g)) {
-            let state = self.l2[other].peek(line);
+        for other in l2s_in(self.lines[id][HOLDERS] & !(1u64 << g)) {
+            let state = self.l2[other].peek(line, id);
             debug_assert!(state.is_some(), "holder bit set for non-resident line");
             if let Some(state) = state {
                 supplier.offer(&self.cfg, g, other, state);
@@ -436,9 +471,10 @@ impl MemoryHierarchy {
     /// debug-asserted) against.
     #[doc(hidden)]
     pub fn find_holder_scan(&self, g: usize, line: LineAddr) -> Option<usize> {
+        let id = self.lines.find(line.0)?;
         let mut supplier = Supplier::default();
         for other in (0..self.l2.len()).filter(|&o| o != g) {
-            if let Some(state) = self.l2[other].peek(line) {
+            if let Some(state) = self.l2[other].peek(line, id) {
                 supplier.offer(&self.cfg, g, other, state);
             }
         }
@@ -455,9 +491,12 @@ impl MemoryHierarchy {
     /// [`Self::directory_mask`]).
     #[doc(hidden)]
     pub fn residency_mask_scan(&self, line: LineAddr) -> u64 {
+        let Some(id) = self.lines.find(line.0) else {
+            return 0;
+        };
         let mut mask = 0u64;
         for (g, l2) in self.l2.iter().enumerate() {
-            if l2.peek(line).is_some() {
+            if l2.peek(line, id).is_some() {
                 mask |= 1 << g;
             }
         }
@@ -481,7 +520,7 @@ impl MemoryHierarchy {
         }
     }
 
-    /// Invalidate every copy of `line` (table slot `slot`) in L2s other
+    /// Invalidate every copy of `line` (line id `id`) in L2s other
     /// than `g`, and in the L1s of the cores behind them. Returns how many
     /// L2 copies were destroyed and which of them supplies the data to a
     /// write miss. A remote Modified copy invalidated by `BusRdX` hands its
@@ -490,20 +529,20 @@ impl MemoryHierarchy {
         &mut self,
         g: usize,
         line: LineAddr,
-        slot: usize,
+        id: u32,
     ) -> (u64, Option<usize>) {
-        let remote = self.lines[slot][HOLDERS] & !(1u64 << g);
-        let entry = &mut self.lines[slot];
-        entry[HOLDERS] &= !remote;
-        entry[LOST] |= remote;
+        let record = &mut self.lines[id];
+        let remote = record[HOLDERS] & !(1u64 << g);
+        record[HOLDERS] &= !remote;
+        record[LOST] |= remote;
         let mut supplier = Supplier::default();
         for other in l2s_in(remote) {
-            let state = self.l2[other].remove(line);
+            let state = self.l2[other].remove(line, id);
             debug_assert!(state.is_some(), "holder bit set for non-resident line");
             if let Some(state) = state {
                 supplier.offer(&self.cfg, g, other, state);
             }
-            self.back_invalidate_l1s(other, line);
+            self.back_invalidate_l1s(other, line, id);
         }
         let count = u64::from(remote.count_ones());
         self.stats.invalidations += count;
@@ -512,59 +551,53 @@ impl MemoryHierarchy {
 
     /// Drop `line` from the L1s of every core behind L2 `g` (inclusive
     /// back-invalidation).
-    fn back_invalidate_l1s(&mut self, g: usize, line: LineAddr) {
+    fn back_invalidate_l1s(&mut self, g: usize, line: LineAddr, id: u32) {
         for &c in &self.cfg.groups[g].cores {
-            self.l1d[c].remove(line);
-            self.l1i[c].remove(line);
+            self.l1d[c].remove(line, id);
+            self.l1i[c].remove(line, id);
         }
     }
 
     /// Drop `line` from the L1s of `core`'s siblings under the same L2.
-    fn invalidate_sibling_l1s(&mut self, core: usize, g: usize, line: LineAddr) {
+    fn invalidate_sibling_l1s(&mut self, core: usize, g: usize, line: LineAddr, id: u32) {
         for &c in &self.cfg.groups[g].cores {
-            if c != core && self.l1d[c].remove(line).is_some() {
+            if c != core && self.l1d[c].remove(line, id).is_some() {
                 self.l1_sibling_invalidations += 1;
             }
         }
     }
 
-    /// Install `line` (table slot `slot`) into L2 `g`, recording residence
-    /// and handling the evicted victim (writeback if dirty, back-invalidate
-    /// L1s).
-    fn install_l2(&mut self, g: usize, line: LineAddr, slot: usize, state: MesiState) {
+    /// Install `line` (line id `id`) into L2 `g`, recording residence and
+    /// handling the evicted victim (writeback if dirty, back-invalidate
+    /// L1s, which needs the victim's address from the line table).
+    fn install_l2(&mut self, g: usize, line: LineAddr, id: u32, state: MesiState) {
         let bit = 1u64 << g;
-        let entry = &mut self.lines[slot];
-        entry[HOLDERS] |= bit;
-        entry[EVER] |= bit;
-        if let Some(ev) = self.l2[g].insert(line, state) {
-            let victim = self
-                .lines
-                .find(ev.addr.0)
-                .expect("resident line has an entry");
-            self.lines[victim][HOLDERS] &= !bit;
+        let record = &mut self.lines[id];
+        record[HOLDERS] |= bit;
+        record[EVER] |= bit;
+        if let Some(ev) = self.l2[g].insert(line, id, state) {
+            self.lines[ev.id][HOLDERS] &= !bit;
             if ev.state.dirty() {
                 self.stats.writebacks += 1;
             }
-            self.back_invalidate_l1s(g, ev.addr);
+            let victim = LineAddr(self.lines.line_of(ev.id));
+            self.back_invalidate_l1s(g, victim, ev.id);
         }
     }
 
-    /// Classify an L2 miss of `g` on `line` and return the line's table
-    /// slot (inserted on its first miss anywhere).
-    fn classify_miss(&mut self, g: usize, line: LineAddr) -> usize {
-        let slot = self.lines.find_or_insert(line.0);
+    /// Classify an L2 miss of `g` on line `id`.
+    fn classify_miss(&mut self, g: usize, id: u32) {
         let bit = 1u64 << g;
-        let entry = &mut self.lines[slot];
-        let kind = if entry[LOST] & bit != 0 {
-            entry[LOST] &= !bit;
+        let record = &mut self.lines[id];
+        let kind = if record[LOST] & bit != 0 {
+            record[LOST] &= !bit;
             MissKind::Coherence
-        } else if entry[EVER] & bit != 0 {
+        } else if record[EVER] & bit != 0 {
             MissKind::Capacity
         } else {
             MissKind::Cold
         };
         self.stats.record_l2_miss(kind);
-        slot
     }
 
     /// Check the MESI exclusivity invariant for one line: if any L2 holds it
@@ -572,10 +605,13 @@ impl MemoryHierarchy {
     /// property tests. Audits only the L2s the holder bitmap names, so
     /// the check is O(popcount) rather than O(groups).
     pub fn mesi_invariant_holds(&self, line: LineAddr) -> bool {
-        let holders = self.lines.get(line.0)[HOLDERS];
+        let Some(id) = self.lines.find(line.0) else {
+            return true; // never accessed, so held nowhere
+        };
+        let holders = self.lines[id][HOLDERS];
         let mut exclusive_holders = 0u32;
         for g in l2s_in(holders) {
-            match self.l2[g].peek(line) {
+            match self.l2[g].peek(line, id) {
                 Some(MesiState::Modified) | Some(MesiState::Exclusive) => exclusive_holders += 1,
                 Some(_) => {}
                 None => return false, // holder bit for a non-resident line
@@ -592,8 +628,9 @@ impl MemoryHierarchy {
         for core in 0..self.core_to_l2.len() {
             let g = self.core_to_l2[core];
             for l1 in [&self.l1d[core], &self.l1i[core]] {
-                for (addr, _) in l1.lines() {
-                    if self.l2[g].peek(addr).is_none() {
+                for (id, _) in l1.lines() {
+                    let line = LineAddr(self.lines.line_of(id));
+                    if self.l2[g].peek(line, id).is_none() {
                         return false;
                     }
                 }

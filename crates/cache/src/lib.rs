@@ -23,8 +23,8 @@ mod linetable;
 pub mod mesi;
 pub mod stats;
 
-pub use cache::{Cache, EvictedLine, LineAddr};
+pub use cache::LineAddr;
 pub use config::{CacheConfig, HierarchyConfig, L2Group};
-pub use hierarchy::{AccessKind, AccessOutcome, MemOp, MemoryHierarchy};
+pub use hierarchy::{AccessKind, AccessOutcome, LineFootprint, MemOp, MemoryHierarchy};
 pub use mesi::MesiState;
 pub use stats::{CacheStats, MissKind};

@@ -63,16 +63,6 @@ impl CacheStats {
         }
     }
 
-    /// L2 miss rate over L2 accesses; 0 when idle.
-    pub fn l2_miss_rate(&self) -> f64 {
-        let total = self.l2_hits + self.l2_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.l2_misses as f64 / total as f64
-        }
-    }
-
     /// Element-wise sum — used when aggregating repeated runs.
     pub fn merge(&mut self, other: &CacheStats) {
         self.l1d_hits += other.l1d_hits;
@@ -111,15 +101,6 @@ mod tests {
             s.l2_cold_misses + s.l2_capacity_misses + s.l2_coherence_misses,
             s.l2_misses
         );
-    }
-
-    #[test]
-    fn miss_rate() {
-        let mut s = CacheStats::default();
-        assert_eq!(s.l2_miss_rate(), 0.0);
-        s.l2_hits = 3;
-        s.record_l2_miss(MissKind::Cold);
-        assert!((s.l2_miss_rate() - 0.25).abs() < 1e-12);
     }
 
     #[test]

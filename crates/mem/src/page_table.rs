@@ -135,16 +135,6 @@ impl PageTable {
     pub fn lookup(&self, vpn: Vpn) -> Option<Pfn> {
         self.map.get(&vpn).copied()
     }
-
-    /// Number of pages currently mapped.
-    pub fn mapped_pages(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Resident set size in bytes implied by the mapped pages.
-    pub fn resident_bytes(&self) -> u64 {
-        self.map.len() as u64 * self.geo.page_size()
-    }
 }
 
 #[cfg(test)]
@@ -176,20 +166,22 @@ mod tests {
     fn lookup_does_not_allocate() {
         let mut pt = PageTable::new(PageGeometry::new_4k());
         assert_eq!(pt.lookup(Vpn(3)), None);
-        assert_eq!(pt.mapped_pages(), 0);
+        assert!(pt.map.is_empty());
         let pfn = pt.walk(Vpn(3)).pfn;
         assert_eq!(pt.lookup(Vpn(3)), Some(pfn));
-        assert_eq!(pt.mapped_pages(), 1);
+        assert_eq!(pt.map.len(), 1);
     }
 
     #[test]
-    fn resident_bytes_counts_pages() {
+    fn addresses_within_a_page_map_it_once() {
         let geo = PageGeometry::new_4k();
         let mut pt = PageTable::new(geo);
         for i in 0..5 {
-            pt.walk(VirtAddr(i * geo.page_size()).vpn(geo));
+            for offset in [0, geo.page_size() - 1] {
+                pt.walk(VirtAddr(i * geo.page_size() + offset).vpn(geo));
+            }
         }
-        assert_eq!(pt.resident_bytes(), 5 * 4096);
+        assert_eq!(pt.map.len(), 5);
     }
 
     #[test]

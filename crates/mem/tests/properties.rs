@@ -98,7 +98,7 @@ proptest! {
     }
 
     /// Page table: walks are stable (same VPN → same PFN), injective
-    /// (different VPNs → different PFNs), and resident accounting matches.
+    /// (different VPNs → different PFNs), and lookup sees exactly the walked pages.
     #[test]
     fn page_table_stable_and_injective(vpns in prop::collection::vec(0u64..10_000, 1..100)) {
         let mut pt = PageTable::new(PageGeometry::new_4k());
@@ -115,6 +115,9 @@ proptest! {
         }
         let distinct: std::collections::HashSet<_> = first.values().collect();
         prop_assert_eq!(distinct.len(), first.len(), "PFN reused");
-        prop_assert_eq!(pt.mapped_pages(), first.len());
+        for (&v, &p) in &first {
+            prop_assert_eq!(pt.lookup(Vpn(v)), Some(p));
+        }
+        prop_assert_eq!(pt.lookup(Vpn(10_000)), None);
     }
 }
