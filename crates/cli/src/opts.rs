@@ -22,7 +22,7 @@ USAGE:
   tlbmap stats    [APP] [COMMON]
   tlbmap export   [APP] --out <FILE> [COMMON]
   tlbmap serve    [--addr HOST:PORT] [--workers N] [--queue N] [--cache N]
-                  [--cache-shards N] [--deadline-ms D] [--metrics-out <FILE>]
+                  [--deadline-ms D] [--metrics-out <FILE>]
                   [--window-ms W] [--window-buckets B] [--slow-threshold-us T]
                   [--slow-log <FILE>] [--no-http]
                   [--flight-window CYCLES] [--flight-capacity N]
@@ -617,7 +617,7 @@ mod tests {
     fn usage_names_every_service_flag() {
         let flags = flag_literals(include_str!("serve_cmd.rs"));
         // The serve, client and loadgen parsers all live there.
-        for expected in ["--cache-shards", "--session-idle-ms", "--batch", "--rps"] {
+        for expected in ["--window-buckets", "--session-idle-ms", "--batch", "--rps"] {
             assert!(flags.contains(&expected), "{expected} not scanned");
         }
         for flag in flags {
@@ -626,7 +626,7 @@ mod tests {
                 .any(|word| word == flag);
             assert!(named, "USAGE does not name {flag}");
         }
-        for gone in ["--requests", "--sample-ms"] {
+        for gone in ["--requests", "--sample-ms", "--cache-shards"] {
             assert!(!USAGE.contains(gone), "USAGE still names {gone}");
         }
     }

@@ -90,10 +90,6 @@ impl ServeOptions {
                 "--cache" => {
                     o.cfg.cache_capacity = parse_u64("--cache", &value("--cache")?)? as usize
                 }
-                "--cache-shards" => {
-                    o.cfg.cache_shards =
-                        parse_u64("--cache-shards", &value("--cache-shards")?)? as usize
-                }
                 "--deadline-ms" => {
                     o.cfg.default_deadline_ms =
                         parse_u64("--deadline-ms", &value("--deadline-ms")?)?
@@ -455,9 +451,8 @@ fn replay_session(client: &mut Client, path: &str, o: &ClientOptions) -> Result<
             Some(mapping) => {
                 *remaps += 1;
                 println!(
-                    "delta {:>4}  similarity {similarity:.4}  {label}{}  mapping {mapping:?}",
+                    "delta {:>4}  similarity {similarity:.4}  {label}  mapping {mapping:?}",
                     reply.seq,
-                    if reply.warm { " (warm)" } else { " (cold)" },
                 );
             }
             None => println!(
@@ -731,13 +726,6 @@ mod tests {
         assert_eq!(o.rps, vec![500, 2000, 8000]);
         assert_eq!(o.duration_ms, 1000);
         assert!(ClientOptions::parse(&words(&["--rps", "5x0"]), false).is_err());
-    }
-
-    #[test]
-    fn parses_cache_shard_serve_options() {
-        let o = ServeOptions::parse(&words(&["--cache-shards", "8"])).unwrap();
-        assert_eq!(o.cfg.cache_shards, 8);
-        assert_eq!(ServeOptions::parse(&[]).unwrap().cfg.cache_shards, 0);
     }
 
     #[test]

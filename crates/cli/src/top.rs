@@ -122,8 +122,7 @@ pub fn render_loop_rows(table: &mut Table, doc: &Json) {
 }
 
 /// Render the streaming-sessions rows from an `admin sessions` document:
-/// open sessions, delta throughput, remap decisions, and the warm-start
-/// hit rate.
+/// open sessions, delta throughput and remap decisions.
 pub fn render_sessions_rows(table: &mut Table, doc: &Json, deltas_per_s: f64) {
     table.row(vec![
         "sessions".to_string(),
@@ -140,17 +139,6 @@ pub fn render_sessions_rows(table: &mut Table, doc: &Json, deltas_per_s: f64) {
             u64_of(doc, "remaps_triggered"),
             u64_of(doc, "remaps_suppressed"),
         ),
-    ]);
-    let warm = u64_of(doc, "warm_start_hits");
-    let cold = u64_of(doc, "warm_start_fallbacks");
-    let warm_rate = if warm + cold > 0 {
-        warm as f64 / (warm + cold) as f64 * 100.0
-    } else {
-        0.0
-    };
-    table.row(vec![
-        "warm-start rate".to_string(),
-        format!("{warm_rate:.1}% ({warm}w/{cold}c)"),
     ]);
 }
 
@@ -429,13 +417,10 @@ mod tests {
             ("session_deltas", Json::U64(480)),
             ("remaps_triggered", Json::U64(5)),
             ("remaps_suppressed", Json::U64(40)),
-            ("warm_start_hits", Json::U64(4)),
-            ("warm_start_fallbacks", Json::U64(1)),
         ]);
         let frame = render_frame(&doc, Some(&sessions), 12.5, &[1.0], &[1.0]);
         assert!(frame.contains("2/32 open, 12.5 deltas/s"), "{frame}");
         assert!(frame.contains("5 triggered / 40 suppressed"), "{frame}");
-        assert!(frame.contains("80.0% (4w/1c)"), "{frame}");
     }
 
     #[test]

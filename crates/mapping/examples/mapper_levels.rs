@@ -70,7 +70,7 @@ fn main() {
             if certified_unique_pairing(g, &|i, j| w[i * g + j]).is_some() {
                 *c += 1;
             }
-            state.pair(None);
+            state.pair();
             state.merge();
         }
     }
@@ -86,7 +86,7 @@ fn main() {
             wsum[0] += t.elapsed().as_secs_f64();
             for level in 0..levels {
                 let t = Instant::now();
-                std::hint::black_box(state.pair(None));
+                std::hint::black_box(state.pair());
                 msum[level] += t.elapsed().as_secs_f64();
                 let t = Instant::now();
                 state.merge();

@@ -46,8 +46,8 @@ pub fn random(n_threads: usize, topo: &Topology, seed: u64) -> Mapping {
 /// Same preconditions as [`crate::HierarchicalMapper::map`], including its
 /// bound on the matrix's cell total.
 pub fn worst_case(matrix: &CommMatrix, topo: &Topology) -> Mapping {
-    match match_levels(matrix, -1, topo, None, &Recorder::disabled()) {
-        Ok(result) => result.mapping,
+    match match_levels(matrix, -1, topo, &Recorder::disabled()) {
+        Ok(mapping) => mapping,
         Err(e) => panic!("{e}"),
     }
 }

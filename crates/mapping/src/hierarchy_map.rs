@@ -65,30 +65,6 @@ pub struct HierarchicalMapper {
     _private: (),
 }
 
-/// Result of a warm-started hierarchical map: the mapping itself plus the
-/// per-level group pairings to seed the *next* solve with, and how many
-/// levels the warm certificate actually carried.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarmMapResult {
-    /// The thread-to-core mapping.
-    pub mapping: Mapping,
-    /// Group-index pairings chosen at each matching level, in level order.
-    /// Feed these back as the `seed` of the next warm solve.
-    pub pairings: Vec<Vec<(usize, usize)>>,
-    /// Levels where the warm seed was certified (no cold recompute).
-    pub warm_levels: u32,
-    /// Total matching levels run.
-    pub total_levels: u32,
-}
-
-impl WarmMapResult {
-    /// True when every matching level reused the seed without a cold
-    /// blossom recompute.
-    pub fn fully_warm(&self) -> bool {
-        self.warm_levels == self.total_levels
-    }
-}
-
 impl HierarchicalMapper {
     /// Create a mapper.
     pub fn new() -> Self {
@@ -136,28 +112,7 @@ impl HierarchicalMapper {
         topo: &Topology,
         rec: &Recorder,
     ) -> Result<Mapping, String> {
-        self.try_map_warm_observed(matrix, topo, None, rec)
-            .map(|r| r.mapping)
-    }
-
-    /// Warm-started variant for the streaming remap loop: `seed` carries
-    /// the per-level pairings of the previous solve (from
-    /// [`WarmMapResult::pairings`]). Each level tries
-    /// [`perfect_matching_pairs_warm`](crate::perfect_matching_pairs_warm)
-    /// with its seed slice — verified and
-    /// locally improved, falling back to a cold blossom solve when the
-    /// certificate fails — so near-identical back-to-back instances skip
-    /// the O(n³) recompute. With `seed = None` every level runs cold and
-    /// the mapping is bit-identical to
-    /// [`try_map_observed`](HierarchicalMapper::try_map_observed).
-    pub fn try_map_warm_observed(
-        &self,
-        matrix: &CommMatrix,
-        topo: &Topology,
-        seed: Option<&[Vec<(usize, usize)>]>,
-        rec: &Recorder,
-    ) -> Result<WarmMapResult, String> {
-        match_levels(matrix, 1, topo, seed, rec)
+        match_levels(matrix, 1, topo, rec)
     }
 }
 
@@ -181,11 +136,10 @@ pub(crate) fn match_levels(
     matrix: &CommMatrix,
     sign: i64,
     topo: &Topology,
-    seed: Option<&[Vec<(usize, usize)>]>,
     rec: &Recorder,
-) -> Result<WarmMapResult, String> {
+) -> Result<Mapping, String> {
     let mut levels = SPARE_LEVELS.with(Cell::take).unwrap_or_default();
-    let result = match_levels_in(&mut levels, matrix, sign, topo, seed, rec);
+    let result = match_levels_in(&mut levels, matrix, sign, topo, rec);
     if matrix.num_threads() <= KEPT_THREADS {
         SPARE_LEVELS.with(|spare| spare.set(Some(levels)));
     }
@@ -198,9 +152,8 @@ fn match_levels_in(
     matrix: &CommMatrix,
     sign: i64,
     topo: &Topology,
-    seed: Option<&[Vec<(usize, usize)>]>,
     rec: &Recorder,
-) -> Result<WarmMapResult, String> {
+) -> Result<Mapping, String> {
     let n = matrix.num_threads();
     if n != topo.num_cores() {
         return Err(format!(
@@ -223,27 +176,15 @@ fn match_levels_in(
         size = target;
     }
 
-    let mut pairings: Vec<Vec<(usize, usize)>> = Vec::new();
-    let mut warm_levels = 0u32;
     let mut level = 0u32;
     while levels.groups() > 1 {
         let before = levels.groups() as u32;
-        let level_seed = seed
-            .and_then(|s| s.get(level as usize))
-            .map(|v| v.as_slice());
-        let (pairs, warm) = levels.pair(level_seed);
+        levels.pair();
         let weight = levels.merge();
         rec.record_mapper_round(level, before, levels.groups() as u32, weight as u64);
-        warm_levels += u32::from(warm);
-        pairings.push(pairs);
         level += 1;
     }
-    Ok(WarmMapResult {
-        mapping: levels.mapping(),
-        pairings,
-        warm_levels,
-        total_levels: level,
-    })
+    Ok(levels.mapping())
 }
 
 /// One hierarchical map in progress: the groups, as consecutive runs of
@@ -316,26 +257,20 @@ impl Levels {
         &self.w
     }
 
-    /// Pair up the groups by maximum-weight perfect matching. With a
-    /// `seed` (this level's pairing from an earlier map) this is
-    /// [`perfect_matching_pairs_warm`](crate::perfect_matching_pairs_warm),
-    /// else [`perfect_matching_pairs`](crate::perfect_matching_pairs).
-    /// Returns the sorted pairs and whether the warm certificate held.
+    /// Pair up the groups by maximum-weight perfect matching
+    /// ([`perfect_matching_pairs`](crate::perfect_matching_pairs)) and
+    /// return the sorted pairs.
     ///
     /// # Panics
     /// Panics if the number of groups is odd.
-    pub fn pair(&mut self, seed: Option<&[(usize, usize)]>) -> (Vec<(usize, usize)>, bool) {
+    pub fn pair(&mut self) -> &[(usize, usize)] {
         let g = self.groups();
         assert!(
             g.is_multiple_of(2),
             "perfect matching requires an even vertex count"
         );
-        let (pairs, warm) = match seed {
-            Some(prev) => self.matcher.warm_pairs(g, &self.w, prev),
-            None => (self.matcher.perfect_pairs(g, &self.w), false),
-        };
-        self.pairs.clone_from(&pairs);
-        (pairs, warm)
+        self.pairs = self.matcher.perfect_pairs(g, &self.w);
+        &self.pairs
     }
 
     /// Merge the groups of each pair from the last [`pair`](Levels::pair),
@@ -500,7 +435,7 @@ mod tests {
         m.add(1, 2, 3);
         m.add(1, 3, 4);
         let mut levels = Levels::new(&m).unwrap();
-        assert_eq!(levels.pair(None), (vec![(0, 1), (2, 3)], false));
+        assert_eq!(levels.pair(), [(0, 1), (2, 3)]);
         assert_eq!(levels.merge(), 200);
         // H((0,1),(2,3)) = M(0,2)+M(0,3)+M(1,2)+M(1,3) = 10.
         assert_eq!(levels.weights(), &[0, 10, 10, 0]);
@@ -679,7 +614,7 @@ mod tests {
                     if g == 1 {
                         break;
                     }
-                    levels.pair(None);
+                    levels.pair();
                     levels.merge();
                 }
             }
@@ -762,9 +697,7 @@ mod tests {
     fn map_on_fresh_buffers(m: &CommMatrix, sign: i64) -> Mapping {
         let topo = Topology::scaled(m.num_threads()).unwrap();
         let mut levels = Levels::default();
-        match_levels_in(&mut levels, m, sign, &topo, None, &Recorder::disabled())
-            .unwrap()
-            .mapping
+        match_levels_in(&mut levels, m, sign, &topo, &Recorder::disabled()).unwrap()
     }
 
     #[test]

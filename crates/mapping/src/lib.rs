@@ -32,10 +32,10 @@ pub mod matching;
 pub use bisect::RecursiveBisectionMapper;
 pub use cost::{mapping_cost, normalized_mapping_quality};
 pub use exhaustive::exhaustive_best_mapping;
-pub use hierarchy_map::{check_matrix_total, max_matrix_total, HierarchicalMapper, WarmMapResult};
+pub use hierarchy_map::{check_matrix_total, max_matrix_total, HierarchicalMapper};
 pub use matching::{
     brute_force_max_weight_perfect_matching, certified_unique_pairing, greedy_matching,
-    max_weight_matching, perfect_matching_pairs, perfect_matching_pairs_warm,
+    max_weight_matching, perfect_matching_pairs,
 };
 // The Mapping type itself lives next to the engine that consumes it.
 pub use tlbmap_sim::Mapping;

@@ -21,8 +21,7 @@
 //! tries [`certified_unique_pairing`], an O(n²) pass that pairs every
 //! vertex with its heaviest neighbour; when that relation is an involution
 //! it is the unique optimum, which an even-split dual certificate and the
-//! tie-break prove. The warm-started [`perfect_matching_pairs_warm`]
-//! proves its repaired seed with the same certificate.
+//! tie-break prove.
 //!
 //! Weights are doubled in `i64` by the certificate and by the blossom's
 //! slacks, so callers keep them far below `i64::MAX`; the hierarchical
@@ -910,43 +909,6 @@ fn even_split_certificate(
     })
 }
 
-/// Warm-started maximum-weight perfect matching: seed with `prev` — the
-/// pairing from the last solve — locally improve it, and **certify** the
-/// result instead of recomputing from scratch.
-///
-/// The streaming remap loop solves near-identical instances back to back:
-/// the decayed window moves a little between remaps, so the previous
-/// pairing is usually optimal or one 2-swap away. The warm path
-///
-/// 1. validates `prev` is a perfect matching of `n` vertices,
-/// 2. runs deterministic 2-opt passes (swap `(a,b),(c,d)` into
-///    `(a,c),(b,d)` or `(a,d),(b,c)` whenever that gains weight) until a
-///    fixpoint,
-/// 3. checks the non-strict even-split dual certificate, which proves the
-///    result a maximum-weight perfect matching (not necessarily the one
-///    the cold path picks among ties).
-///
-/// The certificate is sound but not complete (odd alternating cycles can
-/// hide behind it), so on failure the cold [`perfect_matching_pairs`]
-/// path runs. Returns the sorted pairs and whether the warm path was
-/// certified — the cost is the cold cost either way, which
-/// `warm_matching_cost_equals_cold` proptests. Each `weight(i, j)` with
-/// `i < j` is evaluated once.
-///
-/// # Panics
-/// Panics if `n` is odd (no perfect matching exists).
-pub fn perfect_matching_pairs_warm(
-    n: usize,
-    weight: &dyn Fn(usize, usize) -> i64,
-    prev: &[(usize, usize)],
-) -> (Vec<(usize, usize)>, bool) {
-    assert!(
-        n.is_multiple_of(2),
-        "perfect matching requires an even vertex count"
-    );
-    CompleteMatcher::default().warm_pairs(n, &complete_table(n, weight), prev)
-}
-
 /// Maximum-weight perfect matching of even complete graphs given as
 /// symmetric `n × n` weight tables (`w[i·n + j] = w[j·n + i]`, diagonal
 /// ignored), keeping its buffers from one solve to the next: the
@@ -1018,73 +980,6 @@ impl CompleteMatcher {
             Some(pairs) => pairs,
             None => self.blossom_pairs(n, w),
         }
-    }
-
-    /// [`perfect_matching_pairs_warm`] on the table `w`.
-    pub(crate) fn warm_pairs(
-        &mut self,
-        n: usize,
-        w: &[i64],
-        prev: &[(usize, usize)],
-    ) -> (Vec<(usize, usize)>, bool) {
-        debug_assert!(n.is_multiple_of(2) && w.len() == n * n);
-        if n == 0 {
-            return (Vec::new(), true);
-        }
-        // Seed validation: `prev` must cover every vertex exactly once.
-        let mut seen = vec![false; n];
-        let valid = prev.len() == n / 2
-            && prev.iter().all(|&(i, j)| {
-                let ok = i < j && j < n && !seen[i] && !seen[j];
-                if ok {
-                    seen[i] = true;
-                    seen[j] = true;
-                }
-                ok
-            });
-        if !valid {
-            return (self.perfect_pairs(n, w), false);
-        }
-        let w_at = |i: usize, j: usize| w[i * n + j];
-
-        // Deterministic 2-opt: scan pair combinations in index order, take
-        // the first strictly improving swap, restart. Each swap raises the
-        // total weight, so the loop terminates.
-        let mut pairs: Vec<(usize, usize)> = prev.to_vec();
-        pairs.sort_unstable();
-        'improve: loop {
-            for p in 0..pairs.len() {
-                for q in p + 1..pairs.len() {
-                    let (a, b) = pairs[p];
-                    let (c, d) = pairs[q];
-                    let here = w_at(a, b) + w_at(c, d);
-                    let cross = w_at(a, c) + w_at(b, d);
-                    let skew = w_at(a, d) + w_at(b, c);
-                    if cross > here && cross >= skew {
-                        pairs[p] = (a.min(c), a.max(c));
-                        pairs[q] = (b.min(d), b.max(d));
-                        continue 'improve;
-                    }
-                    if skew > here {
-                        pairs[p] = (a.min(d), a.max(d));
-                        pairs[q] = (b.min(c), b.max(c));
-                        continue 'improve;
-                    }
-                }
-            }
-            break;
-        }
-        pairs.sort_unstable();
-
-        let mut mate = vec![0usize; n];
-        for &(i, j) in &pairs {
-            mate[i] = j;
-            mate[j] = i;
-        }
-        if !even_split_certificate(n, &w_at, &mate, false) {
-            return (self.perfect_pairs(n, w), false);
-        }
-        (pairs, true)
     }
 
     /// The blossom's pairing alone: the pairs of
@@ -1969,56 +1864,6 @@ mod tests {
         max_weight_matching(2, &[(1, 1, 3)], false);
     }
 
-    #[test]
-    fn warm_with_optimal_seed_is_certified() {
-        // Strong distinct pairs: the seed is the unique optimum, so the
-        // even-split certificate holds and the warm path keeps it.
-        let w = |i: usize, j: usize| -> i64 {
-            match (i.min(j), i.max(j)) {
-                (0, 1) => 100,
-                (2, 3) => 90,
-                _ => 1,
-            }
-        };
-        let (pairs, warm) = perfect_matching_pairs_warm(4, &w, &[(0, 1), (2, 3)]);
-        assert!(warm, "optimal seed must certify");
-        assert_eq!(pairs, vec![(0, 1), (2, 3)]);
-    }
-
-    #[test]
-    fn warm_repairs_a_stale_seed_by_two_opt() {
-        let w = |i: usize, j: usize| -> i64 {
-            match (i.min(j), i.max(j)) {
-                (0, 1) => 100,
-                (2, 3) => 90,
-                _ => 1,
-            }
-        };
-        // The stale seed crosses the strong pairs; one 2-swap fixes it.
-        let (pairs, warm) = perfect_matching_pairs_warm(4, &w, &[(0, 2), (1, 3)]);
-        assert!(warm, "repaired seed must certify");
-        assert_eq!(pairs, vec![(0, 1), (2, 3)]);
-        assert_eq!(matching_weight(&pairs, &w), 190);
-    }
-
-    #[test]
-    fn warm_rejects_malformed_seeds_and_falls_back() {
-        let w = |i: usize, j: usize| (i + j) as i64;
-        let cold = perfect_matching_pairs(6, &w);
-        let cold_w = matching_weight(&cold, &w);
-        for bad in [
-            vec![],                        // wrong cardinality
-            vec![(0, 1), (2, 3)],          // vertex 4, 5 uncovered
-            vec![(0, 1), (1, 2), (4, 5)],  // vertex 1 twice
-            vec![(1, 0), (2, 3), (4, 5)],  // unsorted pair
-            vec![(0, 1), (2, 3), (4, 99)], // out of range
-        ] {
-            let (pairs, warm) = perfect_matching_pairs_warm(6, &w, &bad);
-            assert!(!warm, "seed {bad:?} must fall back to the cold path");
-            assert_eq!(matching_weight(&pairs, &w), cold_w);
-        }
-    }
-
     /// Every perfect matching of `0..n`, as sorted pairs.
     fn all_perfect_matchings(n: usize) -> Vec<Vec<(usize, usize)>> {
         fn rec(
@@ -2093,13 +1938,6 @@ mod tests {
         assert_eq!(certified_unique_pairing(3, &planted), None);
         // Two vertices have exactly one pairing.
         assert_eq!(certified_unique_pairing(2, &|_, _| 0), Some(vec![(0, 1)]));
-    }
-
-    #[test]
-    fn warm_zero_vertices() {
-        let (pairs, warm) = perfect_matching_pairs_warm(0, &|_, _| 0, &[]);
-        assert!(pairs.is_empty());
-        assert!(warm);
     }
 
     /// Weight shapes for the dense-blossom oracle.

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use tlbmap_core::CommMatrix;
 use tlbmap_mapping::matching::{
     brute_force_max_weight_perfect_matching, certified_unique_pairing, greedy_matching,
-    max_weight_matching, perfect_matching_pairs, perfect_matching_pairs_warm,
+    max_weight_matching, perfect_matching_pairs,
 };
 use tlbmap_mapping::{
     baselines, exhaustive_best_mapping, mapping_cost, HierarchicalMapper, Mapping,
@@ -46,59 +46,6 @@ proptest! {
             seen[j] = true;
         }
         prop_assert!(seen.iter().all(|&s| s));
-    }
-
-    /// Warm-started matching agrees with the cold solver on matching cost
-    /// for every seed — optimal, stale, or garbage — because the warm path
-    /// only keeps a seed its dual certificate can prove optimal.
-    #[test]
-    fn warm_matching_cost_equals_cold(n in prop::sample::select(vec![2usize, 4, 6, 8]),
-                                      weights in prop::collection::vec(0i64..1000, 28),
-                                      perm in prop::collection::vec(0usize..1000, 8)) {
-        let w = |i: usize, j: usize| weights[(i * 31 + j * 7) % weights.len()];
-        // Derive a deterministic "previous" pairing from `perm`: sort the
-        // vertices by the random keys and pair neighbours.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&v| (perm[v], v));
-        let prev: Vec<(usize, usize)> = order
-            .chunks(2)
-            .map(|c| (c[0].min(c[1]), c[0].max(c[1])))
-            .collect();
-        let cold: i64 = perfect_matching_pairs(n, &w).iter().map(|&(i, j)| w(i, j)).sum();
-        let (pairs, _warm) = perfect_matching_pairs_warm(n, &w, &prev);
-        let got: i64 = pairs.iter().map(|&(i, j)| w(i, j)).sum();
-        prop_assert_eq!(got, cold, "warm and cold matching costs diverged");
-        // Perfectness of the warm result: every vertex matched once.
-        let mut seen = vec![false; n];
-        for (i, j) in pairs {
-            prop_assert!(i < j);
-            prop_assert!(!seen[i] && !seen[j]);
-            seen[i] = true;
-            seen[j] = true;
-        }
-        prop_assert!(seen.iter().all(|&s| s));
-    }
-
-    /// Seeding the hierarchical mapper with its own previous pairings must
-    /// cost exactly what the cold mapping costs — the warm path either
-    /// certifies the seed or falls back, never degrades the placement.
-    #[test]
-    fn warm_hierarchy_replay_is_exact(weights in prop::collection::vec(0u64..1000, 28)) {
-        let topo = Topology::harpertown();
-        let m = matrix8(&weights);
-        let mapper = HierarchicalMapper::new();
-        let rec = tlbmap_obs::Recorder::disabled();
-        let cold = mapper.try_map_warm_observed(&m, &topo, None, &rec).unwrap();
-        prop_assert_eq!(&cold.mapping, &mapper.map(&m, &topo));
-        prop_assert_eq!(cold.warm_levels, 0);
-        let warm = mapper
-            .try_map_warm_observed(&m, &topo, Some(&cold.pairings), &rec)
-            .unwrap();
-        // The seed is already optimal, so 2-opt cannot move it and the
-        // fallback is the same deterministic solver: the replay mapping is
-        // bit-identical, warm or not.
-        prop_assert_eq!(&warm.mapping, &cold.mapping);
-        prop_assert!(warm.warm_levels <= warm.total_levels);
     }
 
     /// On sparse general graphs, the matching is valid (involutive, edges

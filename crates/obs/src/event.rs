@@ -175,9 +175,6 @@ pub enum Event {
         /// mapping's reference matrix, scaled by 1e6 (integral so traces
         /// stay byte-stable — the [`Event::PhaseChange`] convention).
         similarity_ppm: u64,
-        /// Whether the matching was warm-started from the previous
-        /// pairing on every level (no cold blossom recompute).
-        warm: bool,
         /// Time spent recomputing the mapping.
         compute_us: u64,
     },
@@ -318,13 +315,11 @@ impl Event {
                 session,
                 seq,
                 similarity_ppm,
-                warm,
                 compute_us,
             } => {
                 push("session", Json::U64(session));
                 push("seq", Json::U64(seq));
                 push("similarity_ppm", Json::U64(similarity_ppm));
-                push("warm", Json::Bool(warm));
                 push("compute_us", Json::U64(compute_us));
             }
         }
@@ -478,7 +473,6 @@ mod tests {
                 session: 2,
                 seq: 17,
                 similarity_ppm: 431_000,
-                warm: true,
                 compute_us: 90,
             },
         ];

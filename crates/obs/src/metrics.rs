@@ -84,10 +84,6 @@ pub enum CounterId {
     /// Remaps the control loop suppressed (drift below threshold, or
     /// inside the cooldown window).
     RemapsSuppressed,
-    /// Remaps whose matching was warm-started on every level.
-    WarmStartHits,
-    /// Remaps where at least one level fell back to a cold solve.
-    WarmStartFallbacks,
     /// Mapping-service event-loop iterations (one per `epoll_wait`
     /// return that found work or a wakeup).
     ServeLoopTicks,
@@ -96,7 +92,7 @@ pub enum CounterId {
 }
 
 /// All counters, in registry order.
-pub const COUNTERS: [CounterId; 37] = [
+pub const COUNTERS: [CounterId; 35] = [
     CounterId::Accesses,
     CounterId::TlbMisses,
     CounterId::DetectionSearches,
@@ -130,8 +126,6 @@ pub const COUNTERS: [CounterId; 37] = [
     CounterId::SessionDeltas,
     CounterId::RemapsTriggered,
     CounterId::RemapsSuppressed,
-    CounterId::WarmStartHits,
-    CounterId::WarmStartFallbacks,
     CounterId::ServeLoopTicks,
     CounterId::ServeConnsAccepted,
 ];
@@ -173,8 +167,6 @@ impl CounterId {
             CounterId::SessionDeltas => "session_deltas",
             CounterId::RemapsTriggered => "remaps_triggered",
             CounterId::RemapsSuppressed => "remaps_suppressed",
-            CounterId::WarmStartHits => "warm_start_hits",
-            CounterId::WarmStartFallbacks => "warm_start_fallbacks",
             CounterId::ServeLoopTicks => "serve_loop_ticks",
             CounterId::ServeConnsAccepted => "serve_conns_accepted",
         }

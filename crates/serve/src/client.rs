@@ -189,14 +189,12 @@ impl Client {
                 seq,
                 similarity_ppm,
                 decision,
-                warm,
                 mapping,
                 ..
             } => Ok(DeltaOutcome {
                 seq,
                 similarity_ppm,
                 decision,
-                warm,
                 mapping,
             }),
             other => Err(ServeError::Transport(format!(

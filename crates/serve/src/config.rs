@@ -16,11 +16,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Maximum mappings retained in the LRU result cache.
     pub cache_capacity: usize,
-    /// Independent shards the result cache is split into (requests pick a
-    /// shard by the hash of their matrix fingerprint, so identical
-    /// requests still coalesce). 0 means "one shard per worker" — enough
-    /// shards that workers rarely contend on one lock.
-    pub cache_shards: usize,
     /// Deadline applied to requests that do not carry their own, in
     /// milliseconds. 0 = no default deadline.
     pub default_deadline_ms: u64,
@@ -87,7 +82,6 @@ impl ServeConfig {
             workers: 4,
             queue_capacity: 64,
             cache_capacity: 128,
-            cache_shards: 0,
             default_deadline_ms: 0,
             max_frame_bytes: 1 << 20,
             telemetry_window_ms: 10_000,
@@ -119,12 +113,6 @@ impl ServeConfig {
     /// Override the cache capacity (0 disables caching).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Override the cache shard count (0 = one shard per worker).
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = shards;
         self
     }
 
@@ -221,18 +209,6 @@ impl ServeConfig {
             None
         } else {
             Some(self.cache_capacity)
-        }
-    }
-
-    /// Cache shard count with the zero hazard removed: zero shards would
-    /// leave no cache to probe at all (a modulo-by-zero, not "sharding
-    /// off"), so 0 is read as the intent it encodes — one shard per
-    /// worker, the point where workers stop contending on a shared lock.
-    pub fn effective_cache_shards(&self) -> usize {
-        if self.cache_shards == 0 {
-            self.effective_workers()
-        } else {
-            self.cache_shards
         }
     }
 
@@ -351,28 +327,6 @@ mod tests {
                 .with_cache_capacity(9)
                 .effective_cache_capacity(),
             Some(9)
-        );
-    }
-
-    #[test]
-    fn zero_cache_shards_follow_the_worker_count() {
-        // Shards default to the worker count (the contention-free point);
-        // an explicit count passes through untouched.
-        assert_eq!(ServeConfig::new().effective_cache_shards(), 4);
-        assert_eq!(
-            ServeConfig::new().with_workers(7).effective_cache_shards(),
-            7
-        );
-        assert_eq!(
-            ServeConfig::new()
-                .with_cache_shards(3)
-                .effective_cache_shards(),
-            3
-        );
-        // Even a zero-worker typo still yields at least one shard.
-        assert_eq!(
-            ServeConfig::new().with_workers(0).effective_cache_shards(),
-            1
         );
     }
 

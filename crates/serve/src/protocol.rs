@@ -495,9 +495,6 @@ pub enum Response {
         similarity_ppm: u64,
         /// What the control loop decided.
         decision: DeltaDecision,
-        /// Whether the remap's matching was fully warm-started (only
-        /// meaningful when `decision` is `remap`).
-        warm: bool,
         /// The newly installed mapping when `decision` is `remap`.
         mapping: Option<Vec<usize>>,
     },
@@ -564,7 +561,6 @@ impl Response {
                 seq,
                 similarity_ppm,
                 decision,
-                warm,
                 mapping,
             } => {
                 pairs.push(("ok", Json::Bool(true)));
@@ -573,7 +569,6 @@ impl Response {
                 pairs.push(("seq", Json::U64(*seq)));
                 pairs.push(("similarity_ppm", Json::U64(*similarity_ppm)));
                 pairs.push(("decision", Json::Str(decision.as_str().into())));
-                pairs.push(("warm", Json::Bool(*warm)));
                 if let Some(mapping) = mapping {
                     pairs.push((
                         "mapping",
@@ -666,14 +661,12 @@ impl Response {
                     .and_then(Json::as_str)
                     .and_then(DeltaDecision::from_wire)
                     .ok_or_else(|| "delta response: missing or unknown `decision`".to_string())?;
-                let warm = json.get("warm").and_then(Json::as_bool).unwrap_or(false);
                 let mapping = mapping_of(json, "delta")?;
                 Ok(Response::Delta {
                     session: field("session")?,
                     seq: field("seq")?,
                     similarity_ppm: field("similarity_ppm")?,
                     decision,
-                    warm,
                     mapping,
                 })
             }
@@ -925,7 +918,6 @@ mod tests {
                 seq: 12,
                 similarity_ppm: 431_337,
                 decision: DeltaDecision::Remap,
-                warm: true,
                 mapping: Some(vec![2, 3, 0, 1]),
             },
             Response::Delta {
@@ -933,7 +925,6 @@ mod tests {
                 seq: 13,
                 similarity_ppm: 991_000,
                 decision: DeltaDecision::Stable,
-                warm: false,
                 mapping: None,
             },
             Response::CloseSession {

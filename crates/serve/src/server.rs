@@ -308,9 +308,11 @@ impl Server {
 
         let shared = Arc::new(Shared {
             queue: JobQueue::new(cfg.effective_queue_capacity()),
+            // One cache shard per worker, so workers rarely contend on
+            // one lock.
             cache: cfg
                 .effective_cache_capacity()
-                .map(|cap| ShardedCache::new(cap, cfg.effective_cache_shards())),
+                .map(|cap| ShardedCache::new(cap, cfg.effective_workers())),
             mapper: HierarchicalMapper::new(),
             rec,
             live: LiveRegistry::new(cfg.effective_telemetry()),
@@ -1128,7 +1130,6 @@ fn handle_frame(
                     seq: outcome.seq,
                     similarity_ppm: outcome.similarity_ppm,
                     decision: outcome.decision,
-                    warm: outcome.warm,
                     mapping: outcome.mapping,
                 },
                 Err((code, message)) => Response::Error { code, message },
@@ -1334,8 +1335,6 @@ fn admin_stats_doc(shared: &Shared) -> Json {
         ("session_deltas", c(CounterId::SessionDeltas)),
         ("remaps_triggered", c(CounterId::RemapsTriggered)),
         ("remaps_suppressed", c(CounterId::RemapsSuppressed)),
-        ("warm_start_hits", c(CounterId::WarmStartHits)),
-        ("warm_start_fallbacks", c(CounterId::WarmStartFallbacks)),
         ("loop", loop_doc),
     ])
 }
@@ -1372,8 +1371,6 @@ fn admin_sessions_doc(shared: &Shared) -> Json {
         ("session_deltas", c(CounterId::SessionDeltas)),
         ("remaps_triggered", c(CounterId::RemapsTriggered)),
         ("remaps_suppressed", c(CounterId::RemapsSuppressed)),
-        ("warm_start_hits", c(CounterId::WarmStartHits)),
-        ("warm_start_fallbacks", c(CounterId::WarmStartFallbacks)),
         ("sessions", Json::Arr(rows)),
     ])
 }

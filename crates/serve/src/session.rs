@@ -13,11 +13,11 @@
 //!                           │
 //!   Empty / Sparse / Stable │ Cooldown              Changed
 //!              │            │    │                     │
-//!           stable          │ cooldown     warm-started remap: seed the
-//!     (remap suppressed)    │ (remap       hierarchical mapper with the
-//!                           │ suppressed)  previous per-level pairings,
-//!                           │              install the result (the
-//!                           │              window is the new reference)
+//!           stable          │ cooldown     remap: map the decayed
+//!     (remap suppressed)    │ (remap       window from scratch, exactly as
+//!                           │ suppressed)  a `map` request would, install
+//!                           │              the result (the window is the
+//!                           │              new reference)
 //!                           ▼
 //! ```
 //!
@@ -62,9 +62,6 @@ pub struct DeltaOutcome {
     pub similarity_ppm: u64,
     /// What the control loop decided.
     pub decision: DeltaDecision,
-    /// Whether a triggered remap was served entirely by the warm-start
-    /// certificate (always `false` when no remap happened).
-    pub warm: bool,
     /// The freshly installed mapping when `decision` is `Remap`.
     pub mapping: Option<Vec<usize>>,
 }
@@ -93,8 +90,6 @@ struct Session {
     /// was computed from.
     tracker: PhaseTracker,
     mapping: Vec<usize>,
-    /// Per-level pairings of the last solve, the warm-start seed.
-    pairings: Vec<Vec<(usize, usize)>>,
     seq: u64,
     remaps: u64,
     last_similarity_ppm: u64,
@@ -128,44 +123,29 @@ impl Session {
                 seq: self.seq,
                 similarity_ppm,
                 decision,
-                warm: false,
                 mapping: None,
             };
         }
-        let seed = if self.pairings.is_empty() {
-            None
-        } else {
-            Some(self.pairings.as_slice())
-        };
         let start = Instant::now();
-        let result = mapper
-            .try_map_warm_observed(self.window.window(), &self.topo, seed, rec)
+        let mapping = mapper
+            .try_map_observed(self.window.window(), &self.topo, rec)
             .expect("session window is sized for its topology and within the bound");
         let compute_us = start.elapsed().as_micros() as u64;
-        let warm = result.fully_warm();
-        self.mapping = result.mapping.as_slice().to_vec();
-        self.pairings = result.pairings;
+        self.mapping = mapping.as_slice().to_vec();
         self.remaps += 1;
         rec.inc(CounterId::RemapsTriggered);
-        rec.inc(if warm {
-            CounterId::WarmStartHits
-        } else {
-            CounterId::WarmStartFallbacks
-        });
         rec.observe(HistId::ServeRemapLatencyUs, compute_us);
         let (session, seq) = (self.id, self.seq);
         rec.emit(|_| Event::Remap {
             session,
             seq,
             similarity_ppm,
-            warm,
             compute_us,
         });
         DeltaOutcome {
             seq: self.seq,
             similarity_ppm,
             decision: DeltaDecision::Remap,
-            warm,
             mapping: Some(self.mapping.clone()),
         }
     }
@@ -223,9 +203,9 @@ impl SessionRegistry {
         // session always has an installed mapping; the first non-empty
         // window starts the judge's first phase and remaps onto the first
         // real traffic.
-        let result = self
+        let mapping = self
             .mapper
-            .try_map_warm_observed(window.window(), &topo, None, rec)
+            .try_map_observed(window.window(), &topo, rec)
             .map_err(|message| (ErrorCode::BadRequest, message))?;
         let mut state = self.inner.lock().unwrap();
         self.sweep(&mut state, rec);
@@ -240,7 +220,7 @@ impl SessionRegistry {
         }
         let id = state.next_id;
         state.next_id += 1;
-        let mapping = result.mapping.as_slice().to_vec();
+        let mapping = mapping.as_slice().to_vec();
         let session = Session {
             id,
             topo,
@@ -252,7 +232,6 @@ impl SessionRegistry {
                 cooldown_deltas.unwrap_or(self.cooldown_deltas),
             ),
             mapping: mapping.clone(),
-            pairings: result.pairings,
             seq: 0,
             remaps: 0,
             last_similarity_ppm: 0,
@@ -620,49 +599,5 @@ mod tests {
                 "decay_shift {decay_shift:?}: decisions were {decisions:?}"
             );
         }
-    }
-
-    /// The warm path actually fires on a replayed phase: the second remap
-    /// onto the same stationary pattern is served warm.
-    #[test]
-    fn replayed_phase_hits_the_warm_start() {
-        let rec = recorder();
-        // Always-cross threshold so every delta past cooldown remaps.
-        let cfg = ServeConfig::new()
-            .with_session_drift_threshold_ppm(1_000_000)
-            .with_session_cooldown_deltas(0)
-            .with_session_decay_shift(1);
-        let reg = SessionRegistry::new(&cfg);
-        let (id, _) = reg
-            .open(Topology::harpertown(), None, None, None, &rec)
-            .unwrap();
-        // Strong pair weights plus cross-group ties: the optimum is
-        // unique at every level and the even-split certificate proves a
-        // replayed pairing optimal.
-        let pattern = |a: u64, b: u64, c: u64, d: u64| {
-            let mut m = CommMatrix::new(8);
-            m.add(0, 1, a);
-            m.add(2, 3, b);
-            m.add(4, 5, c);
-            m.add(6, 7, d);
-            m.add(0, 2, 500);
-            m.add(4, 6, 500);
-            m
-        };
-        let first = reg
-            .delta(id, &pattern(4_000, 3_000, 2_000, 1_000), &rec)
-            .unwrap();
-        assert_eq!(first.decision, DeltaDecision::Remap);
-        // The second delta shifts the pair magnitudes (so the window's
-        // direction moves and similarity drops below 1.0) but keeps the
-        // same dominant structure: the previous pairing is still optimal
-        // and certifies warm at every level.
-        let second = reg
-            .delta(id, &pattern(1_000, 2_000, 3_000, 4_000), &rec)
-            .unwrap();
-        assert_eq!(second.decision, DeltaDecision::Remap);
-        assert!(second.warm, "replayed phase should certify warm");
-        assert_eq!(second.mapping, first.mapping);
-        assert!(rec.counter(CounterId::WarmStartHits) >= 1);
     }
 }

@@ -714,27 +714,21 @@ fn streaming_session_tracks_a_phase_shift_end_to_end() {
     let one_shot = client.map(mirror.window(), &topo, None, 0).unwrap();
     assert_eq!(final_mapping, one_shot.mapping);
 
-    // Exactly one remap event beyond the first-delta install, and the
-    // warm start served at least one of them.
+    // Exactly one remap event beyond the first-delta install.
     let remaps = remap_events(&handle);
     assert_eq!(remaps.len(), 2, "install + one phase-shift remap");
     match remaps[1] {
         Event::Remap {
-            session: s,
-            seq,
-            warm,
-            ..
+            session: s, seq, ..
         } => {
             assert_eq!(s, session);
             assert_eq!(seq, 5);
-            assert!(warm, "the replayed pair structure must certify warm");
         }
         _ => unreachable!(),
     }
     let rec = handle.recorder();
     assert_eq!(rec.counter(CounterId::RemapsTriggered), 2);
     assert_eq!(rec.counter(CounterId::RemapsSuppressed), 3);
-    assert!(rec.counter(CounterId::WarmStartHits) >= 1);
 
     assert_eq!(client.close_session(session).unwrap(), (5, 2));
     client.shutdown().unwrap();

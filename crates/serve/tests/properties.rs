@@ -1,10 +1,17 @@
 //! Property tests of request decoding: whatever sizes a client names,
 //! `Request::from_json` answers with a value or an error — it never
-//! panics and never tries to allocate what the frame only claims.
+//! panics and never tries to allocate what the frame only claims. And of
+//! streaming sessions: every remap is the one-shot map of the window.
 
 use proptest::prelude::*;
-use tlbmap_obs::Json;
-use tlbmap_serve::{Request, MAX_SESSION_THREADS};
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+use tlbmap_core::{CommMatrix, DecayedMatrix};
+use tlbmap_mapping::HierarchicalMapper;
+use tlbmap_obs::{Json, Recorder};
+use tlbmap_serve::{DeltaDecision, Request, ServeConfig, SessionRegistry, MAX_SESSION_THREADS};
+use tlbmap_sim::Topology;
 
 /// A size as a hostile client would pick it: mostly plausible, often near
 /// the session cap or the old 2^16 arity limit, sometimes far beyond.
@@ -173,6 +180,76 @@ proptest! {
             }
             Ok(other) => prop_assert!(false, "decoded {other:?}"),
             Err(_) => prop_assert!(!valid, "refused a valid frame"),
+        }
+    }
+}
+
+/// A session delta for `n` threads: a random perfect pairing carrying
+/// heavy traffic over light noise, or (`tie_heavy`) every pair at weight
+/// 1 or 2, where many pairings tie for the optimum.
+fn session_delta(n: usize, tie_heavy: bool, rng: &mut SmallRng) -> CommMatrix {
+    let mut delta = CommMatrix::new(n);
+    if tie_heavy {
+        for i in 0..n {
+            for j in i + 1..n {
+                delta.add(i, j, rng.gen_range(1..=2));
+            }
+        }
+    } else {
+        let mut threads: Vec<usize> = (0..n).collect();
+        threads.shuffle(rng);
+        for pair in threads.chunks(2) {
+            delta.add(pair[0], pair[1], rng.gen_range(100..1000));
+        }
+        for _ in 0..n {
+            let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            delta.add(i, j, rng.gen_range(0..4));
+        }
+    }
+    delta
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A session remap maps its decayed window exactly as a one-shot
+    /// `HierarchicalMapper::map` of that window does, whatever the decay,
+    /// threshold and cooldown, on pair-structured and tie-heavy streams.
+    #[test]
+    fn session_remaps_equal_one_shot_maps(
+        n in prop::sample::select(vec![8usize, 16, 32]),
+        seed in any::<u64>(),
+        tie_share in prop::sample::select(vec![0.0f64, 0.5, 1.0]),
+        deltas in 1usize..24,
+        shift in 0u32..4,
+        threshold_ppm in prop_oneof![1 => 0u64..=1_000_000, 3 => 900_000u64..=1_000_000],
+        cooldown in 0u64..3,
+    ) {
+        let topo = Topology::scaled(n).unwrap();
+        let (mapper, rec) = (HierarchicalMapper::new(), Recorder::disabled());
+        let registry = SessionRegistry::new(&ServeConfig::new());
+        let (id, initial) = registry
+            .open(topo, Some(shift), Some(threshold_ppm), Some(cooldown), &rec)
+            .unwrap();
+        let mut mirror = DecayedMatrix::new(n, shift);
+        prop_assert_eq!(initial, mapper.map(mirror.window(), &topo).as_slice().to_vec());
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for step in 0..deltas {
+            let delta = session_delta(n, rng.gen_bool(tie_share), &mut rng);
+            mirror.ingest(&delta);
+            let outcome = registry.delta(id, &delta, &rec).unwrap();
+            if outcome.decision == DeltaDecision::Remap {
+                let one_shot = mapper.map(mirror.window(), &topo);
+                prop_assert_eq!(
+                    outcome.mapping.as_deref(),
+                    Some(one_shot.as_slice()),
+                    "delta {} of {n} threads, shift {shift}, threshold {threshold_ppm}, \
+                     cooldown {cooldown}: session {:?}, one-shot {:?}",
+                    step + 1,
+                    outcome.mapping,
+                    one_shot.as_slice()
+                );
+            }
         }
     }
 }

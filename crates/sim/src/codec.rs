@@ -185,15 +185,6 @@ pub fn decode_traces(data: &[u8]) -> Result<Vec<ThreadTrace>, CodecError> {
     Ok(traces)
 }
 
-/// Bytes per event achieved on `traces` (reporting helper).
-pub fn bytes_per_event(traces: &[ThreadTrace]) -> f64 {
-    let events: usize = traces.iter().map(|t| t.len()).sum();
-    if events == 0 {
-        return 0.0;
-    }
-    encode_traces(traces).len() as f64 / events as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,7 +220,7 @@ mod tests {
             .map(|i| TraceEvent::read(VirtAddr(0x10_0000 + i * 128)))
             .collect();
         let traces = vec![trace];
-        let bpe = bytes_per_event(&traces);
+        let bpe = encode_traces(&traces).len() as f64 / 10_000.0;
         assert!(
             bpe < 3.5,
             "sweeps should encode in ~2-3 bytes/event, got {bpe:.2}"

@@ -65,32 +65,6 @@ impl RunStats {
         }
     }
 
-    /// Events per second for Table IV-style reporting.
-    pub fn per_second(&self, count: u64) -> f64 {
-        let s = self.seconds();
-        if s == 0.0 {
-            0.0
-        } else {
-            count as f64 / s
-        }
-    }
-
-    /// Detection overhead as a percentage of total cycles (how Table III
-    /// presents it).
-    pub fn detection_overhead_percent(&self) -> f64 {
-        self.detection_overhead_fraction() * 100.0
-    }
-
-    /// Thread migrations per million memory accesses — a scale-free way to
-    /// compare remapping aggressiveness across workload sizes.
-    pub fn migrations_per_million_accesses(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.migrations as f64 * 1e6 / self.accesses as f64
-        }
-    }
-
     /// Serialize every field to JSON (schema-stable key names).
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -261,24 +235,15 @@ mod tests {
     }
 
     #[test]
-    fn seconds_and_rates() {
+    fn seconds() {
         let s = sample();
         assert!((s.seconds() - 0.25).abs() < 1e-12);
-        assert!((s.per_second(50) - 200.0).abs() < 1e-9);
     }
 
     #[test]
     fn overhead_fraction() {
         let s = sample();
         assert!((s.detection_overhead_fraction() - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn derived_rates() {
-        let mut s = sample();
-        s.migrations = 3;
-        assert!((s.detection_overhead_percent() - 10.0).abs() < 1e-9);
-        assert!((s.migrations_per_million_accesses() - 20_000.0).abs() < 1e-9);
     }
 
     #[test]
@@ -292,10 +257,6 @@ mod tests {
         assert_eq!(back, s);
         // Derived rates survive the trip too.
         assert_eq!(back.tlb_miss_rate(), s.tlb_miss_rate());
-        assert_eq!(
-            back.migrations_per_million_accesses(),
-            s.migrations_per_million_accesses()
-        );
     }
 
     #[test]
@@ -326,6 +287,5 @@ mod tests {
         };
         assert_eq!(s.tlb_miss_rate(), 0.0);
         assert_eq!(s.detection_overhead_fraction(), 0.0);
-        assert_eq!(s.per_second(5), 0.0);
     }
 }

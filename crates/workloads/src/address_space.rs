@@ -39,11 +39,6 @@ impl ArrayHandle {
     pub fn pages(&self, geo: PageGeometry) -> u64 {
         self.bytes().div_ceil(geo.page_size())
     }
-
-    /// Elements that fit in one page.
-    pub fn elems_per_page(&self, geo: PageGeometry) -> u64 {
-        geo.page_size() / self.elem_size
-    }
 }
 
 /// Bump allocator of page-aligned arrays.
@@ -127,8 +122,8 @@ mod tests {
         let mut a = AddressSpace::new(PageGeometry::new_4k());
         let h = a.alloc_f64(1000);
         assert_eq!(h.addr(0), h.base);
+        // 512 eight-byte elements fill one 4 KiB page.
         assert_eq!(h.addr(512).0, h.base.0 + 4096);
-        assert_eq!(h.elems_per_page(PageGeometry::new_4k()), 512);
     }
 
     #[test]
