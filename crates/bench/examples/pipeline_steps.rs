@@ -8,23 +8,28 @@
 //! kernel:
 //!
 //! - `pipeline_ms`, the median over `PASSES` passes of the whole loop;
-//! - `lines` and `blocks`, the distinct cache lines the SM detection run
-//!   touches and the 64-line blocks they fall in;
+//! - `lines` and `pages`, the distinct cache lines the SM detection run
+//!   touches and the pages they fall in;
 //! - `way_kib` and `record_kib`, host bytes of the hierarchy's way words
 //!   and of its line records after that run;
 //! - one digest over all five `RunStats` and both mappings, which changes
 //!   if any simulated result does.
 //!
-//! The footprint comes from a replay: the detection run's access stream is
-//! captured through a hook, translated through fresh MMUs and fed to a
-//! fresh `MemoryHierarchy`, the way the benchmark's layer replay does.
-//! Line ids and records depend only on which lines are accessed, so the
-//! replay sends every access as a data access.
+//! The footprint comes from a replay of the engine's path: the detection
+//! run's access stream is captured through a hook, translated through
+//! fresh MMUs and fed with each translation's page index to a fresh
+//! `MemoryHierarchy` (`access_page`). Line ids and records depend only on
+//! which lines are accessed, so the replay sends every access as a data
+//! access.
 //!
 //! With `footprint` instead of numbers it prints only the footprints, for
 //! the synthetic patterns at 32 cores (Workshop sizes, as `tlbmap detect
 //! <pattern> --cores 32` runs them) and for NPB at Small scale on
-//! Harpertown, with the bytes of line records per touched line.
+//! Harpertown, with the bytes of the line table per touched line; then
+//! the same for BT at Workshop scale at each page size of
+//! `ablation_page_size` and for the 1 MiB pages of
+//! `tests/edge_cases.rs`, next to what one record per line of every
+//! touched page would take.
 //!
 //! Run with:
 //! `cargo run --release -p tlbmap-bench --example pipeline_steps -- [PASSES] [SEED]`
@@ -34,7 +39,7 @@ use std::time::Instant;
 use tlbmap_cache::{AccessKind, LineFootprint, MemOp, MemoryHierarchy};
 use tlbmap_core::{HmConfig, HmDetector, SmConfig, SmDetector};
 use tlbmap_mapping::{baselines, HierarchicalMapper};
-use tlbmap_mem::{Mmu, PageTable, VirtAddr};
+use tlbmap_mem::{Mmu, PageGeometry, PageTable, VirtAddr};
 use tlbmap_sim::{
     simulate, Mapping, NoHooks, RunStats, SimConfig, SimHooks, ThreadTrace, Topology,
 };
@@ -109,25 +114,27 @@ impl SimHooks for Capture {
     }
 }
 
-/// The line-state footprint of the detection machine's identity run.
-fn footprint(topo: &Topology, traces: &[ThreadTrace]) -> LineFootprint {
-    let cfg = SimConfig::paper_software_managed(topo);
+/// The line-state footprint of the detection machine's identity run at
+/// pages of 2^`page_shift` bytes.
+fn footprint(topo: &Topology, traces: &[ThreadTrace], page_shift: u32) -> LineFootprint {
+    let mut cfg = SimConfig::paper_software_managed(topo);
+    cfg.geometry = PageGeometry::with_shift(page_shift);
     let mut capture = Capture::default();
     simulate(
         &cfg,
         topo,
         traces,
-        &Mapping::identity(topo.num_cores()),
+        &Mapping::identity(traces.len()),
         &mut capture,
     );
     let mut page_table = PageTable::with_alloc(cfg.geometry, cfg.frame_alloc);
     let mut mmus: Vec<Mmu> = (0..topo.num_cores())
         .map(|_| Mmu::new(cfg.mmu, cfg.geometry))
         .collect();
-    let mut hierarchy = MemoryHierarchy::new(cfg.hierarchy.clone());
+    let mut hierarchy = MemoryHierarchy::with_page_shift(cfg.hierarchy.clone(), page_shift);
     for (core, vaddr, op) in capture.0 {
-        let paddr = mmus[core].translate(vaddr, &mut page_table).paddr.0;
-        hierarchy.access(core, paddr, op, AccessKind::Data);
+        let t = mmus[core].translate(vaddr, &mut page_table);
+        hierarchy.access_page(core, t.paddr.0, t.page, op, AccessKind::Data, None);
     }
     hierarchy.line_footprint()
 }
@@ -152,14 +159,14 @@ fn npb(scale: ProblemScale, seed: u64) -> Vec<(String, Vec<ThreadTrace>)> {
 }
 
 fn print_footprints() {
-    println!("workload         cores    lines  blocks  record_kib  record_bytes_per_line");
+    println!("workload         cores    lines   pages  record_kib  record_bytes_per_line");
     let row = |name: &str, topo: &Topology, traces: &[ThreadTrace]| {
-        let f = footprint(topo, traces);
+        let f = footprint(topo, traces, 12);
         println!(
             "{name:<16} {:>5} {:>8} {:>7} {:>11.1} {:>22.1}",
             topo.num_cores(),
             f.lines,
-            f.blocks,
+            f.pages,
             kib(f.record_bytes),
             f.record_bytes as f64 / f.lines.max(1) as f64,
         );
@@ -189,6 +196,38 @@ fn print_footprints() {
     for (name, traces) in npb(ProblemScale::Small, 1) {
         row(&format!("{name} small"), &harpertown, &traces);
     }
+
+    // Records per touched 64-id chunk against one record per line of every
+    // touched page (24 bytes each).
+    println!();
+    println!("workload        page     lines  pages  record_kib  bytes_per_line  per_page_kib");
+    let bt = NpbApp::Bt.generate(&NpbParams {
+        n_threads: 8,
+        scale: ProblemScale::Workshop,
+        seed: 1,
+    });
+    let edge = synthetic::producer_consumer(4, 4, 2);
+    let runs = [10u32, 12, 14, 16, 21]
+        .map(|shift| ("BT workshop", shift, &bt.traces))
+        .into_iter()
+        .chain([("pairs(4,4,2)", 20, &edge.traces)]);
+    for (name, shift, traces) in runs {
+        let f = footprint(&harpertown, traces, shift);
+        let per_page = (f.pages << (shift - 6)) * std::mem::size_of::<[u64; 3]>();
+        println!(
+            "{name:<13} {:>6} {:>9} {:>6} {:>11.1} {:>15.1} {:>13.1}",
+            if shift >= 20 {
+                format!("{}M", 1 << (shift - 20))
+            } else {
+                format!("{}K", 1 << (shift - 10))
+            },
+            f.lines,
+            f.pages,
+            kib(f.record_bytes),
+            f.record_bytes as f64 / f.lines.max(1) as f64,
+            kib(per_page),
+        );
+    }
 }
 
 fn arg(i: usize, default: u64) -> u64 {
@@ -210,7 +249,7 @@ fn main() {
     let topo = Topology::harpertown();
     let kernels = npb(ProblemScale::Workshop, seed);
     println!("NPB Workshop on Harpertown, seed {seed}, median of {passes} passes");
-    println!("kernel  pipeline_ms     lines  blocks  way_kib  record_kib");
+    println!("kernel  pipeline_ms     lines   pages  way_kib  record_kib");
     let (mut total_ms, mut outcomes) = (0.0, Vec::new());
     for (k, (name, traces)) in kernels.iter().enumerate() {
         // The benchmark's per-kernel seed for the baseline and the jitter.
@@ -230,11 +269,11 @@ fn main() {
         times.sort_by(f64::total_cmp);
         let ms = times[times.len() / 2];
         total_ms += ms;
-        let f = footprint(&topo, traces);
+        let f = footprint(&topo, traces, 12);
         println!(
             "{name:<6} {ms:>12.1} {:>9} {:>7} {:>8.1} {:>11.1}",
             f.lines,
-            f.blocks,
+            f.pages,
             kib(f.way_bytes),
             kib(f.record_bytes),
         );

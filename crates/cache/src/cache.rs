@@ -626,11 +626,12 @@ mod tests {
                 latency: 1,
             });
             let mut model = StampLru { ways, clock: 0, sets: vec![Vec::new(); n_sets] };
-            let mut ids = LineTable::default();
+            let mut ids = LineTable::new(6);
             let states = [MesiState::Modified, MesiState::Exclusive, MesiState::Shared];
             for (step, &(op, offset, s)) in ops.iter().enumerate() {
                 let (addr, state) = (LineAddr(base + offset), states[s]);
-                let id = ids.id_of(addr.0);
+                let page = ids.page_of(addr.0);
+                let id = ids.id(page, addr.0);
                 match op {
                     0 => prop_assert_eq!(cache.touch(addr, id), model.lookup(addr, true), "touch @{}", step),
                     1 => prop_assert_eq!(cache.peek(addr, id), model.lookup(addr, false), "peek @{}", step),

@@ -98,13 +98,14 @@ fn l2s_in(mut mask: u64) -> impl Iterator<Item = usize> {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineFootprint {
-    /// Distinct lines accessed.
+    /// Distinct lines an L2 installed.
     pub lines: usize,
-    /// Blocks of 64 consecutive lines those lines fall in.
-    pub blocks: usize,
+    /// Pages those lines fall in.
+    pub pages: usize,
     /// Bytes of way words over every L1 and L2.
     pub way_bytes: usize,
-    /// Bytes of coherence records: one per line id, 64 per block.
+    /// Bytes of the line table: coherence records (64 per written chunk of
+    /// 64 ids, plus the shared zero chunk), chunk offsets and page bases.
     pub record_bytes: usize,
 }
 
@@ -121,7 +122,8 @@ pub struct MemoryHierarchy {
     /// event; kept out of `CacheStats::invalidations`).
     l1_sibling_invalidations: u64,
     /// Line table: the dense id of every line an access has named (what
-    /// the caches' ways store), and per id the bitmaps of L2s that hold the
+    /// the caches' ways store), numbered from its page index and its place
+    /// in the page, and per id the bitmaps of L2s that hold the
     /// line now (the sparse owner directory), ever held it (cold vs
     /// capacity misses) and lost it to an invalidation (coherence misses).
     /// Holder bits change only where L2 residency does
@@ -135,11 +137,32 @@ pub struct MemoryHierarchy {
 }
 
 impl MemoryHierarchy {
-    /// Build an empty hierarchy.
+    /// Build an empty hierarchy for [`Self::access`], which numbers lines
+    /// by blocks of 64.
     ///
     /// # Panics
     /// Panics if the configuration is invalid.
     pub fn new(cfg: HierarchyConfig) -> Self {
+        Self::with_page_lines(cfg, 6)
+    }
+
+    /// Build an empty hierarchy for [`Self::access_page`] on pages of
+    /// 2^`page_shift` bytes.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid or a page is smaller than a
+    /// line.
+    pub fn with_page_shift(cfg: HierarchyConfig, page_shift: u32) -> Self {
+        let line_shift = cfg.l2.line_shift();
+        assert!(
+            page_shift >= line_shift,
+            "a page of 2^{page_shift} bytes is smaller than a {}-byte line",
+            cfg.l2.line_size
+        );
+        Self::with_page_lines(cfg, page_shift - line_shift)
+    }
+
+    fn with_page_lines(cfg: HierarchyConfig, page_lines: u32) -> Self {
         cfg.validate();
         let n_cores = cfg.num_cores();
         let n_l2 = cfg.num_l2();
@@ -160,7 +183,7 @@ impl MemoryHierarchy {
             core_to_l2,
             stats: CacheStats::default(),
             l1_sibling_invalidations: 0,
-            lines: LineTable::default(),
+            lines: LineTable::new(page_lines),
             cfg,
         }
     }
@@ -196,17 +219,18 @@ impl MemoryHierarchy {
     #[doc(hidden)]
     pub fn line_footprint(&self) -> LineFootprint {
         let caches = self.l1i.iter().chain(&self.l1d).chain(&self.l2);
-        let records = self.lines.records();
         LineFootprint {
-            lines: records.iter().filter(|r| r[EVER] != 0).count(),
-            blocks: self.lines.blocks(),
+            lines: self.lines.records().iter().filter(|r| r[EVER] != 0).count(),
+            pages: self.lines.pages(),
             way_bytes: caches.map(Cache::way_bytes).sum(),
-            record_bytes: std::mem::size_of_val(records),
+            record_bytes: self.lines.bytes(),
         }
     }
 
     /// Perform one memory access by `core` to physical address `paddr`
-    /// on a UMA machine (no NUMA home-node accounting).
+    /// on a UMA machine (no NUMA home-node accounting). The hierarchy
+    /// numbers the address's page-sized block itself, through a map: the
+    /// path for callers that have no page index.
     #[inline]
     pub fn access(
         &mut self,
@@ -215,23 +239,37 @@ impl MemoryHierarchy {
         op: MemOp,
         kind: AccessKind,
     ) -> AccessOutcome {
-        self.access_numa(core, paddr, op, kind, None)
+        let page = self.lines.page_of(paddr >> self.cfg.l2.line_shift());
+        self.access_page(core, paddr, page, op, kind, None)
     }
 
-    /// Perform one memory access with an optional NUMA home chip for the
-    /// touched page: memory fetches from a different chip's node pay
-    /// `numa_remote_penalty` extra cycles and are counted separately.
+    /// Perform one memory access by `core` to physical address `paddr`,
+    /// which lies in the page with dense first-touch index `page` (the
+    /// index the translating TLB entry carries; a new page must take the
+    /// next index), with an optional NUMA home chip for the page: memory
+    /// fetches from a different chip's node pay `numa_remote_penalty`
+    /// extra cycles and are counted separately.
+    ///
+    /// # Panics
+    /// Panics if `page` skips an index, or once the pages touched cover
+    /// more than 2^29 lines.
     #[inline]
-    pub fn access_numa(
+    pub fn access_page(
         &mut self,
         core: usize,
         paddr: u64,
+        page: u32,
         op: MemOp,
         kind: AccessKind,
         home_chip: Option<usize>,
     ) -> AccessOutcome {
         let line = LineAddr::of(paddr, self.cfg.l2.line_shift());
-        let id = self.lines.id_of(line.0);
+        let id = self.lines.id(page, line.0);
+        debug_assert_eq!(
+            self.lines.line_of(id),
+            line.0,
+            "line id {id} of page {page} names another line"
+        );
         match op {
             MemOp::Read => self.read(core, line, id, kind, home_chip),
             MemOp::Write => self.write(core, line, id, kind, home_chip),
@@ -387,7 +425,7 @@ impl MemoryHierarchy {
         home_chip: Option<usize>,
     ) -> (u64, bool) {
         #[cfg(debug_assertions)]
-        let expected = self.find_holder_scan(g, line);
+        let expected = self.holder_scan(g, line, id);
         // One pass over the holder bitmap: every holder is demoted to
         // Shared (BusRd seen) while its old state picks the supplier.
         let mut supplier = Supplier::default();
@@ -429,7 +467,7 @@ impl MemoryHierarchy {
         home_chip: Option<usize>,
     ) -> (u64, bool) {
         #[cfg(debug_assertions)]
-        let expected = self.find_holder_scan(g, line);
+        let expected = self.holder_scan(g, line, id);
         let (invalidated, supplier) = self.invalidate_remote_copies(g, line, id);
         #[cfg(debug_assertions)]
         debug_assert_eq!(supplier, expected);
@@ -471,7 +509,10 @@ impl MemoryHierarchy {
     /// debug-asserted) against.
     #[doc(hidden)]
     pub fn find_holder_scan(&self, g: usize, line: LineAddr) -> Option<usize> {
-        let id = self.lines.find(line.0)?;
+        self.holder_scan(g, line, self.lines.find(line.0)?)
+    }
+
+    fn holder_scan(&self, g: usize, line: LineAddr, id: u32) -> Option<usize> {
         let mut supplier = Supplier::default();
         for other in (0..self.l2.len()).filter(|&o| o != g) {
             if let Some(state) = self.l2[other].peek(line, id) {
@@ -917,10 +958,10 @@ mod tests {
             ],
         });
         // Core 0 (chip 0) fetches a page homed on chip 1: remote.
-        let remote = h.access_numa(0, 0x1000, MemOp::Read, AccessKind::Data, Some(1));
+        let remote = h.access_page(0, 0x1000, 0, MemOp::Read, AccessKind::Data, Some(1));
         assert_eq!(remote.cycles, 2 + 8 + 200 + 150);
         // Core 0 fetches a page homed on chip 0: local.
-        let local = h.access_numa(0, 0x2000, MemOp::Read, AccessKind::Data, Some(0));
+        let local = h.access_page(0, 0x2000, 1, MemOp::Read, AccessKind::Data, Some(0));
         assert_eq!(local.cycles, 2 + 8 + 200);
         assert_eq!(h.stats().mem_fetches_remote, 1);
         assert_eq!(h.stats().mem_fetches_local, 1);
@@ -970,9 +1011,9 @@ mod tests {
                 },
             ],
         });
-        h.access_numa(0, 0x1000, MemOp::Read, AccessKind::Data, Some(1)); // remote fill
-                                                                          // Core 2 now reads it cache-to-cache — NUMA is irrelevant.
-        let out = h.access_numa(2, 0x1000, MemOp::Read, AccessKind::Data, Some(1));
+        h.access_page(0, 0x1000, 0, MemOp::Read, AccessKind::Data, Some(1)); // remote fill
+                                                                             // Core 2 now reads it cache-to-cache — NUMA is irrelevant.
+        let out = h.access_page(2, 0x1000, 0, MemOp::Read, AccessKind::Data, Some(1));
         assert!(out.snooped);
         assert_eq!(out.cycles, 2 + 8 + 120);
         assert_eq!(h.stats().mem_fetches_remote, 1);

@@ -1,48 +1,44 @@
 //! The line table: a dense `u32` id for every line the hierarchy sees, and
 //! one coherence record per id.
 //!
-//! Lines are grouped into blocks of [`BLOCK_LINES`] consecutive line
-//! addresses. A small open-addressing map takes a block to its dense index,
-//! handed out in first-touch order, and a `Vec` keeps each index's block
-//! address; a line's id is `index << 6 | line & 63` ([`line_id`]). Ids let
-//! every cache store 32-bit way words and let the records live in one flat
-//! `Vec` indexed by id, with no hashing and no stored key. The map stays
-//! small — a block covers a whole 4 KiB page of 64-byte lines, and no
-//! Workshop-scale NPB kernel touches more than 2,049 blocks — so the lookup
-//! an access pays stays in the host's L1.
+//! A line's id names its page and its place in the page:
+//! `page << page_lines | line & (2^page_lines - 1)` ([`LineTable::id`]),
+//! where a page holds 2^`page_lines` lines and `page` is the page's dense
+//! first-touch index. The engine takes that index from the TLB entry that
+//! translated the access (`tlbmap_mem::Translation::page`), so numbering a
+//! line costs a shift and a mask, with no lookup. The table keeps one base
+//! line per page, so an id's line address is one load away
+//! ([`LineTable::line_of`]). At 4 KiB pages and 64-byte lines these are the
+//! ids the table handed out when it numbered 64-line blocks through a hash
+//! map in first-touch order: a page's first access to the hierarchy comes
+//! straight after the TLB fill that numbered it, so page order is block
+//! order. Ids let every cache store 32-bit way words and let the records
+//! live in one flat `Vec`, with no stored key.
+//!
+//! A caller with only a physical address ([`LineTable::page_of`], behind
+//! `MemoryHierarchy::access`) numbers page-sized blocks in first-touch
+//! order through a plain map instead. One table takes its page indices from
+//! one of the two sources.
 //!
 //! Each record holds three bitmaps over L2 indices side by side: the L2s
 //! that hold the line now (the sparse MESI owner directory), the L2s it was
 //! ever resident in (cold vs capacity misses) and the L2s whose copy an
 //! invalidation destroyed since their last miss on it (coherence misses).
-//! A block's 64 records are allocated together, zeroed, when the block is
-//! first touched. "Ever resident" is sticky, so neither a block nor a
+//! Records come in chunks of [`CHUNK`] consecutive ids, allocated zeroed
+//! when one of their ids is first written, so a 2 MiB page whose program
+//! touches a few lines pays for a few chunks, not for 32,768 records.
+//! Until then a chunk reads as the shared all-zero chunk at the front of
+//! the record `Vec`. "Ever resident" is sticky, so neither a page nor a
 //! record is ever removed.
 
 use crate::cache::ID_BITS;
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use tlbmap_mem::WordHasher;
 
-/// Lines per block; ids are handed out a block at a time.
-const BLOCK_LINES: usize = 1 << BLOCK_SHIFT;
-const BLOCK_SHIFT: u32 = 6;
-
-/// Blocks the id space holds. Ids must fit the caches' way words, so the
-/// space ends at 2^29 lines, 32 GiB of touched 64-byte lines.
-const MAX_BLOCKS: usize = 1 << (ID_BITS - BLOCK_SHIFT);
-
-/// The id of `line` when its block has dense index `index`.
-///
-/// # Panics
-/// Panics if `index` is past the last block of the 2^29-line id space;
-/// ids never wrap.
-#[inline]
-pub(crate) fn line_id(index: usize, line: u64) -> u32 {
-    assert!(
-        index < MAX_BLOCKS,
-        "line id space exhausted: more than 2^29 distinct lines \
-         ({MAX_BLOCKS} blocks of {BLOCK_LINES}) touched"
-    );
-    (index << BLOCK_SHIFT) as u32 | (line as u32 & (BLOCK_LINES as u32 - 1))
-}
+/// Ids per record chunk.
+const CHUNK: usize = 1 << CHUNK_SHIFT;
+const CHUNK_SHIFT: u32 = 6;
 
 /// One line's coherence record: one bitmap per field, bit *g* for L2 *g*.
 pub(crate) type LineRecord = [u64; 3];
@@ -55,124 +51,133 @@ pub(crate) const EVER: usize = 1;
 /// have not missed on the line since.
 pub(crate) const LOST: usize = 2;
 
-/// Fibonacci-style multiplicative hash spreading low-entropy integer keys
-/// across the high bits (the probe start uses the top `log2(capacity)`).
-#[inline]
-fn spread(key: u64) -> u64 {
-    key.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// Dense line ids and their coherence records. Records are addressed by
-/// id, so a miss can look its line up once and then update the record
-/// while it also borrows the caches.
-#[derive(Debug, Clone, Default)]
+/// id, so a miss can name its line once and then update the record while
+/// it also borrows the caches.
+#[derive(Debug, Clone)]
 pub(crate) struct LineTable {
-    /// Power-of-two open-addressing map from a block to `index + 1` (0 is
-    /// an empty slot), at most half full; empty until the first insert.
-    slots: Vec<u32>,
-    /// Block address of each dense index, in first-touch order.
-    blocks: Vec<u64>,
-    /// Coherence records by line id, [`BLOCK_LINES`] per block.
+    /// log2 of the lines in a page.
+    page_lines: u32,
+    /// `2^page_lines - 1`: the line-in-page bits of a line address.
+    in_page: u32,
+    /// Base line address of each page, by page index.
+    bases: Vec<u64>,
+    /// Page index of each page-sized block an address-only access named.
+    numbering: HashMap<u64, u32, BuildHasherDefault<WordHasher>>,
+    /// Offset in `records` of each chunk of [`CHUNK`] ids; 0, the shared
+    /// all-zero chunk, until the chunk is first written.
+    chunks: Vec<u32>,
+    /// Coherence records, [`CHUNK`] per written chunk after the zero chunk.
     records: Vec<LineRecord>,
 }
 
 impl LineTable {
-    /// Index of the first slot of `block`'s probe chain.
-    #[inline]
-    fn start(&self, block: u64) -> usize {
-        (spread(block) >> (64 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    /// The map slot holding `block`, or the empty slot where it would go.
-    #[inline]
-    fn slot(&self, block: u64) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut i = self.start(block);
-        loop {
-            let slot = i & mask;
-            match self.slots[slot] {
-                0 => return slot,
-                s if self.blocks[s as usize - 1] == block => return slot,
-                _ => i += 1,
-            }
+    /// An empty table for pages of 2^`page_lines` lines.
+    pub fn new(page_lines: u32) -> Self {
+        assert!(
+            page_lines < ID_BITS,
+            "a page of 2^{page_lines} lines does not fit the 2^{ID_BITS}-line id space"
+        );
+        LineTable {
+            page_lines,
+            in_page: (1 << page_lines) - 1,
+            bases: Vec::new(),
+            numbering: HashMap::default(),
+            chunks: Vec::new(),
+            records: vec![[0; 3]; CHUNK],
         }
     }
 
-    /// The id of `line`, if its block has been touched. Never allocates.
-    #[inline]
-    pub fn find(&self, line: u64) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        match self.slots[self.slot(line >> BLOCK_SHIFT)] {
-            0 => None,
-            // Indices in the map passed `line_id`'s check when inserted.
-            s => Some(((s - 1) << BLOCK_SHIFT) | (line as u32 & (BLOCK_LINES as u32 - 1))),
-        }
-    }
-
-    /// The id of `line`, touching its block (with zeroed records) first if
-    /// it is new.
+    /// The id of `line`, which lies in page `page`. A page index the table
+    /// has not seen must be the next one ([`Self::pages`]).
     ///
     /// # Panics
-    /// Panics once the 2^29-line id space is exhausted (see [`line_id`]).
+    /// Panics if a new page skips an index, or once the pages cover more
+    /// than the 2^29 lines of the id space (ids never wrap).
     #[inline]
-    pub fn id_of(&mut self, line: u64) -> u32 {
-        match self.find(line) {
-            Some(id) => id,
-            None => self.insert(line),
+    pub fn id(&mut self, page: u32, line: u64) -> u32 {
+        if page as usize >= self.bases.len() {
+            self.touch(page, line);
         }
+        page << self.page_lines | line as u32 & self.in_page
     }
 
-    /// Touch `line`'s new block: the only call that grows the table. Kept
-    /// out of line so that [`Self::id_of`] inlines into the access path.
+    /// Record `line`'s page as page `page`: the only call that grows the
+    /// table. Kept out of line so that [`Self::id`] inlines into the
+    /// access path.
     #[cold]
     #[inline(never)]
-    fn insert(&mut self, line: u64) -> u32 {
-        let id = line_id(self.blocks.len(), line);
-        if (self.blocks.len() + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        let block = line >> BLOCK_SHIFT;
-        let slot = self.slot(block);
-        self.blocks.push(block);
-        self.slots[slot] = self.blocks.len() as u32;
-        self.records
-            .resize(self.records.len() + BLOCK_LINES, [0; 3]);
-        id
+    fn touch(&mut self, page: u32, line: u64) {
+        let limit = 1u64 << (ID_BITS - self.page_lines);
+        assert!(
+            u64::from(page) < limit,
+            "line id space exhausted: page {page} of 2^{} lines ends past the \
+             2^{ID_BITS}-line limit ({limit} pages)",
+            self.page_lines
+        );
+        assert_eq!(
+            page as usize,
+            self.bases.len(),
+            "pages must be numbered densely in first-touch order"
+        );
+        self.bases.push(line & !u64::from(self.in_page));
+        let ids = self.bases.len() << self.page_lines;
+        self.chunks.resize(ids.div_ceil(CHUNK), 0);
+    }
+
+    /// The page index of `line`'s page-sized block, numbering the block on
+    /// first touch: for callers that have a physical address and no page
+    /// index.
+    pub fn page_of(&mut self, line: u64) -> u32 {
+        let next = self.bases.len() as u32;
+        *self
+            .numbering
+            .entry(line >> self.page_lines)
+            .or_insert(next)
     }
 
     /// The line address of `id`.
     #[inline]
     pub fn line_of(&self, id: u32) -> u64 {
-        self.blocks[(id >> BLOCK_SHIFT) as usize] << BLOCK_SHIFT
-            | u64::from(id) & (BLOCK_LINES as u64 - 1)
+        self.bases[(id >> self.page_lines) as usize] | u64::from(id & self.in_page)
     }
 
-    /// `line`'s record, or an all-zero one if its block is untouched.
+    /// The id of `line`, if its page has been touched, by a scan of the
+    /// pages (a diagnostic; the access path never searches).
+    pub fn find(&self, line: u64) -> Option<u32> {
+        let base = line & !u64::from(self.in_page);
+        let page = self.bases.iter().position(|&b| b == base)?;
+        Some((page as u32) << self.page_lines | line as u32 & self.in_page)
+    }
+
+    /// `line`'s record, or an all-zero one if its page is untouched.
     pub fn get(&self, line: u64) -> LineRecord {
         self.find(line).map_or([0; 3], |id| self[id])
     }
 
-    /// Blocks touched so far.
-    pub fn blocks(&self) -> usize {
-        self.blocks.len()
+    /// Pages touched so far.
+    pub fn pages(&self) -> usize {
+        self.bases.len()
     }
 
-    /// All records, by id.
+    /// Records of the written chunks, the zero chunk excluded.
     pub fn records(&self) -> &[LineRecord] {
-        &self.records
+        &self.records[CHUNK..]
     }
 
-    /// Double the map's capacity (16 slots at first) and reinsert every
-    /// block by its stored address.
-    fn grow(&mut self) {
-        let cap = (self.slots.len() * 2).max(16);
-        self.slots = vec![0; cap];
-        for (index, &block) in self.blocks.iter().enumerate() {
-            let slot = self.slot(block);
-            self.slots[slot] = index as u32 + 1;
-        }
+    /// Host bytes of the table: records, chunk offsets and page bases.
+    pub fn bytes(&self) -> usize {
+        std::mem::size_of_val(&self.records[..])
+            + std::mem::size_of_val(&self.chunks[..])
+            + std::mem::size_of_val(&self.bases[..])
+    }
+
+    /// Allocate chunk `c`'s records, zeroed.
+    #[cold]
+    #[inline(never)]
+    fn allocate(&mut self, c: usize) {
+        self.chunks[c] = self.records.len() as u32;
+        self.records.resize(self.records.len() + CHUNK, [0; 3]);
     }
 }
 
@@ -181,14 +186,21 @@ impl std::ops::Index<u32> for LineTable {
 
     #[inline]
     fn index(&self, id: u32) -> &LineRecord {
-        &self.records[id as usize]
+        let chunk = self.chunks[(id >> CHUNK_SHIFT) as usize] as usize;
+        &self.records[chunk + (id as usize & (CHUNK - 1))]
     }
 }
 
 impl std::ops::IndexMut<u32> for LineTable {
+    /// `id`'s record, allocating its chunk on first write.
     #[inline]
     fn index_mut(&mut self, id: u32) -> &mut LineRecord {
-        &mut self.records[id as usize]
+        let c = (id >> CHUNK_SHIFT) as usize;
+        if self.chunks[c] == 0 {
+            self.allocate(c);
+        }
+        let chunk = self.chunks[c] as usize;
+        &mut self.records[chunk + (id as usize & (CHUNK - 1))]
     }
 }
 
@@ -202,89 +214,121 @@ mod tests {
 
     #[test]
     fn empty_table_answers_without_allocating() {
-        let t = LineTable::default();
+        let t = LineTable::new(6);
         assert_eq!(t.find(0), None);
         assert_eq!(t.get(7)[HOLDERS], 0);
-        assert!(t.slots.is_empty() && t.records.is_empty());
+        assert!(t.bases.is_empty() && t.records().is_empty());
     }
 
     #[test]
-    fn records_survive_growth_and_stay_findable() {
-        let mut t = LineTable::default();
-        for k in 0..1000u64 {
-            let id = t.id_of(k * 12288);
-            t[id][HOLDERS] = k;
-        }
-        assert_eq!(t.blocks(), 1000);
-        assert_eq!(t.records.len(), 1000 * BLOCK_LINES);
-        assert!(t.slots.len() >= 2000, "load factor must stay at most 1/2");
-        for k in 0..1000u64 {
-            assert_eq!(t.get(k * 12288)[HOLDERS], k, "line {k}");
-        }
-        assert_eq!(t.find(12288 * 1000), None);
+    fn records_are_allocated_per_written_chunk() {
+        // 2 MiB pages of 64-byte lines: 32,768 ids per page.
+        let mut t = LineTable::new(15);
+        let id = t.id(0, 5 << 15 | 40_000 & 0x7fff);
+        assert_eq!(t[id], [0; 3], "an unwritten chunk reads as zeros");
+        assert!(t.records().is_empty(), "reading allocates nothing");
+        t[id][EVER] = 1;
+        let far = t.id(0, 5 << 15 | 3);
+        t[far][HOLDERS] = 2;
+        assert_eq!(t.records().len(), 2 * CHUNK, "two chunks written");
+        assert_eq!((t[id], t[far]), ([0, 1, 0], [2, 0, 0]));
+        assert_eq!(t.get(5 << 15 | 3)[HOLDERS], 2);
+        assert_eq!(t.chunks.len(), (1 << 15) / CHUNK);
     }
 
     #[test]
-    fn the_id_space_ends_at_2_pow_29_lines() {
-        assert_eq!(line_id(0, LARGEST), 63);
-        assert_eq!(line_id(MAX_BLOCKS - 1, LARGEST), (1 << ID_BITS) - 1);
-        let word = u64::from(line_id(MAX_BLOCKS - 1, 0)) << 3 | 0b111;
+    fn address_numbering_counts_pages_in_first_touch_order() {
+        let mut t = LineTable::new(6);
+        let lines = [7 << 6 | 3, 2 << 6, 7 << 6 | 63, 9 << 6 | 1];
+        let pages: Vec<u32> = lines
+            .iter()
+            .map(|&line| {
+                let page = t.page_of(line);
+                t.id(page, line);
+                page
+            })
+            .collect();
+        assert_eq!(pages, [0, 1, 0, 2]);
+        assert_eq!(t.pages(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "numbered densely")]
+    fn a_skipped_page_index_panics() {
+        LineTable::new(6).id(1, 0);
+    }
+
+    /// The id space ends at 2^29 lines whatever the page size: the last
+    /// page that fits is accepted and numbers the last id, the next one
+    /// panics before it allocates anything.
+    fn the_id_space_ends_at_2_pow_29_lines(page_lines: u32) {
+        let pages = 1u32 << (ID_BITS - page_lines);
+        let mut t = LineTable::new(page_lines);
+        // Grow the page list without growing the chunk table, then touch
+        // the last page that fits.
+        t.bases.resize(pages as usize - 1, 0);
+        let last = t.id(pages - 1, LARGEST);
+        assert_eq!(last, (1 << ID_BITS) - 1);
+        let word = u64::from(last) << 3 | 0b111;
         assert!(
             word <= u64::from(u32::MAX),
-            "the last id's way word fits 32 bits"
+            "the last way word fits 32 bits"
         );
+        t.id(pages, 0);
     }
 
     #[test]
-    #[should_panic(expected = "more than 2^29 distinct lines")]
-    fn the_first_block_past_the_id_space_panics() {
-        line_id(MAX_BLOCKS, 0);
+    #[should_panic(expected = "past the 2^29-line limit (8388608 pages)")]
+    fn the_id_space_ends_at_2_pow_29_lines_at_4k_pages() {
+        the_id_space_ends_at_2_pow_29_lines(6);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 2^29-line limit (16384 pages)")]
+    fn the_id_space_ends_at_2_pow_29_lines_at_2m_pages() {
+        the_id_space_ends_at_2_pow_29_lines(15);
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// On random 58-bit lines: ids round-trip to their line, blocks get
-        /// dense indices in first-touch order, `find` agrees and never
-        /// allocates, and two tables fed the same lines hand out the same
-        /// ids.
+        /// At every page size from one line (page shift 6) to 2 MiB (21),
+        /// over random 58-bit page bases: ids are unique per line, stable,
+        /// dense by page, and `line_of` and `find` round-trip them.
         #[test]
-        fn ids_are_dense_in_first_touch_order_and_round_trip(
-            picks in prop::collection::vec((0usize..24, 0u64..64), 1..300),
-            far in prop::collection::vec(0u64..(1 << 52), 22),
+        fn ids_are_unique_per_line_and_round_trip(
+            page_shift in 6u32..=21,
+            picks in prop::collection::vec((0usize..12, any::<u64>()), 1..200),
+            far in prop::collection::vec(0..=LARGEST, 10),
         ) {
-            // Line 0's block, the largest line's block and 22 random ones;
-            // picks choose a block and a line within it.
-            let blocks: Vec<u64> = [0, LARGEST >> BLOCK_SHIFT].into_iter().chain(far).collect();
-            let lines: Vec<u64> = picks.iter().map(|&(b, l)| blocks[b] << BLOCK_SHIFT | l).collect();
-            let (mut t, mut twin) = (LineTable::default(), LineTable::default());
-            let mut first_touch: Vec<u64> = Vec::new();
-            for &line in lines.iter().chain([&0, &LARGEST]) {
-                let block = line >> BLOCK_SHIFT;
-                let known = t.find(line);
-                let (slots, records) = (t.slots.len(), t.records.len());
-                let again = t.find(line);
-                prop_assert_eq!((t.slots.len(), t.records.len()), (slots, records), "find allocated");
-                prop_assert_eq!(known, again);
-                let id = t.id_of(line);
-                prop_assert_eq!(twin.id_of(line), id);
-                let index = match first_touch.iter().position(|&b| b == block) {
-                    Some(i) => {
-                        prop_assert_eq!(known, Some(id));
-                        i
-                    }
+            let page_lines = page_shift - 6;
+            let in_page = (1u64 << page_lines) - 1;
+            // The pages of line 0, of the largest line and of ten random
+            // lines.
+            let bases: Vec<u64> = [0, LARGEST].into_iter().chain(far).collect();
+            let mut t = LineTable::new(page_lines);
+            let mut pages: Vec<u64> = Vec::new();
+            let mut ids: HashMap<u64, u32> = HashMap::new();
+            for &(b, offset) in &picks {
+                let base = bases[b] & !in_page;
+                let line = base | offset & in_page;
+                let page = match pages.iter().position(|&p| p == base) {
+                    Some(p) => p,
                     None => {
-                        prop_assert_eq!(known, None);
-                        first_touch.push(block);
-                        first_touch.len() - 1
+                        pages.push(base);
+                        pages.len() - 1
                     }
-                };
-                prop_assert_eq!(id as usize >> BLOCK_SHIFT, index);
+                } as u32;
+                let id = t.id(page, line);
+                prop_assert_eq!(id >> page_lines, page);
                 prop_assert_eq!(t.line_of(id), line);
                 prop_assert_eq!(t.find(line), Some(id));
+                let known = *ids.entry(line).or_insert(id);
+                prop_assert_eq!(known, id, "line {} renumbered", line);
             }
-            prop_assert_eq!(t.blocks(), first_touch.len());
-            prop_assert_eq!(t.records.len(), first_touch.len() * BLOCK_LINES);
+            let distinct: std::collections::HashSet<u32> = ids.values().copied().collect();
+            prop_assert_eq!(distinct.len(), ids.len(), "two lines share an id");
+            prop_assert_eq!(t.pages(), pages.len());
         }
     }
 }

@@ -82,6 +82,9 @@ impl MmuConfig {
 pub struct Translation {
     /// The physical address.
     pub paddr: PhysAddr,
+    /// The page's dense first-touch index ([`crate::WalkResult::page`]),
+    /// as the TLB entry that translated it carries it.
+    pub page: u32,
     /// Whether the TLB missed.
     pub missed: bool,
     /// Cycles spent translating (0 on a hit; trap + walk on a miss).
@@ -134,18 +137,20 @@ impl Mmu {
     pub fn lookup(&mut self, vaddr: VirtAddr) -> Option<Translation> {
         let vpn = vaddr.vpn(self.geo);
         match self.tlb.access(vpn) {
-            TlbLookup::Hit(pfn) => Some(Translation {
+            TlbLookup::Hit(pfn, page) => Some(Translation {
                 paddr: pfn.with_offset(vaddr.page_offset(self.geo), self.geo),
+                page,
                 missed: false,
                 cycles: 0,
             }),
             TlbLookup::Miss => {
                 let l2 = self.l2_tlb.as_mut()?;
                 match l2.access(vpn) {
-                    TlbLookup::Hit(pfn) => {
-                        self.tlb.insert(vpn, pfn);
+                    TlbLookup::Hit(pfn, page) => {
+                        self.tlb.insert(vpn, pfn, page);
                         Some(Translation {
                             paddr: pfn.with_offset(vaddr.page_offset(self.geo), self.geo),
+                            page,
                             missed: false,
                             cycles: self.config.l2_tlb_latency,
                         })
@@ -161,9 +166,9 @@ impl Mmu {
     pub fn fill(&mut self, vaddr: VirtAddr, page_table: &mut PageTable) -> Translation {
         let vpn = vaddr.vpn(self.geo);
         let walk = page_table.walk(vpn);
-        self.tlb.insert(vpn, walk.pfn);
+        self.tlb.insert(vpn, walk.pfn, walk.page);
         if let Some(l2) = self.l2_tlb.as_mut() {
-            l2.insert(vpn, walk.pfn);
+            l2.insert(vpn, walk.pfn, walk.page);
         }
         let mut cycles = walk.memory_accesses as u64 * self.config.walk_access_cycles;
         if self.config.mode == TlbMode::SoftwareManaged {
@@ -171,6 +176,7 @@ impl Mmu {
         }
         Translation {
             paddr: walk.pfn.with_offset(vaddr.page_offset(self.geo), self.geo),
+            page: walk.page,
             missed: true,
             cycles,
         }
@@ -259,9 +265,16 @@ mod tests {
         let (mut b, _) = setup(TlbMode::HardwareManaged);
         let t1 = a.translate(VirtAddr(0x9000), &mut pt);
         let t2 = b.translate(VirtAddr(0x9004), &mut pt);
-        // Same page → same frame, different offsets.
+        // Same page → same frame and page index, different offsets.
         assert_eq!(t1.paddr.0 & !0xFFF, t2.paddr.0 & !0xFFF);
         assert_eq!(t2.paddr.0 & 0xFFF, 4);
+        assert_eq!((t1.page, t2.page), (0, 0));
+        assert_eq!(a.translate(VirtAddr(0x1000), &mut pt).page, 1);
+        assert_eq!(
+            b.translate(VirtAddr(0x9008), &mut pt).page,
+            0,
+            "a hit keeps the index"
+        );
     }
 
     #[test]
@@ -302,6 +315,8 @@ mod tests {
         let t = mmu.lookup(VirtAddr(0)).expect("L2 TLB must hold page 0");
         assert!(!t.missed);
         assert_eq!(t.cycles, 7);
+        assert_eq!(t.page, 0, "the L2 TLB carries the page index too");
+        assert_eq!(mmu.lookup(VirtAddr(4096 * 7)).map(|t| t.page), Some(7));
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //!
 //! Frames are handed out by a bump allocator in first-touch order. This keeps
 //! runs reproducible: the same trace always produces the same physical
-//! layout, so cache-index conflicts are stable across repetitions.
+//! layout, so cache-index conflicts are stable across repetitions. The bump
+//! counter is also the page's dense *index* ([`WalkResult::page`]): the
+//! TLBs carry it next to the frame, and the cache hierarchy numbers a line
+//! by its page index and its place in the page, with no lookup of its own.
 
 use crate::addr::{PageGeometry, Pfn, Vpn};
 use std::collections::HashMap;
@@ -28,14 +31,15 @@ fn scramble_frame(counter: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A multiplicative hasher for VPN keys: one multiply per key where SipHash
-/// runs several rounds on every TLB miss. The rotate moves the product's
-/// well-mixed high bits to where `HashMap` picks buckets, so strided VPNs
-/// spread too. Nothing iterates the map, so its order reaches no output.
+/// A multiplicative hasher for integer keys (VPNs here, line blocks in the
+/// cache hierarchy's address-numbered path): one multiply per key where
+/// SipHash runs several rounds. The rotate moves the product's well-mixed
+/// high bits to where `HashMap` picks buckets, so strided keys spread too.
+/// Only for maps whose iteration order reaches no output.
 #[derive(Debug, Clone, Copy, Default)]
-struct VpnHasher(u64);
+pub struct WordHasher(u64);
 
-impl Hasher for VpnHasher {
+impl Hasher for WordHasher {
     fn finish(&self) -> u64 {
         self.0.rotate_left(26)
     }
@@ -62,6 +66,9 @@ pub const WALK_LEVELS: u32 = 2;
 pub struct WalkResult {
     /// The frame the page maps to.
     pub pfn: Pfn,
+    /// The page's index: how many pages were first touched before it.
+    /// Dense from 0, and the frame is its scramble.
+    pub page: u32,
     /// Number of memory accesses the walk performed (== [`WALK_LEVELS`] for
     /// a hit in the table, plus one extra when a frame had to be allocated,
     /// modelling the OS minor-fault path).
@@ -86,8 +93,8 @@ pub enum FrameAlloc {
 #[derive(Debug, Clone)]
 pub struct PageTable {
     geo: PageGeometry,
-    map: HashMap<Vpn, Pfn, BuildHasherDefault<VpnHasher>>,
-    next_frame: u64,
+    /// Each touched page's index; its frame is the index scrambled.
+    map: HashMap<Vpn, u32, BuildHasherDefault<WordHasher>>,
 }
 
 impl PageTable {
@@ -96,7 +103,6 @@ impl PageTable {
         PageTable {
             geo,
             map: HashMap::default(),
-            next_frame: 0,
         }
     }
 
@@ -112,28 +118,32 @@ impl PageTable {
     }
 
     /// Translate `vpn`, allocating a frame on first touch.
+    ///
+    /// # Panics
+    /// Panics when a page would get the index `u32::MAX`, which a TLB slot
+    /// reserves for "empty".
     pub fn walk(&mut self, vpn: Vpn) -> WalkResult {
-        if let Some(&pfn) = self.map.get(&vpn) {
-            WalkResult {
-                pfn,
-                memory_accesses: WALK_LEVELS,
-                allocated: false,
-            }
-        } else {
-            let pfn = Pfn(scramble_frame(self.next_frame));
-            self.next_frame += 1;
-            self.map.insert(vpn, pfn);
-            WalkResult {
-                pfn,
-                memory_accesses: WALK_LEVELS + 1,
-                allocated: true,
-            }
+        let touched = self.map.len();
+        let page = *self.map.entry(vpn).or_insert_with(|| {
+            u32::try_from(touched)
+                .ok()
+                .filter(|&p| p != u32::MAX)
+                .expect("page index space exhausted: 2^32 - 1 pages touched")
+        });
+        let allocated = self.map.len() > touched;
+        WalkResult {
+            pfn: Pfn(scramble_frame(u64::from(page))),
+            page,
+            memory_accesses: WALK_LEVELS + u32::from(allocated),
+            allocated,
         }
     }
 
     /// Translate without allocating. Returns `None` for untouched pages.
     pub fn lookup(&self, vpn: Vpn) -> Option<Pfn> {
-        self.map.get(&vpn).copied()
+        self.map
+            .get(&vpn)
+            .map(|&page| Pfn(scramble_frame(u64::from(page))))
     }
 }
 
@@ -150,6 +160,9 @@ mod tests {
         assert!(r0.allocated && r1.allocated);
         assert_ne!(r0.pfn, r1.pfn);
         assert_eq!(r0.memory_accesses, WALK_LEVELS + 1);
+        assert_eq!((r0.page, r1.page), (0, 1), "pages count first touches");
+        assert_eq!(pt.walk(Vpn(100)).page, 0);
+        assert_eq!(r1.pfn, Pfn(scramble_frame(1)));
     }
 
     #[test]

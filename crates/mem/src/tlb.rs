@@ -86,13 +86,16 @@ pub struct TlbEntry {
     pub vpn: Vpn,
     /// Its translation.
     pub pfn: Pfn,
+    /// The page's dense index ([`crate::WalkResult::page`]), carried so
+    /// that a hit names the page without another lookup.
+    pub page: u32,
 }
 
 /// Outcome of a translating lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlbLookup {
-    /// Entry present; LRU updated.
-    Hit(Pfn),
+    /// Entry present with this frame and page index; LRU updated.
+    Hit(Pfn, u32),
     /// Entry absent; the MMU must fill it.
     Miss,
 }
@@ -123,11 +126,54 @@ impl TlbStats {
     }
 }
 
-#[derive(Debug, Clone)]
+/// [`Slot::page`] of an empty slot; the page table never hands it out.
+const EMPTY: u32 = u32::MAX;
+
+/// One way: 32 bytes, as when it held an `Option<TlbEntry>` without the
+/// page index, because the page index doubles as the valid flag.
+#[derive(Debug, Clone, Copy)]
 struct Slot {
-    entry: Option<TlbEntry>,
+    vpn: Vpn,
+    pfn: Pfn,
     /// Monotonic timestamp of the last touch; smallest = LRU victim.
     last_use: u64,
+    /// The entry's page index, or [`EMPTY`].
+    page: u32,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        vpn: Vpn(0),
+        pfn: Pfn(0),
+        last_use: 0,
+        page: EMPTY,
+    };
+
+    #[inline]
+    fn entry(&self) -> Option<TlbEntry> {
+        (self.page != EMPTY).then_some(TlbEntry {
+            vpn: self.vpn,
+            pfn: self.pfn,
+            page: self.page,
+        })
+    }
+
+    /// Whether the slot holds `vpn`. The VPN compare comes first: it fails
+    /// on almost every way a lookup scans.
+    #[inline]
+    fn holds(&self, vpn: Vpn) -> bool {
+        self.vpn == vpn && self.page != EMPTY
+    }
+
+    #[inline]
+    fn set(&mut self, vpn: Vpn, pfn: Pfn, page: u32, clock: u64) {
+        *self = Slot {
+            vpn,
+            pfn,
+            last_use: clock,
+            page,
+        };
+    }
 }
 
 /// A set-associative, LRU-replaced TLB.
@@ -165,13 +211,7 @@ impl Tlb {
         Tlb {
             config,
             set_mask: config.sets() - 1,
-            slots: vec![
-                Slot {
-                    entry: None,
-                    last_use: 0
-                };
-                config.entries
-            ],
+            slots: vec![Slot::EMPTY; config.entries],
             clock: 0,
             stats: TlbStats::default(),
             memo: None,
@@ -215,19 +255,17 @@ impl Tlb {
         if let Some(m) = self.memo {
             if m.vpn == vpn {
                 self.stats.hits += 1;
-                return TlbLookup::Hit(m.pfn);
+                return TlbLookup::Hit(m.pfn, m.page);
             }
         }
         self.clock += 1;
         let range = self.set_range(self.set_index(vpn));
         for slot in &mut self.slots[range] {
-            if let Some(e) = slot.entry {
-                if e.vpn == vpn {
-                    slot.last_use = self.clock;
-                    self.stats.hits += 1;
-                    self.memo = Some(e);
-                    return TlbLookup::Hit(e.pfn);
-                }
+            if slot.holds(vpn) {
+                slot.last_use = self.clock;
+                self.stats.hits += 1;
+                self.memo = slot.entry();
+                return TlbLookup::Hit(slot.pfn, slot.page);
             }
         }
         self.stats.misses += 1;
@@ -243,36 +281,34 @@ impl Tlb {
             return false;
         }
         let range = self.set_range(set);
-        self.slots[range]
-            .iter()
-            .any(|s| s.entry.map(|e| e.vpn == vpn).unwrap_or(false))
+        self.slots[range].iter().any(|s| s.holds(vpn))
     }
 
-    /// Insert a translation, evicting the LRU entry of its set if full.
-    /// Returns the evicted entry, if any.
-    pub fn insert(&mut self, vpn: Vpn, pfn: Pfn) -> Option<TlbEntry> {
+    /// Insert a translation of `vpn` to frame `pfn` and page index `page`,
+    /// evicting the LRU entry of its set if full. Returns the evicted
+    /// entry, if any.
+    ///
+    /// # Panics
+    /// Panics if `page` is `u32::MAX`, which marks an empty slot.
+    pub fn insert(&mut self, vpn: Vpn, pfn: Pfn, page: u32) -> Option<TlbEntry> {
+        assert_ne!(page, EMPTY, "page index u32::MAX marks an empty TLB slot");
         self.clock += 1;
         let clock = self.clock;
         let set_idx = self.set_index(vpn);
         let range = self.set_range(set_idx);
         let set = &mut self.slots[range];
         // The inserted slot carries the globally newest stamp.
-        self.memo = Some(TlbEntry { vpn, pfn });
+        self.memo = Some(TlbEntry { vpn, pfn, page });
 
         // Refresh in place if already present (can happen when a detector
         // pre-fills a mirror).
-        if let Some(slot) = set
-            .iter_mut()
-            .find(|s| s.entry.map(|e| e.vpn == vpn).unwrap_or(false))
-        {
-            slot.entry = Some(TlbEntry { vpn, pfn });
-            slot.last_use = clock;
+        if let Some(slot) = set.iter_mut().find(|s| s.holds(vpn)) {
+            slot.set(vpn, pfn, page, clock);
             return None;
         }
         // Fill an empty way if there is one.
-        if let Some(slot) = set.iter_mut().find(|s| s.entry.is_none()) {
-            slot.entry = Some(TlbEntry { vpn, pfn });
-            slot.last_use = clock;
+        if let Some(slot) = set.iter_mut().find(|s| s.page == EMPTY) {
+            slot.set(vpn, pfn, page, clock);
             self.sigs[set_idx] |= Self::signature_bit(vpn);
             self.lens[set_idx] += 1;
             return None;
@@ -282,9 +318,8 @@ impl Tlb {
             .iter_mut()
             .min_by_key(|s| s.last_use)
             .expect("ways >= 1 guaranteed by config validation");
-        let evicted = victim.entry;
-        victim.entry = Some(TlbEntry { vpn, pfn });
-        victim.last_use = clock;
+        let evicted = victim.entry();
+        victim.set(vpn, pfn, page, clock);
         self.recompute_signature(set_idx);
         evicted
     }
@@ -298,8 +333,8 @@ impl Tlb {
         let set_idx = self.set_index(vpn);
         let range = self.set_range(set_idx);
         for slot in &mut self.slots[range] {
-            if slot.entry.map(|e| e.vpn == vpn).unwrap_or(false) {
-                slot.entry = None;
+            if slot.holds(vpn) {
+                slot.page = EMPTY;
                 self.lens[set_idx] -= 1;
                 self.recompute_signature(set_idx);
                 return true;
@@ -311,7 +346,7 @@ impl Tlb {
     /// Invalidate everything (context switch / full shootdown).
     pub fn flush(&mut self) {
         for slot in &mut self.slots {
-            slot.entry = None;
+            slot.page = EMPTY;
         }
         self.memo = None;
         self.sigs.fill(0);
@@ -323,7 +358,7 @@ impl Tlb {
         let range = self.set_range(set);
         let sig = self.slots[range]
             .iter()
-            .filter_map(|s| s.entry)
+            .filter_map(Slot::entry)
             .fold(0u64, |acc, e| acc | Self::signature_bit(e.vpn));
         self.sigs[set] = sig;
     }
@@ -331,7 +366,7 @@ impl Tlb {
     /// All valid entries, set-major order. This is the snapshot the HM
     /// mechanism's hypothetical `rdtlb` instruction would return.
     pub fn entries(&self) -> impl Iterator<Item = TlbEntry> + '_ {
-        self.slots.iter().filter_map(|s| s.entry)
+        self.slots.iter().filter_map(Slot::entry)
     }
 
     /// Valid entries of one set — the restricted search used by the
@@ -340,7 +375,7 @@ impl Tlb {
     pub fn set_entries(&self, set: usize) -> impl Iterator<Item = TlbEntry> + '_ {
         self.slots[self.set_range(set)]
             .iter()
-            .filter_map(|s| s.entry)
+            .filter_map(Slot::entry)
     }
 
     /// Number of valid entries in one set, without iterating it.
@@ -385,6 +420,17 @@ mod tests {
     }
 
     #[test]
+    fn slots_stay_32_bytes() {
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "marks an empty TLB slot")]
+    fn the_empty_page_index_is_refused() {
+        small().insert(Vpn(1), Pfn(1), EMPTY);
+    }
+
+    #[test]
     fn paper_default_geometry() {
         let c = TlbConfig::paper_default();
         assert_eq!(c.entries, 64);
@@ -397,8 +443,8 @@ mod tests {
     fn miss_then_hit() {
         let mut t = small();
         assert_eq!(t.access(Vpn(5)), TlbLookup::Miss);
-        t.insert(Vpn(5), Pfn(9));
-        assert_eq!(t.access(Vpn(5)), TlbLookup::Hit(Pfn(9)));
+        t.insert(Vpn(5), Pfn(9), 9);
+        assert_eq!(t.access(Vpn(5)), TlbLookup::Hit(Pfn(9), 9));
         assert_eq!(t.stats().hits, 1);
         assert_eq!(t.stats().misses, 1);
     }
@@ -406,7 +452,7 @@ mod tests {
     #[test]
     fn contains_does_not_perturb() {
         let mut t = small();
-        t.insert(Vpn(5), Pfn(9));
+        t.insert(Vpn(5), Pfn(9), 9);
         let before = t.stats();
         assert!(t.contains(Vpn(5)));
         assert!(!t.contains(Vpn(6)));
@@ -417,16 +463,17 @@ mod tests {
     fn lru_evicts_least_recently_used_in_set() {
         let mut t = small(); // 4 sets, 2 ways
                              // VPNs 0, 4, 8 all map to set 0.
-        t.insert(Vpn(0), Pfn(0));
-        t.insert(Vpn(4), Pfn(1));
+        t.insert(Vpn(0), Pfn(0), 0);
+        t.insert(Vpn(4), Pfn(1), 1);
         // Touch 0 so 4 becomes LRU.
-        assert_eq!(t.access(Vpn(0)), TlbLookup::Hit(Pfn(0)));
-        let evicted = t.insert(Vpn(8), Pfn(2));
+        assert_eq!(t.access(Vpn(0)), TlbLookup::Hit(Pfn(0), 0));
+        let evicted = t.insert(Vpn(8), Pfn(2), 2);
         assert_eq!(
             evicted,
             Some(TlbEntry {
                 vpn: Vpn(4),
-                pfn: Pfn(1)
+                pfn: Pfn(1),
+                page: 1,
             })
         );
         assert!(t.contains(Vpn(0)));
@@ -437,18 +484,18 @@ mod tests {
     #[test]
     fn insert_refreshes_existing_entry_without_eviction() {
         let mut t = small();
-        t.insert(Vpn(0), Pfn(0));
-        t.insert(Vpn(4), Pfn(1));
-        assert_eq!(t.insert(Vpn(0), Pfn(7)), None);
-        assert_eq!(t.access(Vpn(0)), TlbLookup::Hit(Pfn(7)));
+        t.insert(Vpn(0), Pfn(0), 0);
+        t.insert(Vpn(4), Pfn(1), 1);
+        assert_eq!(t.insert(Vpn(0), Pfn(7), 7), None);
+        assert_eq!(t.access(Vpn(0)), TlbLookup::Hit(Pfn(7), 7));
         assert_eq!(t.occupancy(), 2);
     }
 
     #[test]
     fn invalidate_and_flush() {
         let mut t = small();
-        t.insert(Vpn(1), Pfn(0));
-        t.insert(Vpn(2), Pfn(1));
+        t.insert(Vpn(1), Pfn(0), 0);
+        t.insert(Vpn(2), Pfn(1), 1);
         assert!(t.invalidate(Vpn(1)));
         assert!(!t.invalidate(Vpn(1)));
         assert_eq!(t.occupancy(), 1);
@@ -459,9 +506,9 @@ mod tests {
     #[test]
     fn set_entries_only_reports_that_set() {
         let mut t = small();
-        t.insert(Vpn(0), Pfn(0)); // set 0
-        t.insert(Vpn(1), Pfn(1)); // set 1
-        t.insert(Vpn(4), Pfn(2)); // set 0
+        t.insert(Vpn(0), Pfn(0), 0); // set 0
+        t.insert(Vpn(1), Pfn(1), 1); // set 1
+        t.insert(Vpn(4), Pfn(2), 2); // set 0
         let set0: Vec<_> = t.set_entries(0).map(|e| e.vpn).collect();
         assert_eq!(set0.len(), 2);
         assert!(set0.contains(&Vpn(0)) && set0.contains(&Vpn(4)));
@@ -473,12 +520,12 @@ mod tests {
     fn fully_associative_uses_single_set() {
         let mut t = Tlb::new(TlbConfig::fully_associative(4));
         for i in 0..4 {
-            t.insert(Vpn(i), Pfn(i));
+            t.insert(Vpn(i), Pfn(i), i as u32);
             assert_eq!(t.set_index(Vpn(i)), 0);
         }
         assert_eq!(t.occupancy(), 4);
         // Fifth insert evicts the LRU (Vpn 0).
-        t.insert(Vpn(100), Pfn(100));
+        t.insert(Vpn(100), Pfn(100), 100);
         assert!(!t.contains(Vpn(0)));
         assert_eq!(t.occupancy(), 4);
     }
@@ -487,7 +534,7 @@ mod tests {
     fn occupancy_never_exceeds_capacity() {
         let mut t = small();
         for i in 0..1000 {
-            t.insert(Vpn(i), Pfn(i));
+            t.insert(Vpn(i), Pfn(i), i as u32);
         }
         assert!(t.occupancy() <= 8);
     }
@@ -505,7 +552,7 @@ mod tests {
     fn miss_rate_computation() {
         let mut t = small();
         t.access(Vpn(1)); // miss
-        t.insert(Vpn(1), Pfn(1));
+        t.insert(Vpn(1), Pfn(1), 1);
         t.access(Vpn(1)); // hit
         t.access(Vpn(1)); // hit
         t.access(Vpn(9)); // miss (set 1)
@@ -515,9 +562,9 @@ mod tests {
     #[test]
     fn memo_counts_repeated_hits() {
         let mut t = small();
-        t.insert(Vpn(3), Pfn(30));
+        t.insert(Vpn(3), Pfn(30), 30);
         for _ in 0..10 {
-            assert_eq!(t.access(Vpn(3)), TlbLookup::Hit(Pfn(30)));
+            assert_eq!(t.access(Vpn(3)), TlbLookup::Hit(Pfn(30), 30));
         }
         assert_eq!(t.stats().hits, 10);
         assert_eq!(t.stats().misses, 0);
@@ -526,11 +573,11 @@ mod tests {
     #[test]
     fn memo_cleared_on_invalidate_and_flush() {
         let mut t = small();
-        t.insert(Vpn(3), Pfn(30));
-        assert_eq!(t.access(Vpn(3)), TlbLookup::Hit(Pfn(30)));
+        t.insert(Vpn(3), Pfn(30), 30);
+        assert_eq!(t.access(Vpn(3)), TlbLookup::Hit(Pfn(30), 30));
         t.invalidate(Vpn(3));
         assert_eq!(t.access(Vpn(3)), TlbLookup::Miss);
-        t.insert(Vpn(3), Pfn(30));
+        t.insert(Vpn(3), Pfn(30), 30);
         t.flush();
         assert_eq!(t.access(Vpn(3)), TlbLookup::Miss);
     }
@@ -541,10 +588,10 @@ mod tests {
         // re-touch of VPN 0 goes through the memo fast path (it was just
         // inserted). The eviction decision must be unchanged.
         let mut t = small();
-        t.insert(Vpn(4), Pfn(1));
-        t.insert(Vpn(0), Pfn(0));
-        assert_eq!(t.access(Vpn(0)), TlbLookup::Hit(Pfn(0))); // memo hit
-        let evicted = t.insert(Vpn(8), Pfn(2));
+        t.insert(Vpn(4), Pfn(1), 1);
+        t.insert(Vpn(0), Pfn(0), 0);
+        assert_eq!(t.access(Vpn(0)), TlbLookup::Hit(Pfn(0), 0)); // memo hit
+        let evicted = t.insert(Vpn(8), Pfn(2), 2);
         assert_eq!(evicted.map(|e| e.vpn), Some(Vpn(4)));
     }
 
@@ -552,8 +599,8 @@ mod tests {
     fn signatures_track_set_contents() {
         let mut t = small();
         assert_eq!(t.set_signature(0), 0);
-        t.insert(Vpn(0), Pfn(0)); // set 0
-        t.insert(Vpn(4), Pfn(1)); // set 0
+        t.insert(Vpn(0), Pfn(0), 0); // set 0
+        t.insert(Vpn(4), Pfn(1), 1); // set 0
         let sig = t.set_signature(0);
         assert_ne!(sig & Tlb::signature_bit(Vpn(0)), 0);
         assert_ne!(sig & Tlb::signature_bit(Vpn(4)), 0);
@@ -566,11 +613,11 @@ mod tests {
         assert_eq!(t.set_len(0), 0);
     }
 
-    /// The pre-optimization TLB: no memo, no signatures. Used as the oracle
-    /// for the randomized equivalence test below.
+    /// The pre-optimization TLB: no memo, no signatures, an `Option` per
+    /// way. Used as the oracle for the randomized equivalence test below.
     struct NaiveTlb {
         config: TlbConfig,
-        slots: Vec<Slot>,
+        slots: Vec<(Option<TlbEntry>, u64)>,
         clock: u64,
         stats: TlbStats,
     }
@@ -579,13 +626,7 @@ mod tests {
         fn new(config: TlbConfig) -> Self {
             NaiveTlb {
                 config,
-                slots: vec![
-                    Slot {
-                        entry: None,
-                        last_use: 0
-                    };
-                    config.entries
-                ],
+                slots: vec![(None, 0); config.entries],
                 clock: 0,
                 stats: TlbStats::default(),
             }
@@ -597,62 +638,53 @@ mod tests {
             start..start + self.config.ways
         }
 
-        fn access(&mut self, vpn: Vpn) -> TlbLookup {
-            self.clock += 1;
+        fn holding(&mut self, vpn: Vpn) -> Option<&mut (Option<TlbEntry>, u64)> {
             let range = self.set_range(vpn);
-            for slot in &mut self.slots[range] {
-                if let Some(e) = slot.entry {
-                    if e.vpn == vpn {
-                        slot.last_use = self.clock;
-                        self.stats.hits += 1;
-                        return TlbLookup::Hit(e.pfn);
-                    }
-                }
-            }
-            self.stats.misses += 1;
-            TlbLookup::Miss
+            self.slots[range]
+                .iter_mut()
+                .find(|(e, _)| e.is_some_and(|e| e.vpn == vpn))
         }
 
-        fn insert(&mut self, vpn: Vpn, pfn: Pfn) -> Option<TlbEntry> {
+        fn access(&mut self, vpn: Vpn) -> TlbLookup {
             self.clock += 1;
             let clock = self.clock;
+            match self.holding(vpn) {
+                Some((Some(e), stamp)) => {
+                    *stamp = clock;
+                    let e = *e;
+                    self.stats.hits += 1;
+                    TlbLookup::Hit(e.pfn, e.page)
+                }
+                _ => {
+                    self.stats.misses += 1;
+                    TlbLookup::Miss
+                }
+            }
+        }
+
+        fn insert(&mut self, vpn: Vpn, pfn: Pfn, page: u32) -> Option<TlbEntry> {
+            self.clock += 1;
+            let new = (Some(TlbEntry { vpn, pfn, page }), self.clock);
+            if let Some(slot) = self.holding(vpn) {
+                *slot = new;
+                return None;
+            }
             let range = self.set_range(vpn);
             let set = &mut self.slots[range];
-            if let Some(slot) = set
-                .iter_mut()
-                .find(|s| s.entry.map(|e| e.vpn == vpn).unwrap_or(false))
-            {
-                slot.entry = Some(TlbEntry { vpn, pfn });
-                slot.last_use = clock;
+            if let Some(slot) = set.iter_mut().find(|(e, _)| e.is_none()) {
+                *slot = new;
                 return None;
             }
-            if let Some(slot) = set.iter_mut().find(|s| s.entry.is_none()) {
-                slot.entry = Some(TlbEntry { vpn, pfn });
-                slot.last_use = clock;
-                return None;
-            }
-            let victim = set.iter_mut().min_by_key(|s| s.last_use).unwrap();
-            let evicted = victim.entry;
-            victim.entry = Some(TlbEntry { vpn, pfn });
-            victim.last_use = clock;
-            evicted
+            let victim = set.iter_mut().min_by_key(|(_, stamp)| *stamp).unwrap();
+            std::mem::replace(victim, new).0
         }
 
         fn invalidate(&mut self, vpn: Vpn) -> bool {
-            let range = self.set_range(vpn);
-            for slot in &mut self.slots[range] {
-                if slot.entry.map(|e| e.vpn == vpn).unwrap_or(false) {
-                    slot.entry = None;
-                    return true;
-                }
-            }
-            false
+            self.holding(vpn).map(|slot| slot.0 = None).is_some()
         }
 
         fn flush(&mut self) {
-            for slot in &mut self.slots {
-                slot.entry = None;
-            }
+            self.slots.fill((None, 0));
         }
     }
 
@@ -680,8 +712,9 @@ mod tests {
                 match rng.gen_range(0u32..10) {
                     0..=4 => assert_eq!(fast.access(vpn), naive.access(vpn)),
                     5..=7 => {
-                        let pfn = Pfn(rng.gen_range(0u64..1000));
-                        assert_eq!(fast.insert(vpn, pfn), naive.insert(vpn, pfn));
+                        let (pfn, page) =
+                            (Pfn(rng.gen_range(0u64..1000)), rng.gen_range(0u32..1000));
+                        assert_eq!(fast.insert(vpn, pfn, page), naive.insert(vpn, pfn, page));
                     }
                     8 => assert_eq!(fast.invalidate(vpn), naive.invalidate(vpn)),
                     _ => {
@@ -692,9 +725,7 @@ mod tests {
                 assert_eq!(fast.stats(), naive.stats);
                 // Residency and per-set bookkeeping agree after every op.
                 for v in 0..64 {
-                    let resident = naive.slots[naive.set_range(Vpn(v))]
-                        .iter()
-                        .any(|s| s.entry.map(|e| e.vpn == Vpn(v)).unwrap_or(false));
+                    let resident = naive.holding(Vpn(v)).is_some();
                     assert_eq!(fast.contains(Vpn(v)), resident);
                 }
                 for s in 0..config.sets() {

@@ -37,7 +37,7 @@ proptest! {
         for o in ops {
             match o {
                 Op::Access(v) => { tlb.access(Vpn(v)); }
-                Op::Insert(v) => { tlb.insert(Vpn(v), Pfn(v + 1000)); }
+                Op::Insert(v) => { tlb.insert(Vpn(v), Pfn(v + 1000), v as u32); }
                 Op::Invalidate(v) => { tlb.invalidate(Vpn(v)); }
                 Op::Flush => tlb.flush(),
             }
@@ -59,9 +59,9 @@ proptest! {
     #[test]
     fn insert_then_hit(cfg in tlb_config(), v in 0u64..1000, p in 0u64..1000) {
         let mut tlb = Tlb::new(cfg);
-        tlb.insert(Vpn(v), Pfn(p));
+        tlb.insert(Vpn(v), Pfn(p), p as u32);
         prop_assert!(tlb.contains(Vpn(v)));
-        prop_assert_eq!(tlb.access(Vpn(v)), TlbLookup::Hit(Pfn(p)));
+        prop_assert_eq!(tlb.access(Vpn(v)), TlbLookup::Hit(Pfn(p), p as u32));
     }
 
     /// `contains` never changes observable state: stats, occupancy and the
@@ -70,7 +70,7 @@ proptest! {
     fn contains_is_pure(cfg in tlb_config(), vs in prop::collection::vec(0u64..64, 0..40), probe in 0u64..64) {
         let mut tlb = Tlb::new(cfg);
         for v in vs {
-            tlb.insert(Vpn(v), Pfn(v));
+            tlb.insert(Vpn(v), Pfn(v), v as u32);
         }
         let stats_before = tlb.stats();
         let entries_before: Vec<_> = tlb.entries().collect();
@@ -89,11 +89,11 @@ proptest! {
         let mut tlb = Tlb::new(cfg);
         // Fill set 0 exactly: VPNs 0, sets, 2*sets, ...
         for k in 0..ways as u64 {
-            tlb.insert(Vpn(k * sets), Pfn(k));
+            tlb.insert(Vpn(k * sets), Pfn(k), k as u32);
         }
         let touched = Vpn((touch_idx as u64 % ways as u64) * sets);
         tlb.access(touched);
-        tlb.insert(Vpn(ways as u64 * sets), Pfn(99));
+        tlb.insert(Vpn(ways as u64 * sets), Pfn(99), 99);
         prop_assert!(tlb.contains(touched), "most recently used entry was evicted");
     }
 

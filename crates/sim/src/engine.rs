@@ -143,7 +143,9 @@ fn run<const OBSERVED: bool>(
     let mut mmus: Vec<Mmu> = (0..n_cores)
         .map(|_| Mmu::new(cfg.mmu, cfg.geometry))
         .collect();
-    let mut hierarchy = MemoryHierarchy::new(cfg.hierarchy.clone());
+    // Lines are numbered by the page index their TLB entry carries.
+    let mut hierarchy =
+        MemoryHierarchy::with_page_shift(cfg.hierarchy.clone(), cfg.geometry.page_shift);
     let mut jitter = Jitter::new(cfg.jitter, n_threads);
     let mut page_homes = cfg.numa.map(|nc| PageHomes::new(nc.policy, topo.chips));
 
@@ -322,10 +324,21 @@ fn run<const OBSERVED: bool>(
                         }
                     };
                     cycles += translation.cycles;
-                    let home_chip = page_homes
-                        .as_mut()
-                        .map(|ph| ph.home_of(vaddr.vpn(cfg.geometry), topo.chip_of(core)));
-                    let out = hierarchy.access_numa(core, translation.paddr.0, op, kind, home_chip);
+                    let home_chip = page_homes.as_mut().map(|ph| {
+                        ph.home_of(
+                            translation.page,
+                            vaddr.vpn(cfg.geometry),
+                            topo.chip_of(core),
+                        )
+                    });
+                    let out = hierarchy.access_page(
+                        core,
+                        translation.paddr.0,
+                        translation.page,
+                        op,
+                        kind,
+                        home_chip,
+                    );
                     if !inert {
                         hooks.on_access_outcome(core, t, &out);
                     }

@@ -13,7 +13,6 @@
 //! * **Interleave**: pages round-robin across nodes; placement-neutral,
 //!   used as the policy baseline.
 
-use std::collections::HashMap;
 use tlbmap_mem::Vpn;
 
 /// Page-to-node placement policy.
@@ -38,7 +37,8 @@ pub struct NumaConfig {
 pub struct PageHomes {
     policy: NumaPolicy,
     chips: usize,
-    homes: HashMap<Vpn, usize>,
+    /// First-touch homes by page index ([`tlbmap_mem::Translation::page`]).
+    homes: Vec<usize>,
 }
 
 impl PageHomes {
@@ -51,16 +51,32 @@ impl PageHomes {
         PageHomes {
             policy,
             chips,
-            homes: HashMap::new(),
+            homes: Vec::new(),
         }
     }
 
-    /// Home chip of `vpn` for an access by a core on `accessor_chip`,
-    /// assigning it per policy on first touch.
-    pub fn home_of(&mut self, vpn: Vpn, accessor_chip: usize) -> usize {
+    /// Home chip of the page `vpn`, whose dense first-touch index is
+    /// `page`, for an access by a core on `accessor_chip`, assigning it per
+    /// policy on first touch. A page index not seen before must be the
+    /// next one, as the page table hands them out.
+    ///
+    /// # Panics
+    /// Panics under first touch if a new `page` skips an index.
+    pub fn home_of(&mut self, page: u32, vpn: Vpn, accessor_chip: usize) -> usize {
         match self.policy {
             NumaPolicy::Interleave => (vpn.0 as usize) % self.chips,
-            NumaPolicy::FirstTouch => *self.homes.entry(vpn).or_insert(accessor_chip),
+            NumaPolicy::FirstTouch => {
+                if let Some(&home) = self.homes.get(page as usize) {
+                    return home;
+                }
+                assert_eq!(
+                    page as usize,
+                    self.homes.len(),
+                    "page {page} skips an index"
+                );
+                self.homes.push(accessor_chip);
+                accessor_chip
+            }
         }
     }
 }
@@ -72,20 +88,20 @@ mod tests {
     #[test]
     fn first_touch_sticks() {
         let mut h = PageHomes::new(NumaPolicy::FirstTouch, 2);
-        assert_eq!(h.home_of(Vpn(5), 1), 1);
+        assert_eq!(h.home_of(0, Vpn(5), 1), 1);
         // Later touches from elsewhere do not migrate the page.
-        assert_eq!(h.home_of(Vpn(5), 0), 1);
-        assert_eq!(h.homes.len(), 1);
-        assert_eq!(h.homes[&Vpn(5)], 1);
+        assert_eq!(h.home_of(0, Vpn(5), 0), 1);
+        assert_eq!(h.home_of(1, Vpn(9), 0), 0);
+        assert_eq!(h.homes, [1, 0]);
     }
 
     #[test]
     fn interleave_round_robins() {
         let mut h = PageHomes::new(NumaPolicy::Interleave, 4);
-        assert_eq!(h.home_of(Vpn(0), 3), 0);
-        assert_eq!(h.home_of(Vpn(1), 3), 1);
-        assert_eq!(h.home_of(Vpn(5), 0), 1);
-        assert_eq!(h.home_of(Vpn(7), 0), 3);
+        assert_eq!(h.home_of(0, Vpn(0), 3), 0);
+        assert_eq!(h.home_of(1, Vpn(1), 3), 1);
+        assert_eq!(h.home_of(2, Vpn(5), 0), 1);
+        assert_eq!(h.home_of(3, Vpn(7), 0), 3);
     }
 
     #[test]
