@@ -201,10 +201,11 @@ fn print_footprints() {
     // touched page (24 bytes each).
     println!();
     println!("workload        page     lines  pages  record_kib  bytes_per_line  per_page_kib");
+    // `ablation_page_size` runs BT at the campaign's default seed.
     let bt = NpbApp::Bt.generate(&NpbParams {
         n_threads: 8,
         scale: ProblemScale::Workshop,
-        seed: 1,
+        seed: 0x71B,
     });
     let edge = synthetic::producer_consumer(4, 4, 2);
     let runs = [10u32, 12, 14, 16, 21]
