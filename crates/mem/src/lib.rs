@@ -23,5 +23,5 @@ pub mod tlb;
 
 pub use addr::{PageGeometry, Pfn, PhysAddr, VirtAddr, Vpn};
 pub use mmu::{Mmu, MmuConfig, TlbMode, Translation};
-pub use page_table::{FrameAlloc, PageTable, WalkResult, WordHasher};
+pub use page_table::{FrameAlloc, PageTable, WalkResult};
 pub use tlb::{Tlb, TlbConfig, TlbEntry, TlbLookup, TlbStats};

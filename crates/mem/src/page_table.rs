@@ -31,15 +31,14 @@ fn scramble_frame(counter: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A multiplicative hasher for integer keys (VPNs here, line blocks in the
-/// cache hierarchy's address-numbered path): one multiply per key where
-/// SipHash runs several rounds. The rotate moves the product's well-mixed
-/// high bits to where `HashMap` picks buckets, so strided keys spread too.
-/// Only for maps whose iteration order reaches no output.
+/// A multiplicative hasher for VPN keys: one multiply per key where SipHash
+/// runs several rounds on every TLB miss. The rotate moves the product's
+/// well-mixed high bits to where `HashMap` picks buckets, so strided VPNs
+/// spread too. Nothing iterates the map, so its order reaches no output.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct WordHasher(u64);
+struct VpnHasher(u64);
 
-impl Hasher for WordHasher {
+impl Hasher for VpnHasher {
     fn finish(&self) -> u64 {
         self.0.rotate_left(26)
     }
@@ -94,7 +93,7 @@ pub enum FrameAlloc {
 pub struct PageTable {
     geo: PageGeometry,
     /// Each touched page's index; its frame is the index scrambled.
-    map: HashMap<Vpn, u32, BuildHasherDefault<WordHasher>>,
+    map: HashMap<Vpn, u32, BuildHasherDefault<VpnHasher>>,
 }
 
 impl PageTable {
@@ -138,6 +137,13 @@ impl PageTable {
             allocated,
         }
     }
+
+    /// Translate without allocating. Returns `None` for untouched pages.
+    pub fn lookup(&self, vpn: Vpn) -> Option<Pfn> {
+        self.map
+            .get(&vpn)
+            .map(|&page| Pfn(scramble_frame(u64::from(page))))
+    }
 }
 
 #[cfg(test)]
@@ -166,6 +172,16 @@ mod tests {
         assert_eq!(first.pfn, second.pfn);
         assert!(!second.allocated);
         assert_eq!(second.memory_accesses, WALK_LEVELS);
+    }
+
+    #[test]
+    fn lookup_does_not_allocate() {
+        let mut pt = PageTable::new(PageGeometry::new_4k());
+        assert_eq!(pt.lookup(Vpn(3)), None);
+        assert!(pt.map.is_empty());
+        let pfn = pt.walk(Vpn(3)).pfn;
+        assert_eq!(pt.lookup(Vpn(3)), Some(pfn));
+        assert_eq!(pt.map.len(), 1);
     }
 
     #[test]

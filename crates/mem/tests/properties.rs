@@ -15,6 +15,7 @@ fn tlb_config() -> impl Strategy<Value = TlbConfig> {
 enum Op {
     Access(u64),
     Insert(u64),
+    Invalidate(u64),
     Flush,
 }
 
@@ -22,6 +23,7 @@ fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0u64..64).prop_map(Op::Access),
         4 => (0u64..64).prop_map(Op::Insert),
+        1 => (0u64..64).prop_map(Op::Invalidate),
         1 => Just(Op::Flush),
     ]
 }
@@ -36,6 +38,7 @@ proptest! {
             match o {
                 Op::Access(v) => { tlb.access(Vpn(v)); }
                 Op::Insert(v) => { tlb.insert(Vpn(v), Pfn(v + 1000), v as u32); }
+                Op::Invalidate(v) => { tlb.invalidate(Vpn(v)); }
                 Op::Flush => tlb.flush(),
             }
             prop_assert!(tlb.occupancy() <= cfg.entries);
@@ -95,8 +98,8 @@ proptest! {
     }
 
     /// Page table: walks are stable (same VPN → same PFN and page index),
-    /// injective (different VPNs → different PFNs), and page indices count
-    /// first touches densely from 0.
+    /// injective (different VPNs → different PFNs), page indices count
+    /// first touches densely from 0, and lookup sees exactly the walked pages.
     #[test]
     fn page_table_stable_and_injective(vpns in prop::collection::vec(0u64..10_000, 1..100)) {
         let mut pt = PageTable::new(PageGeometry::new_4k());
@@ -114,5 +117,9 @@ proptest! {
         }
         let distinct: std::collections::HashSet<_> = first.values().map(|&(pfn, _)| pfn).collect();
         prop_assert_eq!(distinct.len(), first.len(), "PFN reused");
+        for (&v, &(pfn, _)) in &first {
+            prop_assert_eq!(pt.lookup(Vpn(v)), Some(pfn));
+        }
+        prop_assert_eq!(pt.lookup(Vpn(10_000)), None);
     }
 }
