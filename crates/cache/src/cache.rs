@@ -340,6 +340,7 @@ mod tests {
     use super::*;
     use crate::linetable::LineTable;
     use proptest::prelude::*;
+    use tlbmap_mem::{PageGeometry, PageTable, Vpn};
 
     fn tiny() -> Cache {
         // 4 sets × 2 ways of 64-byte lines.
@@ -626,11 +627,12 @@ mod tests {
                 latency: 1,
             });
             let mut model = StampLru { ways, clock: 0, sets: vec![Vec::new(); n_sets] };
+            let mut pages = PageTable::new(PageGeometry::new_4k());
             let mut ids = LineTable::new(6);
             let states = [MesiState::Modified, MesiState::Exclusive, MesiState::Shared];
             for (step, &(op, offset, s)) in ops.iter().enumerate() {
                 let (addr, state) = (LineAddr(base + offset), states[s]);
-                let page = ids.page_of(addr.0);
+                let page = pages.walk(Vpn(addr.0 >> 6)).page;
                 let id = ids.id(page, addr.0);
                 match op {
                     0 => prop_assert_eq!(cache.touch(addr, id), model.lookup(addr, true), "touch @{}", step),

@@ -18,6 +18,11 @@ use crate::config::HierarchyConfig;
 use crate::linetable::{LineTable, EVER, HOLDERS, LOST};
 use crate::mesi::MesiState;
 use crate::stats::{CacheStats, MissKind};
+use tlbmap_mem::{PageGeometry, PageTable, Vpn};
+
+/// log2 of the lines in a block that [`MemoryHierarchy::access`] numbers as
+/// one page.
+const BLOCK_LINES: u32 = 6;
 
 /// Load or store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,6 +139,13 @@ pub struct MemoryHierarchy {
     /// latencies and counters are identical to the full-snoop scan it
     /// replaced.
     lines: LineTable,
+    /// For a hierarchy built by [`Self::new`]: the first-touch numbering of
+    /// the 64-line blocks [`Self::access`] names, kept as a page table of
+    /// block-sized pages. `None` for one built by
+    /// [`Self::with_page_shift`], whose caller passes the page indices.
+    /// Fixing the source at build time keeps two numberings from naming
+    /// two pages with one index.
+    blocks: Option<PageTable>,
 }
 
 impl MemoryHierarchy {
@@ -143,7 +155,8 @@ impl MemoryHierarchy {
     /// # Panics
     /// Panics if the configuration is invalid.
     pub fn new(cfg: HierarchyConfig) -> Self {
-        Self::with_page_lines(cfg, 6)
+        let blocks = PageGeometry::with_shift(cfg.l2.line_shift() + BLOCK_LINES);
+        Self::with_page_lines(cfg, BLOCK_LINES, Some(PageTable::new(blocks)))
     }
 
     /// Build an empty hierarchy for [`Self::access_page`] on pages of
@@ -159,10 +172,10 @@ impl MemoryHierarchy {
             "a page of 2^{page_shift} bytes is smaller than a {}-byte line",
             cfg.l2.line_size
         );
-        Self::with_page_lines(cfg, page_shift - line_shift)
+        Self::with_page_lines(cfg, page_shift - line_shift, None)
     }
 
-    fn with_page_lines(cfg: HierarchyConfig, page_lines: u32) -> Self {
+    fn with_page_lines(cfg: HierarchyConfig, page_lines: u32, blocks: Option<PageTable>) -> Self {
         cfg.validate();
         let n_cores = cfg.num_cores();
         let n_l2 = cfg.num_l2();
@@ -184,6 +197,7 @@ impl MemoryHierarchy {
             stats: CacheStats::default(),
             l1_sibling_invalidations: 0,
             lines: LineTable::new(page_lines),
+            blocks,
             cfg,
         }
     }
@@ -229,8 +243,11 @@ impl MemoryHierarchy {
 
     /// Perform one memory access by `core` to physical address `paddr`
     /// on a UMA machine (no NUMA home-node accounting). The hierarchy
-    /// numbers the address's page-sized block itself, through a map: the
-    /// path for callers that have no page index.
+    /// numbers the address's 64-line block itself, in first-touch order:
+    /// the path for callers that have no page index.
+    ///
+    /// # Panics
+    /// Panics if the hierarchy was built by [`Self::with_page_shift`].
     #[inline]
     pub fn access(
         &mut self,
@@ -239,8 +256,11 @@ impl MemoryHierarchy {
         op: MemOp,
         kind: AccessKind,
     ) -> AccessOutcome {
-        let page = self.lines.page_of(paddr >> self.cfg.l2.line_shift());
-        self.access_page(core, paddr, page, op, kind, None)
+        let blocks = self.blocks.as_mut().expect(
+            "a hierarchy built by `with_page_shift` takes its page indices from `access_page`",
+        );
+        let page = blocks.walk(Vpn(paddr >> blocks.geometry().page_shift)).page;
+        self.access_line(core, paddr, page, op, kind, None)
     }
 
     /// Perform one memory access by `core` to physical address `paddr`,
@@ -251,10 +271,28 @@ impl MemoryHierarchy {
     /// extra cycles and are counted separately.
     ///
     /// # Panics
-    /// Panics if `page` skips an index, or once the pages touched cover
-    /// more than 2^29 lines.
+    /// Panics if the hierarchy was built by [`Self::new`], if `page` skips
+    /// an index, or once the pages touched cover more than 2^29 lines.
     #[inline]
     pub fn access_page(
+        &mut self,
+        core: usize,
+        paddr: u64,
+        page: u32,
+        op: MemOp,
+        kind: AccessKind,
+        home_chip: Option<usize>,
+    ) -> AccessOutcome {
+        assert!(
+            self.blocks.is_none(),
+            "a hierarchy built by `new` numbers its own pages; build it with `with_page_shift`"
+        );
+        self.access_line(core, paddr, page, op, kind, home_chip)
+    }
+
+    /// One access to `paddr` in page `page`, whichever source numbered it.
+    #[inline]
+    fn access_line(
         &mut self,
         core: usize,
         paddr: u64,
@@ -937,26 +975,29 @@ mod tests {
             ways: 4,
             latency: 8,
         };
-        let mut h = MemoryHierarchy::new(HierarchyConfig {
-            l1i: l1,
-            l1d: l1,
-            l2,
-            mem_latency: 200,
-            c2c_intra_chip: 40,
-            c2c_inter_chip: 120,
-            write_invalidate_penalty: 20,
-            numa_remote_penalty: 150,
-            groups: vec![
-                L2Group {
-                    cores: vec![0, 1],
-                    chip: 0,
-                },
-                L2Group {
-                    cores: vec![2, 3],
-                    chip: 1,
-                },
-            ],
-        });
+        let mut h = MemoryHierarchy::with_page_shift(
+            HierarchyConfig {
+                l1i: l1,
+                l1d: l1,
+                l2,
+                mem_latency: 200,
+                c2c_intra_chip: 40,
+                c2c_inter_chip: 120,
+                write_invalidate_penalty: 20,
+                numa_remote_penalty: 150,
+                groups: vec![
+                    L2Group {
+                        cores: vec![0, 1],
+                        chip: 0,
+                    },
+                    L2Group {
+                        cores: vec![2, 3],
+                        chip: 1,
+                    },
+                ],
+            },
+            12,
+        );
         // Core 0 (chip 0) fetches a page homed on chip 1: remote.
         let remote = h.access_page(0, 0x1000, 0, MemOp::Read, AccessKind::Data, Some(1));
         assert_eq!(remote.cycles, 2 + 8 + 200 + 150);
@@ -978,6 +1019,36 @@ mod tests {
     }
 
     #[test]
+    fn address_path_numbers_blocks_in_first_touch_order() {
+        let mut h = small();
+        // Blocks 7, 2, 7 again, 9: three pages, numbered 0, 1, 2.
+        for paddr in [7 << 12 | 0xC0, 2 << 12, 7 << 12 | 0xFC0, 9 << 12 | 0x40] {
+            h.access(0, paddr, MemOp::Read, AccessKind::Data);
+        }
+        assert_eq!(h.line_footprint().pages, 3);
+        assert_eq!(
+            h.l2_state(0, LineAddr(7 << 6 | 63)),
+            Some(MesiState::Exclusive)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "takes its page indices from `access_page`")]
+    fn a_page_indexed_hierarchy_refuses_address_numbering() {
+        let mut h = MemoryHierarchy::with_page_shift(small().config().clone(), 12);
+        h.access_page(0, 0x1000, 0, MemOp::Read, AccessKind::Data, None);
+        h.access(0, 0x2000, MemOp::Read, AccessKind::Data);
+    }
+
+    #[test]
+    #[should_panic(expected = "numbers its own pages")]
+    fn an_address_numbered_hierarchy_refuses_page_indices() {
+        let mut h = small();
+        h.access(0, 0x1000, MemOp::Read, AccessKind::Data);
+        h.access_page(0, 0x2000, 1, MemOp::Read, AccessKind::Data, None);
+    }
+
+    #[test]
     fn numa_penalty_not_charged_on_cache_to_cache() {
         let l1 = CacheConfig {
             size_bytes: 64 * 8,
@@ -991,26 +1062,29 @@ mod tests {
             ways: 4,
             latency: 8,
         };
-        let mut h = MemoryHierarchy::new(HierarchyConfig {
-            l1i: l1,
-            l1d: l1,
-            l2,
-            mem_latency: 200,
-            c2c_intra_chip: 40,
-            c2c_inter_chip: 120,
-            write_invalidate_penalty: 20,
-            numa_remote_penalty: 150,
-            groups: vec![
-                L2Group {
-                    cores: vec![0, 1],
-                    chip: 0,
-                },
-                L2Group {
-                    cores: vec![2, 3],
-                    chip: 1,
-                },
-            ],
-        });
+        let mut h = MemoryHierarchy::with_page_shift(
+            HierarchyConfig {
+                l1i: l1,
+                l1d: l1,
+                l2,
+                mem_latency: 200,
+                c2c_intra_chip: 40,
+                c2c_inter_chip: 120,
+                write_invalidate_penalty: 20,
+                numa_remote_penalty: 150,
+                groups: vec![
+                    L2Group {
+                        cores: vec![0, 1],
+                        chip: 0,
+                    },
+                    L2Group {
+                        cores: vec![2, 3],
+                        chip: 1,
+                    },
+                ],
+            },
+            12,
+        );
         h.access_page(0, 0x1000, 0, MemOp::Read, AccessKind::Data, Some(1)); // remote fill
                                                                              // Core 2 now reads it cache-to-cache — NUMA is irrelevant.
         let out = h.access_page(2, 0x1000, 0, MemOp::Read, AccessKind::Data, Some(1));

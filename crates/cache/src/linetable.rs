@@ -15,10 +15,10 @@
 //! order. Ids let every cache store 32-bit way words and let the records
 //! live in one flat `Vec`, with no stored key.
 //!
-//! A caller with only a physical address ([`LineTable::page_of`], behind
-//! `MemoryHierarchy::access`) numbers page-sized blocks in first-touch
-//! order through a plain map instead. One table takes its page indices from
-//! one of the two sources.
+//! A caller with only a physical address (`MemoryHierarchy::access`)
+//! numbers 64-line blocks in first-touch order through a page table of its
+//! own instead. One table takes its page indices from one of the two
+//! sources, fixed when the hierarchy is built.
 //!
 //! Each record holds three bitmaps over L2 indices side by side: the L2s
 //! that hold the line now (the sparse MESI owner directory), the L2s it was
@@ -32,9 +32,6 @@
 //! record is ever removed.
 
 use crate::cache::ID_BITS;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
-use tlbmap_mem::WordHasher;
 
 /// Ids per record chunk.
 const CHUNK: usize = 1 << CHUNK_SHIFT;
@@ -62,8 +59,6 @@ pub(crate) struct LineTable {
     in_page: u32,
     /// Base line address of each page, by page index.
     bases: Vec<u64>,
-    /// Page index of each page-sized block an address-only access named.
-    numbering: HashMap<u64, u32, BuildHasherDefault<WordHasher>>,
     /// Offset in `records` of each chunk of [`CHUNK`] ids; 0, the shared
     /// all-zero chunk, until the chunk is first written.
     chunks: Vec<u32>,
@@ -82,7 +77,6 @@ impl LineTable {
             page_lines,
             in_page: (1 << page_lines) - 1,
             bases: Vec::new(),
-            numbering: HashMap::default(),
             chunks: Vec::new(),
             records: vec![[0; 3]; CHUNK],
         }
@@ -108,13 +102,7 @@ impl LineTable {
     #[cold]
     #[inline(never)]
     fn touch(&mut self, page: u32, line: u64) {
-        let limit = 1u64 << (ID_BITS - self.page_lines);
-        assert!(
-            u64::from(page) < limit,
-            "line id space exhausted: page {page} of 2^{} lines ends past the \
-             2^{ID_BITS}-line limit ({limit} pages)",
-            self.page_lines
-        );
+        check_page(page, self.page_lines);
         assert_eq!(
             page as usize,
             self.bases.len(),
@@ -123,17 +111,6 @@ impl LineTable {
         self.bases.push(line & !u64::from(self.in_page));
         let ids = self.bases.len() << self.page_lines;
         self.chunks.resize(ids.div_ceil(CHUNK), 0);
-    }
-
-    /// The page index of `line`'s page-sized block, numbering the block on
-    /// first touch: for callers that have a physical address and no page
-    /// index.
-    pub fn page_of(&mut self, line: u64) -> u32 {
-        let next = self.bases.len() as u32;
-        *self
-            .numbering
-            .entry(line >> self.page_lines)
-            .or_insert(next)
     }
 
     /// The line address of `id`.
@@ -181,6 +158,20 @@ impl LineTable {
     }
 }
 
+/// Check that page `page` of 2^`page_lines` lines ends inside the id space.
+///
+/// # Panics
+/// Panics, naming the limit, once the page's ids would pass 2^29 lines
+/// (ids never wrap).
+fn check_page(page: u32, page_lines: u32) {
+    let limit = 1u64 << (ID_BITS - page_lines);
+    assert!(
+        u64::from(page) < limit,
+        "line id space exhausted: page {page} of 2^{page_lines} lines ends past the \
+         2^{ID_BITS}-line limit ({limit} pages)"
+    );
+}
+
 impl std::ops::Index<u32> for LineTable {
     type Output = LineRecord;
 
@@ -208,6 +199,7 @@ impl std::ops::IndexMut<u32> for LineTable {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::HashMap;
 
     /// The largest line a 64-bit physical address of 64-byte lines gives.
     const LARGEST: u64 = (1 << 58) - 1;
@@ -237,44 +229,26 @@ mod tests {
     }
 
     #[test]
-    fn address_numbering_counts_pages_in_first_touch_order() {
-        let mut t = LineTable::new(6);
-        let lines = [7 << 6 | 3, 2 << 6, 7 << 6 | 63, 9 << 6 | 1];
-        let pages: Vec<u32> = lines
-            .iter()
-            .map(|&line| {
-                let page = t.page_of(line);
-                t.id(page, line);
-                page
-            })
-            .collect();
-        assert_eq!(pages, [0, 1, 0, 2]);
-        assert_eq!(t.pages(), 3);
-    }
-
-    #[test]
     #[should_panic(expected = "numbered densely")]
     fn a_skipped_page_index_panics() {
         LineTable::new(6).id(1, 0);
     }
 
     /// The id space ends at 2^29 lines whatever the page size: the last
-    /// page that fits is accepted and numbers the last id, the next one
-    /// panics before it allocates anything.
+    /// page that fits is accepted and holds the last id, whose way word
+    /// still fits 32 bits; the next page panics. The check runs before the
+    /// table grows, so it is tested on its own, with no 2^29-id table.
     fn the_id_space_ends_at_2_pow_29_lines(page_lines: u32) {
         let pages = 1u32 << (ID_BITS - page_lines);
-        let mut t = LineTable::new(page_lines);
-        // Grow the page list without growing the chunk table, then touch
-        // the last page that fits.
-        t.bases.resize(pages as usize - 1, 0);
-        let last = t.id(pages - 1, LARGEST);
+        check_page(pages - 1, page_lines);
+        let last = (pages - 1) << page_lines | ((1 << page_lines) - 1);
         assert_eq!(last, (1 << ID_BITS) - 1);
         let word = u64::from(last) << 3 | 0b111;
         assert!(
             word <= u64::from(u32::MAX),
             "the last way word fits 32 bits"
         );
-        t.id(pages, 0);
+        check_page(pages, page_lines);
     }
 
     #[test]
@@ -287,6 +261,17 @@ mod tests {
     #[should_panic(expected = "past the 2^29-line limit (16384 pages)")]
     fn the_id_space_ends_at_2_pow_29_lines_at_2m_pages() {
         the_id_space_ends_at_2_pow_29_lines(15);
+    }
+
+    /// A table whose pages reach the limit refuses the next page before it
+    /// allocates anything: pages of 2^28 lines leave room for two.
+    #[test]
+    #[should_panic(expected = "page 2 of 2^28 lines ends past the 2^29-line limit (2 pages)")]
+    fn a_table_refuses_the_page_past_the_limit() {
+        let mut t = LineTable::new(28);
+        // Two pages without their 2^29 ids of chunk table.
+        t.bases.resize(2, 0);
+        t.id(2, 0);
     }
 
     proptest! {
