@@ -1,7 +1,7 @@
-//! The MESI coherence states and their legal transitions.
+//! The MESI coherence states.
 //!
-//! The protocol logic itself lives in [`crate::hierarchy`]; this module keeps
-//! the state machine small and independently testable.
+//! The protocol's transitions live in [`crate::hierarchy`], checked by the
+//! naive reference engine and the MESI invariant property.
 
 /// MESI state of one cache line copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -17,40 +17,9 @@ pub enum MesiState {
 }
 
 impl MesiState {
-    /// Does holding the line in this state permit a local read without a bus
-    /// transaction?
-    pub fn can_read(self) -> bool {
-        !matches!(self, MesiState::Invalid)
-    }
-
-    /// Does holding the line in this state permit a local write without a
-    /// bus transaction?
-    pub fn can_write_silently(self) -> bool {
-        matches!(self, MesiState::Modified | MesiState::Exclusive)
-    }
-
     /// Must the line be written back to memory when dropped?
     pub fn dirty(self) -> bool {
         self == MesiState::Modified
-    }
-
-    /// State after the local core writes the line (assuming any required
-    /// invalidations have been issued).
-    pub fn after_local_write(self) -> MesiState {
-        MesiState::Modified
-    }
-
-    /// State after a remote read is observed (snooped `BusRd`).
-    pub fn after_remote_read(self) -> MesiState {
-        match self {
-            MesiState::Invalid => MesiState::Invalid,
-            _ => MesiState::Shared,
-        }
-    }
-
-    /// State after a remote write is observed (snooped `BusRdX`).
-    pub fn after_remote_write(self) -> MesiState {
-        MesiState::Invalid
     }
 }
 
@@ -60,47 +29,9 @@ mod tests {
     use MesiState::*;
 
     #[test]
-    fn read_permissions() {
-        assert!(Modified.can_read());
-        assert!(Exclusive.can_read());
-        assert!(Shared.can_read());
-        assert!(!Invalid.can_read());
-    }
-
-    #[test]
-    fn silent_write_permissions() {
-        assert!(Modified.can_write_silently());
-        assert!(Exclusive.can_write_silently());
-        assert!(!Shared.can_write_silently());
-        assert!(!Invalid.can_write_silently());
-    }
-
-    #[test]
     fn only_modified_is_dirty() {
         assert!(Modified.dirty());
         assert!(!Exclusive.dirty());
         assert!(!Shared.dirty());
-    }
-
-    #[test]
-    fn remote_read_demotes_to_shared() {
-        assert_eq!(Modified.after_remote_read(), Shared);
-        assert_eq!(Exclusive.after_remote_read(), Shared);
-        assert_eq!(Shared.after_remote_read(), Shared);
-        assert_eq!(Invalid.after_remote_read(), Invalid);
-    }
-
-    #[test]
-    fn remote_write_invalidates() {
-        for s in [Modified, Exclusive, Shared, Invalid] {
-            assert_eq!(s.after_remote_write(), Invalid);
-        }
-    }
-
-    #[test]
-    fn local_write_always_yields_modified() {
-        for s in [Modified, Exclusive, Shared] {
-            assert_eq!(s.after_local_write(), Modified);
-        }
     }
 }

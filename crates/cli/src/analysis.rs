@@ -63,22 +63,21 @@ fn render_timeline(doc: &Json) -> Result<String, String> {
     let mut out = String::new();
     out.push_str("== accuracy timeline ==\n");
     let Some(section) = doc.get("timeline") else {
-        out.push_str("none recorded (run with --snapshot-every and --metrics-out)\n");
+        out.push_str("none recorded (run with --flight-window and --metrics-out)\n");
         return Ok(out);
     };
     let tl = Timeline::from_json(section)?;
     if tl.entries.is_empty() {
-        out.push_str("empty (no snapshots, or ground truth unavailable)\n");
+        out.push_str("empty (no flight windows, or ground truth unavailable)\n");
         return Ok(out);
     }
     let mut t = Table::new(vec![
-        "window", "cycle", "barrier", "pearson", "cosine", "nmse", "w.cosine", "phase", "trend",
+        "window", "cycle", "pearson", "cosine", "nmse", "w.cosine", "phase", "trend",
     ]);
     for e in &tl.entries {
         t.row(vec![
             e.index.to_string(),
             e.cycle.to_string(),
-            e.barrier.to_string(),
             format!("{:.4}", e.cumulative.pearson),
             format!("{:.4}", e.cumulative.cosine),
             format!("{:.4}", e.cumulative.nmse),
@@ -92,6 +91,18 @@ fn render_timeline(doc: &Json) -> Result<String, String> {
         "cumulative/windowed scores vs ground truth; phase threshold {}\n",
         tl.phase_threshold
     ));
+    let dropped = doc
+        .get("flight")
+        .and_then(|f| f.get("windows_dropped"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    if dropped > 0 {
+        out.push_str(&format!(
+            "windows_dropped: {dropped} (the timeline covers the {} retained windows; \
+             raise --flight-capacity for more)\n",
+            tl.entries.len()
+        ));
+    }
     let boundaries = tl.phase_boundaries();
     if boundaries.is_empty() {
         out.push_str("phase boundaries: none\n");
@@ -250,14 +261,112 @@ mod tests {
         dir.join(name)
     }
 
-    /// Run `detect` with metrics + snapshots into `name`, return the path.
+    /// Run `detect` with metrics + flight windows into `name`, return the
+    /// path.
     fn recorded_run(name: &str) -> String {
+        recorded_app_run("ring", 64, name)
+    }
+
+    /// `detect APP --scale test --sm-threshold 1 --flight-window 2000
+    /// --flight-capacity CAPACITY --metrics-out NAME`, parsed back.
+    fn recorded_app_run(app: &str, capacity: usize, name: &str) -> String {
         let path = tmp(name).to_string_lossy().into_owned();
-        let mut o = opts(&["ring", "--scale", "test", "--sm-threshold", "1"]);
+        let mut o = opts(&[app, "--scale", "test", "--sm-threshold", "1"]);
         o.metrics_out = Some(path.clone());
-        o.snapshot_every = Some(2_000);
+        o.flight_window = Some(2_000);
+        o.flight_capacity = capacity;
         commands::detect(o).unwrap();
         path
+    }
+
+    fn timeline_of(doc: &Json) -> Timeline {
+        Timeline::from_json(doc.get("timeline").expect("timeline section")).unwrap()
+    }
+
+    #[test]
+    fn timeline_boundaries_are_the_flight_recorders_phase_starts() {
+        for (app, windows) in [
+            ("phased", vec![10]),
+            ("SP", vec![5]),
+            ("LU", vec![4, 12]),
+            ("MG", vec![2, 3]),
+        ] {
+            let doc = load(&recorded_app_run(
+                app,
+                64,
+                &format!("boundaries_{app}.json"),
+            ))
+            .unwrap();
+            let tl = timeline_of(&doc);
+            let at: Vec<u64> = tl
+                .phase_boundaries()
+                .iter()
+                .map(|&i| tl.entries[i].index)
+                .collect();
+            assert_eq!(at, windows, "{app}");
+            let report = tlbmap_prof::FlightReport::from_metrics(&doc)
+                .unwrap()
+                .unwrap();
+            let starts: Vec<u64> = at
+                .iter()
+                .map(|&w| report.windows[w as usize].start_cycle)
+                .collect();
+            assert_eq!(starts, report.boundary_cycles(), "{app}");
+        }
+    }
+
+    #[test]
+    fn a_small_flight_ring_keeps_the_retained_entries_exact() {
+        let full = load(&recorded_app_run("LU", 64, "ring_full.json")).unwrap();
+        let capped = load(&recorded_app_run("LU", 4, "ring_capped.json")).unwrap();
+        let report = |doc: &Json| {
+            tlbmap_prof::FlightReport::from_metrics(doc)
+                .unwrap()
+                .unwrap()
+        };
+        let (full_report, capped_report) = (report(&full), report(&capped));
+        let closed = full_report.windows_closed as usize;
+        assert!(closed > 4 && full_report.windows_dropped == 0);
+        assert_eq!(capped_report.windows_dropped as usize, closed - 4);
+        // The retained windows, their scores and their cumulative scores
+        // are the full run's last four.
+        assert_eq!(capped_report.windows, full_report.windows[closed - 4..]);
+        assert_eq!(
+            timeline_of(&capped).entries,
+            timeline_of(&full).entries[closed - 4..]
+        );
+        // So are the cumulative cells: the capped run's phase totals minus
+        // the retained windows after each one are the full run's prefix
+        // sums.
+        let n = full_report.n;
+        let mut prefix = vec![0u64; n * n];
+        let mut prefixes = Vec::new();
+        for w in &full_report.windows {
+            prefix.iter_mut().zip(&w.cells).for_each(|(p, &c)| *p += c);
+            prefixes.push(prefix.clone());
+        }
+        let mut cumulative = vec![0u64; n * n];
+        for p in &capped_report.phases {
+            cumulative
+                .iter_mut()
+                .zip(&p.cells)
+                .for_each(|(s, &c)| *s += c);
+        }
+        for w in capped_report.windows.iter().rev() {
+            assert_eq!(cumulative, prefixes[w.index as usize], "window {}", w.index);
+            cumulative
+                .iter_mut()
+                .zip(&w.cells)
+                .for_each(|(s, &c)| *s -= c);
+        }
+        let text = analyze_to_string(&capped).unwrap();
+        assert!(
+            text.contains(&format!("windows_dropped: {}", closed - 4)),
+            "{text}"
+        );
+        assert!(!analyze_to_string(&full)
+            .unwrap()
+            .contains("windows_dropped"));
     }
 
     #[test]
@@ -299,7 +408,7 @@ mod tests {
         // The counters-unchanged invariant behind the owner directory and
         // the packed trace encoding: regenerating the analysis-gate
         // artifact (`detect ring --scale test --sm-threshold 1
-        // --snapshot-every 2000`) must reproduce the committed
+        // --flight-window 2000`) must reproduce the committed
         // results/golden_metrics.json exactly — not merely within a diff
         // tolerance. Any drift in modeled snoops, invalidations, miss
         // taxonomy or cycle charging shows up here first.

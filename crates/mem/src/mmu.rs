@@ -15,7 +15,7 @@
 //! engine drives the two-phase `lookup → fill` sequence so detectors can
 //! observe the machine state at the precise architectural moment.
 
-use crate::addr::{PageGeometry, PhysAddr, VirtAddr, Vpn};
+use crate::addr::{PageGeometry, PhysAddr, VirtAddr};
 use crate::page_table::PageTable;
 use crate::tlb::{Tlb, TlbConfig, TlbLookup, TlbStats};
 
@@ -111,11 +111,6 @@ impl Mmu {
         }
     }
 
-    /// The fill discipline this MMU models.
-    pub fn mode(&self) -> TlbMode {
-        self.config.mode
-    }
-
     /// Read access to the TLB — what a detector inspecting this core's TLB
     /// mirror (SM) or TLB dump (HM) sees.
     pub fn tlb(&self) -> &Tlb {
@@ -189,16 +184,6 @@ impl Mmu {
             Some(t) => t,
             None => self.fill(vaddr, page_table),
         }
-    }
-
-    /// Invalidate one page (TLB shootdown on page-table update).
-    pub fn invalidate(&mut self, vpn: Vpn) -> bool {
-        let l2_had = self
-            .l2_tlb
-            .as_mut()
-            .map(|l2| l2.invalidate(vpn))
-            .unwrap_or(false);
-        self.tlb.invalidate(vpn) || l2_had
     }
 
     /// Flush the whole TLB hierarchy (context switch / migration).
@@ -320,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn l2_tlb_flush_and_invalidate_cover_both_levels() {
+    fn l2_tlb_flush_covers_both_levels() {
         let geo = PageGeometry::new_4k();
         let config = MmuConfig {
             l2_tlb: Some(TlbConfig {
@@ -332,25 +317,10 @@ mod tests {
         let mut mmu = Mmu::new(config, geo);
         let mut pt = PageTable::new(geo);
         mmu.translate(VirtAddr(0x5000), &mut pt);
-        assert!(mmu.invalidate(VirtAddr(0x5000).vpn(geo)));
-        assert!(
-            mmu.lookup(VirtAddr(0x5000)).is_none(),
-            "both levels invalidated"
-        );
-        mmu.translate(VirtAddr(0x5000), &mut pt);
         mmu.flush();
         assert!(
             mmu.lookup(VirtAddr(0x5000)).is_none(),
             "flush clears both levels"
         );
-    }
-
-    #[test]
-    fn invalidate_forces_refill() {
-        let (mut mmu, mut pt) = setup(TlbMode::HardwareManaged);
-        let a = VirtAddr(0x3000);
-        mmu.translate(a, &mut pt);
-        assert!(mmu.invalidate(a.vpn(PageGeometry::new_4k())));
-        assert!(mmu.lookup(a).is_none());
     }
 }

@@ -137,13 +137,6 @@ impl PageTable {
             allocated,
         }
     }
-
-    /// Translate without allocating. Returns `None` for untouched pages.
-    pub fn lookup(&self, vpn: Vpn) -> Option<Pfn> {
-        self.map
-            .get(&vpn)
-            .map(|&page| Pfn(scramble_frame(u64::from(page))))
-    }
 }
 
 #[cfg(test)]
@@ -172,16 +165,6 @@ mod tests {
         assert_eq!(first.pfn, second.pfn);
         assert!(!second.allocated);
         assert_eq!(second.memory_accesses, WALK_LEVELS);
-    }
-
-    #[test]
-    fn lookup_does_not_allocate() {
-        let mut pt = PageTable::new(PageGeometry::new_4k());
-        assert_eq!(pt.lookup(Vpn(3)), None);
-        assert!(pt.map.is_empty());
-        let pfn = pt.walk(Vpn(3)).pfn;
-        assert_eq!(pt.lookup(Vpn(3)), Some(pfn));
-        assert_eq!(pt.map.len(), 1);
     }
 
     #[test]

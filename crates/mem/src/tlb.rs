@@ -324,25 +324,6 @@ impl Tlb {
         evicted
     }
 
-    /// Invalidate one translation (page-table update path). Returns whether
-    /// the entry was present.
-    pub fn invalidate(&mut self, vpn: Vpn) -> bool {
-        if self.memo.map(|m| m.vpn == vpn).unwrap_or(false) {
-            self.memo = None;
-        }
-        let set_idx = self.set_index(vpn);
-        let range = self.set_range(set_idx);
-        for slot in &mut self.slots[range] {
-            if slot.holds(vpn) {
-                slot.page = EMPTY;
-                self.lens[set_idx] -= 1;
-                self.recompute_signature(set_idx);
-                return true;
-            }
-        }
-        false
-    }
-
     /// Invalidate everything (context switch / full shootdown).
     pub fn flush(&mut self) {
         for slot in &mut self.slots {
@@ -492,13 +473,11 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_flush() {
+    fn flush_empties_the_tlb() {
         let mut t = small();
         t.insert(Vpn(1), Pfn(0), 0);
         t.insert(Vpn(2), Pfn(1), 1);
-        assert!(t.invalidate(Vpn(1)));
-        assert!(!t.invalidate(Vpn(1)));
-        assert_eq!(t.occupancy(), 1);
+        assert_eq!(t.occupancy(), 2);
         t.flush();
         assert_eq!(t.occupancy(), 0);
     }
@@ -571,13 +550,10 @@ mod tests {
     }
 
     #[test]
-    fn memo_cleared_on_invalidate_and_flush() {
+    fn memo_cleared_on_flush() {
         let mut t = small();
         t.insert(Vpn(3), Pfn(30), 30);
         assert_eq!(t.access(Vpn(3)), TlbLookup::Hit(Pfn(30), 30));
-        t.invalidate(Vpn(3));
-        assert_eq!(t.access(Vpn(3)), TlbLookup::Miss);
-        t.insert(Vpn(3), Pfn(30), 30);
         t.flush();
         assert_eq!(t.access(Vpn(3)), TlbLookup::Miss);
     }
@@ -605,9 +581,12 @@ mod tests {
         assert_ne!(sig & Tlb::signature_bit(Vpn(0)), 0);
         assert_ne!(sig & Tlb::signature_bit(Vpn(4)), 0);
         assert_eq!(t.set_len(0), 2);
-        t.invalidate(Vpn(0));
-        assert_eq!(t.set_len(0), 1);
-        assert_ne!(t.set_signature(0) & Tlb::signature_bit(Vpn(4)), 0);
+        // Evicting VPN 0 (the set's LRU) recomputes the signature.
+        t.insert(Vpn(8), Pfn(2), 2);
+        assert_eq!(t.set_len(0), 2);
+        let sig = t.set_signature(0);
+        assert_ne!(sig & Tlb::signature_bit(Vpn(4)), 0);
+        assert_ne!(sig & Tlb::signature_bit(Vpn(8)), 0);
         t.flush();
         assert_eq!(t.set_signature(0), 0);
         assert_eq!(t.set_len(0), 0);
@@ -679,10 +658,6 @@ mod tests {
             std::mem::replace(victim, new).0
         }
 
-        fn invalidate(&mut self, vpn: Vpn) -> bool {
-            self.holding(vpn).map(|slot| slot.0 = None).is_some()
-        }
-
         fn flush(&mut self) {
             self.slots.fill((None, 0));
         }
@@ -709,14 +684,13 @@ mod tests {
                 } else {
                     rng.gen_range(0u64..64)
                 });
-                match rng.gen_range(0u32..10) {
+                match rng.gen_range(0u32..9) {
                     0..=4 => assert_eq!(fast.access(vpn), naive.access(vpn)),
                     5..=7 => {
                         let (pfn, page) =
                             (Pfn(rng.gen_range(0u64..1000)), rng.gen_range(0u32..1000));
                         assert_eq!(fast.insert(vpn, pfn, page), naive.insert(vpn, pfn, page));
                     }
-                    8 => assert_eq!(fast.invalidate(vpn), naive.invalidate(vpn)),
                     _ => {
                         fast.flush();
                         naive.flush();

@@ -122,13 +122,6 @@ pub enum Event {
         /// (kept integral so traces stay byte-stable).
         similarity_ppm: u64,
     },
-    /// A periodic communication-matrix snapshot was taken.
-    Snapshot {
-        /// Global cycle.
-        cycle: u64,
-        /// Zero-based snapshot index.
-        index: u64,
-    },
     /// One matching level of the hierarchical mapper completed.
     MapperRound {
         /// Matching level (0 = thread pairs).
@@ -192,7 +185,6 @@ impl Event {
             Event::Barrier { .. } => "barrier",
             Event::Migration { .. } => "migration",
             Event::PhaseChange { .. } => "phase_change",
-            Event::Snapshot { .. } => "snapshot",
             Event::MapperRound { .. } => "mapper_round",
             Event::ServeRequest { .. } => "serve_request",
             Event::Remap { .. } => "remap",
@@ -209,8 +201,7 @@ impl Event {
             | Event::MatrixInc { cycle, .. }
             | Event::Barrier { cycle, .. }
             | Event::Migration { cycle, .. }
-            | Event::PhaseChange { cycle, .. }
-            | Event::Snapshot { cycle, .. } => cycle,
+            | Event::PhaseChange { cycle, .. } => cycle,
             Event::MapperRound { .. } | Event::ServeRequest { .. } | Event::Remap { .. } => 0,
         }
     }
@@ -280,7 +271,6 @@ impl Event {
                 push("phase", Json::U64(phase));
                 push("similarity_ppm", Json::U64(similarity_ppm));
             }
-            Event::Snapshot { index, .. } => push("index", Json::U64(index)),
             Event::MapperRound {
                 level,
                 groups_before,
@@ -452,7 +442,6 @@ mod tests {
                 phase: 1,
                 similarity_ppm: 0,
             },
-            Event::Snapshot { cycle: 0, index: 0 },
             Event::MapperRound {
                 level: 0,
                 groups_before: 8,

@@ -1,15 +1,16 @@
 //! The flight recorder: a bounded in-engine ring of windowed
 //! communication-matrix deltas with an online phase detector.
 //!
-//! The `tlbmap_prof` accuracy timeline judges phases after a batch run,
-//! over the deltas of full matrix snapshots. The flight recorder is its
-//! online counterpart: while the engine runs, it accumulates the *delta*
-//! of the communication matrix over fixed-length cycle windows plus
-//! per-core TLB-miss activity, closes each window as the clock passes its
-//! boundary, and hands the closed window to the same judge the timeline
-//! uses ([`PhaseTracker`]: compared against the current phase's reference
-//! window, sparse and empty windows left unjudged). A window the judge
-//! calls a change starts a new phase: the recorder emits
+//! The recorder's one windowed signal. While the engine runs, it
+//! accumulates the *delta* of the communication matrix over fixed-length
+//! cycle windows plus per-core TLB-miss activity, closes each window as
+//! the clock passes its boundary, and hands the closed window to the
+//! phase judge ([`PhaseTracker`]: compared against the current phase's
+//! reference window, sparse and empty windows left unjudged). The
+//! `tlbmap_prof` accuracy timeline scores these windows against ground
+//! truth after the run, and reads its phase boundaries from here rather
+//! than judging again. A window the judge calls a change starts a new
+//! phase: the recorder emits
 //! [`crate::Event::PhaseChange`], bumps the run's `phase_id`, and
 //! snapshots the cumulative cycle profile and core counters so exports
 //! can attribute cycles *per phase* without any hot-path cost (per-phase
@@ -53,7 +54,7 @@ impl FlightWindow {
         self.cells.iter().sum()
     }
 
-    /// JSON export (matrix rendered as rows, like [`crate::MatrixSnapshot`]).
+    /// JSON export (matrix rendered as `n` rows of `n` cells).
     pub fn to_json(&self, n: usize) -> Json {
         let rows: Vec<Json> = (0..n)
             .map(|i| Json::Arr((0..n).map(|j| Json::U64(self.cells[i * n + j])).collect()))

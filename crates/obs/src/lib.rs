@@ -5,7 +5,7 @@
 //! JSON encoding/decoding, the histogram machinery, and the trace formats
 //! all live here.
 //!
-//! Four layers:
+//! Five layers:
 //!
 //! * **Events** ([`Event`]) — discrete occurrences (TLB misses, detection
 //!   searches, matrix increments, barriers, migrations, phase changes)
@@ -17,9 +17,6 @@
 //!   wall-clock windows of N rotating log₂ slots, snapshotable by any
 //!   thread without stopping the writers, so a long-running server can
 //!   answer "what are p50/p99 *right now*" instead of since-boot.
-//! * **Snapshots** ([`MatrixSnapshot`]) — periodic copies of the
-//!   communication matrix keyed by cycle and barrier count, showing how
-//!   the detected pattern converges over a run.
 //! * **Flight recorder** ([`FlightWindow`], [`crate::flight`]) — a bounded
 //!   ring of windowed communication-matrix *deltas* plus per-core activity,
 //!   maintained on the detector hot path, with an online phase detector
@@ -38,13 +35,13 @@
 //! ```
 //! use tlbmap_obs::{CounterId, ObsConfig, Recorder};
 //!
-//! let rec = Recorder::new(ObsConfig::new(4).with_snapshot_period(Some(1000)));
+//! let rec = Recorder::new(ObsConfig::new(4).with_flight_window(Some(1000)));
 //! rec.advance(500);
 //! rec.record_tlb_miss(0, 0, 0x77, true);
 //! rec.record_matrix_inc(0, 1, 2);
 //! rec.finish(2500);
 //! assert_eq!(rec.counter(CounterId::TlbMisses), 1);
-//! assert_eq!(rec.snapshots().len(), 2);
+//! assert_eq!(rec.flight_windows().len(), 3);
 //! ```
 
 #![warn(missing_docs)]
@@ -68,5 +65,5 @@ pub use metrics::{
     bucket_index, bucket_lo, CounterId, HistId, Histogram, COUNTERS, HISTS, N_BUCKETS,
 };
 pub use profile::{ProfId, Profile, PROF_NODES};
-pub use recorder::{MatrixSnapshot, ObsConfig, Recorder};
+pub use recorder::{ObsConfig, Recorder};
 pub use ring::RingBuffer;

@@ -56,7 +56,7 @@ impl LiveConfig {
     /// Window length with the zero hazard removed: a zero-length window
     /// could never hold an observation (every snapshot would be empty), so
     /// it is treated as the default 10 s — the same defusing discipline as
-    /// `ObsConfig`'s snapshot-period-0 guard.
+    /// `ObsConfig`'s flight-window-0 guard.
     pub fn effective_window_ms(&self) -> u64 {
         if self.window_ms == 0 {
             10_000

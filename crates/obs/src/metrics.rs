@@ -31,8 +31,6 @@ pub enum CounterId {
     Migrations,
     /// Periodic HM interrupts fired.
     Ticks,
-    /// Communication-matrix snapshots taken.
-    SnapshotsTaken,
     /// Trace events overwritten in the ring buffer.
     EventsDropped,
     /// Hierarchical-mapper matching levels run.
@@ -92,7 +90,7 @@ pub enum CounterId {
 }
 
 /// All counters, in registry order.
-pub const COUNTERS: [CounterId; 35] = [
+pub const COUNTERS: [CounterId; 34] = [
     CounterId::Accesses,
     CounterId::TlbMisses,
     CounterId::DetectionSearches,
@@ -102,7 +100,6 @@ pub const COUNTERS: [CounterId; 35] = [
     CounterId::Barriers,
     CounterId::Migrations,
     CounterId::Ticks,
-    CounterId::SnapshotsTaken,
     CounterId::EventsDropped,
     CounterId::MapperRounds,
     CounterId::PhaseChanges,
@@ -143,7 +140,6 @@ impl CounterId {
             CounterId::Barriers => "barriers",
             CounterId::Migrations => "migrations",
             CounterId::Ticks => "ticks",
-            CounterId::SnapshotsTaken => "snapshots_taken",
             CounterId::EventsDropped => "events_dropped",
             CounterId::MapperRounds => "mapper_rounds",
             CounterId::PhaseChanges => "phase_changes",

@@ -21,12 +21,10 @@ use std::sync::{Arc, Mutex};
 /// Recorder construction parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObsConfig {
-    /// Thread count of the run (sizes the snapshot matrix).
+    /// Thread count of the run (sizes the flight recorder's matrices).
     pub n_threads: usize,
     /// Maximum events retained in the trace ring.
     pub ring_capacity: usize,
-    /// Take a communication-matrix snapshot every this many cycles.
-    pub snapshot_period: Option<u64>,
     /// Flight-recorder window length in cycles (`None` disables the
     /// flight recorder and the online phase detector).
     pub flight_window: Option<u64>,
@@ -35,13 +33,12 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Defaults: 1 Mi events, no periodic snapshots, flight recorder off,
-    /// 64 retained flight windows once enabled.
+    /// Defaults: 1 Mi events, flight recorder off, 64 retained flight
+    /// windows once enabled.
     pub fn new(n_threads: usize) -> Self {
         ObsConfig {
             n_threads,
             ring_capacity: 1 << 20,
-            snapshot_period: None,
             flight_window: None,
             flight_capacity: 64,
         }
@@ -50,12 +47,6 @@ impl ObsConfig {
     /// Override the ring capacity.
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
         self.ring_capacity = capacity;
-        self
-    }
-
-    /// Snapshot the matrix every `period` cycles (`None` disables).
-    pub fn with_snapshot_period(mut self, period: Option<u64>) -> Self {
-        self.snapshot_period = period;
         self
     }
 
@@ -72,19 +63,11 @@ impl ObsConfig {
         self
     }
 
-    /// The snapshot period with the zero hazard removed: a period of 0
-    /// would never advance the snapshot scheduler (`due += 0` forever), so
-    /// it is treated as "no snapshots". The CLI rejects `--snapshot-every
-    /// 0` up front; this guards library callers.
-    fn effective_snapshot_period(&self) -> Option<u64> {
-        self.snapshot_period.filter(|&p| p > 0)
-    }
-
-    /// The flight-window length with the zero hazard removed, mirroring
-    /// the snapshot-period-0 guard: a zero-length window would never
-    /// advance the window scheduler, so it is treated as "flight recorder
-    /// off". The CLI rejects `--flight-window 0` up front; this guards
-    /// library callers.
+    /// The flight-window length with the zero hazard removed: a
+    /// zero-length window would never advance the window scheduler
+    /// (`due += 0` forever), so it is treated as "flight recorder off".
+    /// The CLI rejects `--flight-window 0` up front; this guards library
+    /// callers.
     pub fn effective_flight_window(&self) -> Option<u64> {
         self.flight_window.filter(|&w| w > 0)
     }
@@ -97,68 +80,6 @@ impl ObsConfig {
     }
 }
 
-/// One periodic communication-matrix snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MatrixSnapshot {
-    /// Zero-based snapshot index.
-    pub index: u64,
-    /// Cycle the snapshot is keyed to (a multiple of the period).
-    pub cycle: u64,
-    /// Barriers crossed when it was taken.
-    pub barrier: u64,
-    /// Thread count.
-    pub n: usize,
-    /// Row-major n×n matrix cells.
-    pub cells: Vec<u64>,
-}
-
-impl MatrixSnapshot {
-    /// JSON export.
-    pub fn to_json(&self) -> Json {
-        let rows: Vec<Json> = (0..self.n)
-            .map(|i| {
-                Json::Arr(
-                    (0..self.n)
-                        .map(|j| Json::U64(self.cells[i * self.n + j]))
-                        .collect(),
-                )
-            })
-            .collect();
-        Json::obj(vec![
-            ("index", Json::U64(self.index)),
-            ("cycle", Json::U64(self.cycle)),
-            ("barrier", Json::U64(self.barrier)),
-            ("n", Json::U64(self.n as u64)),
-            ("rows", Json::Arr(rows)),
-        ])
-    }
-}
-
-/// Snapshot accumulator: the recorder's own copy of the communication
-/// matrix, grown by `matrix_inc` events and sampled periodically.
-#[derive(Debug)]
-struct SnapState {
-    n: usize,
-    cells: Vec<u64>,
-    period: Option<u64>,
-    barrier: u64,
-    snaps: Vec<MatrixSnapshot>,
-}
-
-impl SnapState {
-    fn take(&mut self, cycle: u64) -> u64 {
-        let index = self.snaps.len() as u64;
-        self.snaps.push(MatrixSnapshot {
-            index,
-            cycle,
-            barrier: self.barrier,
-            n: self.n,
-            cells: self.cells.clone(),
-        });
-        index
-    }
-}
-
 #[derive(Debug)]
 struct Inner {
     counters: [AtomicU64; COUNTERS.len()],
@@ -167,15 +88,12 @@ struct Inner {
     now: AtomicU64,
     /// Cycle of the previous TLB miss (`u64::MAX` = none yet).
     last_miss: AtomicU64,
-    /// Cycle at which the next snapshot is due (`u64::MAX` = never).
-    next_snap: AtomicU64,
     /// Cycle at which the next flight window closes (`u64::MAX` = never).
     next_flight: AtomicU64,
     /// Current phase id, minted by whichever online detector is active
     /// (the flight recorder or an external windowed detector).
     phase: AtomicU64,
     ring: Mutex<RingBuffer<Event>>,
-    snap: Mutex<SnapState>,
     flight: Option<Mutex<FlightState>>,
     prof: Profile,
 }
@@ -202,7 +120,6 @@ impl Recorder {
 
     /// An enabled recorder.
     pub fn new(cfg: ObsConfig) -> Recorder {
-        let period = cfg.effective_snapshot_period();
         let flight_window = cfg.effective_flight_window();
         Recorder {
             inner: Some(Arc::new(Inner {
@@ -210,17 +127,9 @@ impl Recorder {
                 hists: std::array::from_fn(|_| Histogram::default()),
                 now: AtomicU64::new(0),
                 last_miss: AtomicU64::new(u64::MAX),
-                next_snap: AtomicU64::new(period.unwrap_or(u64::MAX)),
                 next_flight: AtomicU64::new(flight_window.unwrap_or(u64::MAX)),
                 phase: AtomicU64::new(0),
                 ring: Mutex::new(RingBuffer::new(cfg.ring_capacity)),
-                snap: Mutex::new(SnapState {
-                    n: cfg.n_threads,
-                    cells: vec![0; cfg.n_threads * cfg.n_threads],
-                    period,
-                    barrier: 0,
-                    snaps: Vec::new(),
-                }),
                 flight: flight_window.map(|w| {
                     Mutex::new(FlightState::new(
                         cfg.n_threads,
@@ -284,37 +193,17 @@ impl Recorder {
             .map_or(0, |i| i.now.load(Ordering::Relaxed))
     }
 
-    /// Stamp the cycle and take any snapshots / close any flight windows
-    /// that became due. The engine calls this once per executed trace
-    /// event; with neither scheduler armed the cost is two relaxed loads.
+    /// Stamp the cycle and close any flight windows that became due. The
+    /// engine calls this once per executed trace event; with the flight
+    /// recorder off the cost is one relaxed load.
     #[inline]
     pub fn advance(&self, cycle: u64) {
         if let Some(inner) = &self.inner {
             inner.now.store(cycle, Ordering::Relaxed);
-            if cycle >= inner.next_snap.load(Ordering::Relaxed) {
-                self.take_due_snapshots(inner, cycle);
-            }
             if cycle >= inner.next_flight.load(Ordering::Relaxed) {
                 self.close_due_flight_windows(inner, cycle);
             }
         }
-    }
-
-    #[cold]
-    fn take_due_snapshots(&self, inner: &Inner, cycle: u64) {
-        let mut snap = inner.snap.lock().expect("snapshot state poisoned");
-        let period = match snap.period {
-            Some(p) => p,
-            None => return,
-        };
-        let mut due = inner.next_snap.load(Ordering::Relaxed);
-        while cycle >= due {
-            let index = snap.take(due);
-            self.push_event(inner, Event::Snapshot { cycle: due, index });
-            inner.counters[CounterId::SnapshotsTaken as usize].fetch_add(1, Ordering::Relaxed);
-            due += period;
-        }
-        inner.next_snap.store(due, Ordering::Relaxed);
     }
 
     #[cold]
@@ -356,13 +245,12 @@ impl Recorder {
         }
     }
 
-    /// Close the run: fill in any snapshots still due so that exactly
-    /// `floor(total_cycles / period)` exist, close the partial flight
-    /// window (if any cycles remain in it), and stamp the final cycle.
+    /// Close the run: close every flight window still due and the
+    /// partial one (if any cycles remain in it), and stamp the final
+    /// cycle.
     pub fn finish(&self, total_cycles: u64) {
         if let Some(inner) = &self.inner {
             inner.now.store(total_cycles, Ordering::Relaxed);
-            self.take_due_snapshots(inner, total_cycles);
             if inner.next_flight.load(Ordering::Relaxed) != u64::MAX {
                 self.close_due_flight_windows(inner, total_cycles);
                 if let Some(flight) = &inner.flight {
@@ -470,20 +358,12 @@ impl Recorder {
     }
 
     /// A matrix increment: event + counter + amount histogram + the
-    /// recorder's own matrix copy (what snapshots sample).
+    /// flight recorder's open window.
     #[inline]
     pub fn record_matrix_inc(&self, a: usize, b: usize, amount: u64) {
         if let Some(inner) = &self.inner {
             inner.counters[CounterId::MatrixIncrements as usize].fetch_add(1, Ordering::Relaxed);
             inner.hists[HistId::MatrixIncrementAmount as usize].observe(amount);
-            {
-                let mut snap = inner.snap.lock().expect("snapshot state poisoned");
-                let n = snap.n;
-                if a < n && b < n && a != b {
-                    snap.cells[a * n + b] += amount;
-                    snap.cells[b * n + a] += amount;
-                }
-            }
             if let Some(flight) = &inner.flight {
                 flight
                     .lock()
@@ -508,7 +388,6 @@ impl Recorder {
         if let Some(inner) = &self.inner {
             inner.now.store(cycle, Ordering::Relaxed);
             inner.counters[CounterId::Barriers as usize].fetch_add(1, Ordering::Relaxed);
-            inner.snap.lock().expect("snapshot state poisoned").barrier = index + 1;
             self.push_event(inner, Event::Barrier { cycle, index });
         }
     }
@@ -630,17 +509,6 @@ impl Recorder {
 
     // ----- export -----
 
-    /// Snapshots taken so far.
-    pub fn snapshots(&self) -> Vec<MatrixSnapshot> {
-        self.inner.as_ref().map_or_else(Vec::new, |i| {
-            i.snap
-                .lock()
-                .expect("snapshot state poisoned")
-                .snaps
-                .clone()
-        })
-    }
-
     /// Events retained in the ring (oldest first).
     pub fn events(&self) -> Vec<Event> {
         self.inner.as_ref().map_or_else(Vec::new, |i| {
@@ -691,7 +559,8 @@ impl Recorder {
         write!(w, "],\"displayTimeUnit\":\"ns\"}}")
     }
 
-    /// The metrics registry plus snapshots as one JSON document.
+    /// The metrics registry, the cycle profile and the flight section as
+    /// one JSON document.
     pub fn metrics_json(&self) -> Json {
         let counters = Json::Obj(
             COUNTERS
@@ -711,22 +580,15 @@ impl Recorder {
                 })
                 .collect(),
         );
-        let snapshots = Json::Arr(
-            self.snapshots()
-                .iter()
-                .map(MatrixSnapshot::to_json)
-                .collect(),
-        );
         let profile = self
             .inner
             .as_ref()
             .map_or(Json::Arr(Vec::new()), |i| i.prof.to_json());
         Json::obj(vec![
-            ("schema", Json::U64(3)),
+            ("schema", Json::U64(4)),
             ("counters", counters),
             ("histograms", hists),
             ("profile", profile),
-            ("snapshots", snapshots),
             ("flight", self.flight_json()),
         ])
     }
@@ -770,7 +632,7 @@ mod tests {
         assert_eq!(r.counter(CounterId::Accesses), 0);
         assert_eq!(hist_count(&r, HistId::DetectionSearchCycles), 0);
         assert!(r.events().is_empty());
-        assert!(r.snapshots().is_empty());
+        assert!(r.flight_windows().is_empty());
         let mut out = Vec::new();
         r.write_jsonl(&mut out).unwrap();
         assert!(out.is_empty());
@@ -798,36 +660,6 @@ mod tests {
         let events = r.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[1].cycle(), 160);
-    }
-
-    #[test]
-    fn snapshots_fire_on_period_multiples() {
-        let r = Recorder::new(ObsConfig::new(2).with_snapshot_period(Some(1000)));
-        r.record_matrix_inc(0, 1, 5);
-        r.advance(999);
-        assert!(r.snapshots().is_empty());
-        r.advance(1001);
-        assert_eq!(r.snapshots().len(), 1);
-        r.record_matrix_inc(0, 1, 2);
-        // A big jump takes every snapshot that became due.
-        r.advance(4000);
-        let snaps = r.snapshots();
-        assert_eq!(snaps.len(), 4);
-        assert_eq!(snaps[0].cycle, 1000);
-        assert_eq!(snaps[0].cells, vec![0, 5, 5, 0]);
-        assert_eq!(snaps[3].cycle, 4000);
-        assert_eq!(snaps[3].cells, vec![0, 7, 7, 0]);
-        assert_eq!(r.counter(CounterId::SnapshotsTaken), 4);
-    }
-
-    #[test]
-    fn finish_tops_up_to_floor() {
-        let r = Recorder::new(ObsConfig::new(2).with_snapshot_period(Some(100)));
-        r.advance(250);
-        assert_eq!(r.snapshots().len(), 2);
-        r.finish(1050);
-        assert_eq!(r.snapshots().len(), 10, "floor(1050/100) snapshots");
-        assert_eq!(r.snapshots().last().unwrap().cycle, 1000);
     }
 
     #[test]
@@ -893,7 +725,7 @@ mod tests {
 
     #[test]
     fn metrics_json_names_every_series() {
-        let r = Recorder::new(ObsConfig::new(2).with_snapshot_period(Some(10)));
+        let r = Recorder::new(ObsConfig::new(2).with_flight_window(Some(10)));
         r.record_matrix_inc(0, 1, 3);
         r.finish(25);
         let m = r.metrics_json();
@@ -906,7 +738,9 @@ mod tests {
             _ => 0,
         };
         assert!(counters + hists >= 8, "acceptance floor: 8 series");
-        assert_eq!(m.get("snapshots").unwrap().as_array().unwrap().len(), 2);
+        assert!(m.get("snapshots").is_none(), "schema 4 has no snapshots");
+        let flight = m.get("flight").unwrap();
+        assert_eq!(flight.get("windows_closed").unwrap().as_u64(), Some(3));
         assert_eq!(
             m.get("counters")
                 .unwrap()
@@ -915,18 +749,6 @@ mod tests {
                 .as_u64(),
             Some(1)
         );
-    }
-
-    #[test]
-    fn zero_snapshot_period_disables_snapshots() {
-        // Period 0 would never advance the scheduler (`due += 0`); the
-        // config treats it as "no snapshots" instead of looping forever.
-        let r = Recorder::new(ObsConfig::new(2).with_snapshot_period(Some(0)));
-        r.record_matrix_inc(0, 1, 3);
-        r.advance(10_000);
-        r.finish(1_000_000);
-        assert!(r.snapshots().is_empty());
-        assert_eq!(r.counter(CounterId::SnapshotsTaken), 0);
     }
 
     #[test]
@@ -939,7 +761,7 @@ mod tests {
         assert_eq!(prof_field(&r, "engine;access;tlb", "exclusive_cycles"), 420);
         assert_eq!(prof_field(&r, "engine", "inclusive_cycles"), 730);
         assert_eq!(prof_field(&r, "engine;compute", "calls"), 1);
-        assert_eq!(r.metrics_json().get("schema").unwrap().as_u64(), Some(3));
+        assert_eq!(r.metrics_json().get("schema").unwrap().as_u64(), Some(4));
     }
 
     #[test]
@@ -1048,8 +870,8 @@ mod tests {
 
     #[test]
     fn zero_flight_window_disables_the_flight_recorder() {
-        // Satellite guard: window length 0 mirrors snapshot-period-0 —
-        // it means "off", never a scheduler that can't advance.
+        // Window length 0 means "off", never a scheduler that can't
+        // advance.
         let r = Recorder::new(ObsConfig::new(2).with_flight_window(Some(0)));
         assert_eq!(r.flight_json(), Json::Null);
         r.record_matrix_inc(0, 1, 3);
@@ -1069,8 +891,8 @@ mod tests {
 
     #[test]
     fn zero_flight_capacity_clamps_to_one() {
-        // Satellite guard: a zero-capacity ring would drop every window
-        // as it closed; clamp to one retained window instead.
+        // A zero-capacity ring would drop every window as it closed;
+        // clamp to one retained window instead.
         assert_eq!(
             ObsConfig::new(2)
                 .with_flight_capacity(0)

@@ -3,7 +3,7 @@
 //! Compares the numeric stats of two metrics documents (as written by
 //! `--metrics-out`) and decides whether the second run regressed. Stats
 //! are flattened to dotted keys (`counters.tlb_misses`,
-//! `histograms.detection_search_cycles.sum`, …); arrays (snapshots,
+//! `histograms.detection_search_cycles.sum`, …); arrays (flight windows,
 //! events, buckets, timeline entries) are summarized by the scalars
 //! around them rather than diffed cell by cell.
 //!
@@ -90,7 +90,7 @@ impl DiffReport {
 }
 
 /// Flatten a document's numeric leaves to `(dotted_key, value)` pairs,
-/// skipping arrays (snapshots, traces, buckets, timeline entries) and
+/// skipping arrays (flight windows, traces, buckets, timeline entries) and
 /// non-numeric leaves. Key order follows the document.
 pub fn flatten_stats(doc: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -253,8 +253,8 @@ mod tests {
 
     #[test]
     fn arrays_are_not_diffed() {
-        let a = doc(r#"{"snapshots":[{"cycle":1}],"n":2}"#);
-        let b = doc(r#"{"snapshots":[{"cycle":1},{"cycle":2}],"n":2}"#);
+        let a = doc(r#"{"windows":[{"cycle":1}],"n":2}"#);
+        let b = doc(r#"{"windows":[{"cycle":1},{"cycle":2}],"n":2}"#);
         assert!(diff_docs(&a, &b, Some(0.0)).passed());
     }
 

@@ -1,13 +1,13 @@
 //! # tlbmap-prof — answering questions with run artifacts
 //!
-//! PR 1's observability layer (`tlbmap-obs`) *emits* artifacts: event
-//! traces, a metrics registry and periodic communication-matrix snapshots.
-//! This crate *consumes* them:
+//! The observability layer (`tlbmap-obs`) *emits* artifacts: event
+//! traces, a metrics registry and the flight recorder's windowed
+//! communication matrices. This crate *consumes* them:
 //!
 //! * [`timeline`] — how detection accuracy evolves over a run: at every
-//!   snapshot window, SM/HM-vs-ground-truth similarity scores, both
-//!   cumulative and windowed (delta matrices), with phase boundaries
-//!   flagged where the windowed pattern shifts. This quantifies the
+//!   retained flight window, SM/HM-vs-ground-truth similarity scores,
+//!   both cumulative and windowed (delta matrices), with phase boundaries
+//!   where the flight recorder started a phase. This quantifies the
 //!   paper's core claim that the detected matrices converge to the true
 //!   communication pattern, per application phase.
 //! * [`phases`] — the flight recorder's phase timeline and per-phase

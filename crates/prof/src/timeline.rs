@@ -2,17 +2,18 @@
 //!
 //! The paper validates SM/HM detection by comparing final matrices to the
 //! known application structure (Section VI-A). The timeline makes that
-//! comparison *temporal*: every `--snapshot-every` window of a run yields
-//! one entry scoring the detector's matrix against ground truth — both the
-//! cumulative matrix (does detection converge?) and the windowed delta
-//! matrix (what was detected *recently*, which shifts at phase changes).
-//! Phase boundaries are flagged where the shared phase judge
-//! ([`PhaseTracker`]) starts a new phase on a windowed delta — the same
-//! rule the flight recorder applies online.
+//! comparison *temporal*: every flight-recorder window of a run
+//! (`--flight-window`) yields one entry scoring the detector's matrix
+//! against ground truth — both the cumulative matrix (does detection
+//! converge?) and the window's delta matrix (what was detected
+//! *recently*, which shifts at phase changes). Phase boundaries are the
+//! windows where the flight recorder started a phase; the timeline does
+//! not judge phases a second time.
 
+use crate::phases::FlightReport;
 use tlbmap_core::metrics::{cosine_similarity, normalized_mse, pearson_correlation};
 use tlbmap_core::CommMatrix;
-use tlbmap_obs::{Json, MatrixSnapshot, PhaseTracker, Verdict, DEFAULT_PHASE_THRESHOLD};
+use tlbmap_obs::{Json, DEFAULT_PHASE_THRESHOLD};
 
 /// Accuracy scores of one matrix against ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,30 +60,28 @@ impl Scores {
     }
 }
 
-/// One snapshot window's accuracy scores.
+/// One flight window's accuracy scores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimelineEntry {
-    /// Snapshot index (zero-based).
+    /// Flight-window index (zero-based over the whole run).
     pub index: u64,
-    /// Cycle the snapshot was keyed to.
+    /// Cycle the window closed at (its `end_cycle`).
     pub cycle: u64,
-    /// Barriers crossed when it was taken.
-    pub barrier: u64,
     /// Scores of the cumulative detected matrix vs ground truth.
     pub cumulative: Scores,
     /// Scores of this window's delta matrix vs ground truth.
     pub windowed: Scores,
-    /// Whether this window starts a new phase (windowed pattern diverged
-    /// from the current phase's reference window).
+    /// Whether the flight recorder started a new phase at this window.
     pub phase_boundary: bool,
 }
 
 /// The full accuracy timeline of one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Timeline {
-    /// Windowed-similarity threshold used for phase flagging.
+    /// Windowed-similarity threshold the flight recorder judged phases
+    /// at.
     pub phase_threshold: f64,
-    /// One entry per snapshot, in cycle order.
+    /// One entry per retained flight window, in cycle order.
     pub entries: Vec<TimelineEntry>,
 }
 
@@ -106,7 +105,6 @@ impl Timeline {
                 Json::obj(vec![
                     ("index", Json::U64(e.index)),
                     ("cycle", Json::U64(e.cycle)),
-                    ("barrier", Json::U64(e.barrier)),
                     ("cumulative", e.cumulative.to_json()),
                     ("windowed", e.windowed.to_json()),
                     ("phase_boundary", Json::Bool(e.phase_boundary)),
@@ -139,7 +137,6 @@ impl Timeline {
                 Ok(TimelineEntry {
                     index: u("index")?,
                     cycle: u("cycle")?,
-                    barrier: u("barrier")?,
                     cumulative: Scores::from_json(
                         e.get("cumulative")
                             .ok_or("timeline entry: no `cumulative`")?,
@@ -161,63 +158,40 @@ impl Timeline {
     }
 }
 
-/// Rebuild a snapshot's communication matrix.
-fn snapshot_matrix(snap: &MatrixSnapshot) -> CommMatrix {
-    CommMatrix::from_rows(snap.n, snap.cells.clone())
-}
-
-/// Compute the accuracy timeline of a run from its matrix snapshots and
-/// the ground-truth matrix, flagging phases at
-/// [`DEFAULT_PHASE_THRESHOLD`]. Returns an empty timeline when there are
-/// no snapshots or the matrix sizes disagree (e.g. truth from a different
-/// machine configuration).
-pub fn compute_timeline(snaps: &[MatrixSnapshot], truth: &CommMatrix) -> Timeline {
-    let phase_threshold = DEFAULT_PHASE_THRESHOLD;
-    let usable = snaps
-        .iter()
-        .all(|s| s.n == truth.num_threads() && s.cells.len() == s.n * s.n);
-    if snaps.is_empty() || !usable {
-        return Timeline {
-            phase_threshold,
-            entries: Vec::new(),
-        };
+/// Compute the accuracy timeline of a run from its flight section and
+/// the ground-truth matrix: one entry per retained window. A window's
+/// cumulative matrix is the whole run's (the sum of the exact per-phase
+/// aggregates) minus the retained windows after it, so it stays exact
+/// when the ring has dropped older windows. Returns an empty timeline
+/// when no window was retained or the matrix sizes disagree (e.g. truth
+/// from a different machine configuration).
+pub fn compute_timeline(report: &FlightReport, truth: &CommMatrix) -> Timeline {
+    let n = report.n;
+    let mut entries = Vec::new();
+    if n == truth.num_threads() {
+        let mut cumulative = vec![0u64; n * n];
+        for phase in &report.phases {
+            for (acc, &c) in cumulative.iter_mut().zip(&phase.cells) {
+                *acc = acc.saturating_add(c);
+            }
+        }
+        let boundaries = report.boundary_cycles();
+        for w in report.windows.iter().rev() {
+            entries.push(TimelineEntry {
+                index: w.index,
+                cycle: w.end_cycle,
+                cumulative: Scores::of(&CommMatrix::from_rows(n, cumulative.clone()), truth),
+                windowed: Scores::of(&w.matrix(n), truth),
+                phase_boundary: boundaries.contains(&w.start_cycle),
+            });
+            for (acc, &c) in cumulative.iter_mut().zip(&w.cells) {
+                *acc = acc.saturating_sub(c);
+            }
+        }
+        entries.reverse();
     }
-
-    // Windowed delta matrices: what was detected in each period alone.
-    // Snapshot cells grow monotonically, so consecutive differences are
-    // well-defined.
-    let mut windows: Vec<CommMatrix> = Vec::with_capacity(snaps.len());
-    for (i, snap) in snaps.iter().enumerate() {
-        let cells: Vec<u64> = if i == 0 {
-            snap.cells.clone()
-        } else {
-            snap.cells
-                .iter()
-                .zip(&snaps[i - 1].cells)
-                .map(|(&cur, &prev)| cur.saturating_sub(prev))
-                .collect()
-        };
-        windows.push(CommMatrix::from_rows(snap.n, cells));
-    }
-
-    let mut tracker = PhaseTracker::default();
-    let entries = snaps
-        .iter()
-        .zip(&windows)
-        .map(|(snap, window)| TimelineEntry {
-            index: snap.index,
-            cycle: snap.cycle,
-            barrier: snap.barrier,
-            cumulative: Scores::of(&snapshot_matrix(snap), truth),
-            windowed: Scores::of(window, truth),
-            phase_boundary: matches!(
-                tracker.judge(&window.upper_cells()),
-                Verdict::Changed(Some(_))
-            ),
-        })
-        .collect();
     Timeline {
-        phase_threshold,
+        phase_threshold: DEFAULT_PHASE_THRESHOLD,
         entries,
     }
 }
@@ -225,6 +199,7 @@ pub fn compute_timeline(snaps: &[MatrixSnapshot], truth: &CommMatrix) -> Timelin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlbmap_obs::{ObsConfig, Recorder};
 
     fn ring_matrix(n: usize, scale: u64) -> CommMatrix {
         let mut m = CommMatrix::new(n);
@@ -234,28 +209,35 @@ mod tests {
         m
     }
 
-    fn snap_of(index: u64, cycle: u64, m: &CommMatrix) -> MatrixSnapshot {
-        let n = m.num_threads();
-        MatrixSnapshot {
-            index,
-            cycle,
-            barrier: index,
-            n,
-            cells: (0..n * n).map(|k| m.get(k / n, k % n)).collect(),
+    /// Record one 100-cycle flight window per matrix (its upper cells as
+    /// increments) in a ring of `capacity`, and parse the flight section
+    /// back, as `tlbmap` does after a run.
+    fn report_of(windows: &[CommMatrix], capacity: usize) -> FlightReport {
+        let n = windows[0].num_threads();
+        let rec = Recorder::new(
+            ObsConfig::new(n)
+                .with_flight_window(Some(100))
+                .with_flight_capacity(capacity),
+        );
+        for (k, m) in windows.iter().enumerate() {
+            for (i, j, v) in m.pairs().filter(|&(_, _, v)| v > 0) {
+                rec.record_matrix_inc(i, j, v);
+            }
+            rec.advance((k as u64 + 1) * 100);
         }
+        rec.finish(windows.len() as u64 * 100);
+        FlightReport::from_json(&rec.flight_json()).unwrap()
     }
 
     #[test]
     fn converging_run_scores_perfectly() {
         let truth = ring_matrix(4, 5);
-        let snaps = vec![
-            snap_of(0, 1000, &ring_matrix(4, 1)),
-            snap_of(1, 2000, &ring_matrix(4, 2)),
-            snap_of(2, 3000, &ring_matrix(4, 3)),
-        ];
-        let tl = compute_timeline(&snaps, &truth);
+        let windows = [ring_matrix(4, 1), ring_matrix(4, 2), ring_matrix(4, 3)];
+        let tl = compute_timeline(&report_of(&windows, 16), &truth);
         assert_eq!(tl.entries.len(), 3);
-        for e in &tl.entries {
+        for (k, e) in tl.entries.iter().enumerate() {
+            assert_eq!(e.index, k as u64);
+            assert_eq!(e.cycle, (k as u64 + 1) * 100, "keyed to end_cycle");
             // Same shape at every scale: perfect cumulative and windowed
             // scores, no phase boundaries.
             assert!((e.cumulative.cosine - 1.0).abs() < 1e-12);
@@ -267,62 +249,75 @@ mod tests {
     }
 
     #[test]
-    fn phase_change_flags_windowed_divergence() {
+    fn boundaries_are_where_the_flight_recorder_starts_a_phase() {
         // Phase 1: ring. Phase 2: disjoint pairs — the windowed delta
-        // flips pattern at snapshot 2 while the cumulative matrix blurs.
+        // flips pattern at window 2 while the cumulative matrix blurs.
         let ring = ring_matrix(4, 1);
         let mut pairs = CommMatrix::new(4);
         pairs.add(0, 2, 10);
         pairs.add(1, 3, 10);
-        let mut cumulative2 = ring.clone();
-        cumulative2.merge(&ring);
-        let mut cumulative3 = cumulative2.clone();
-        cumulative3.merge(&pairs);
-        let snaps = vec![
-            snap_of(0, 1000, &ring),
-            snap_of(1, 2000, &cumulative2),
-            snap_of(2, 3000, &cumulative3),
-        ];
-        let tl = compute_timeline(&snaps, &ring_matrix(4, 3));
+        let report = report_of(&[ring.clone(), ring, pairs], 16);
+        assert_eq!(report.boundary_cycles(), vec![200]);
+        let tl = compute_timeline(&report, &ring_matrix(4, 3));
         assert_eq!(tl.phase_boundaries(), vec![2]);
-        assert!(tl.entries[2].phase_boundary);
         // The windowed score of the new phase is far from the ring truth.
         assert!(tl.entries[2].windowed.cosine < 0.5);
         assert!(tl.entries[1].windowed.cosine > 0.99);
+        assert!(tl.entries[2].cumulative.cosine > tl.entries[2].windowed.cosine);
+    }
+
+    #[test]
+    fn dropped_windows_leave_the_retained_entries_exact() {
+        let ring = ring_matrix(4, 1);
+        let mut pairs = CommMatrix::new(4);
+        pairs.add(0, 2, 10);
+        pairs.add(1, 3, 10);
+        let windows = [
+            ring.clone(),
+            ring_matrix(4, 2),
+            ring.clone(),
+            pairs.clone(),
+            pairs,
+            ring,
+        ];
+        let truth = ring_matrix(4, 3);
+        let full = compute_timeline(&report_of(&windows, 16), &truth);
+        let report = report_of(&windows, 2);
+        assert_eq!(report.windows_dropped, 4);
+        let tail = compute_timeline(&report, &truth);
+        assert_eq!(tail.entries, full.entries[4..]);
     }
 
     #[test]
     fn json_round_trip_is_lossless() {
         let truth = ring_matrix(4, 2);
-        let snaps = vec![
-            snap_of(0, 500, &ring_matrix(4, 1)),
-            snap_of(1, 1000, &ring_matrix(4, 2)),
-        ];
-        let tl = compute_timeline(&snaps, &truth);
+        let report = report_of(&[ring_matrix(4, 1), ring_matrix(4, 2)], 16);
+        let tl = compute_timeline(&report, &truth);
         let parsed = Timeline::from_json(&Json::parse(&tl.to_json().render()).unwrap()).unwrap();
         assert_eq!(parsed, tl);
     }
 
     #[test]
-    fn empty_or_mismatched_snapshots_yield_empty_timeline() {
-        let truth = ring_matrix(4, 1);
-        assert!(compute_timeline(&[], &truth).entries.is_empty());
-        let bad = snap_of(0, 1000, &ring_matrix(8, 1));
-        assert!(compute_timeline(&[bad], &truth).entries.is_empty());
+    fn mismatched_truth_yields_empty_timeline() {
+        let report = report_of(&[ring_matrix(4, 1)], 16);
+        assert_eq!(
+            compute_timeline(&report, &ring_matrix(4, 1)).entries.len(),
+            1
+        );
+        assert!(compute_timeline(&report, &ring_matrix(8, 1))
+            .entries
+            .is_empty());
     }
 
     #[test]
     fn empty_windows_do_not_flag_phases() {
-        // Identical consecutive snapshots produce an all-zero delta; the
-        // phase detector must skip it rather than flag a spurious change.
+        // A window without increments is an all-zero delta; the phase
+        // judge skips it rather than flag a spurious change.
         let ring = ring_matrix(4, 1);
-        let snaps = vec![
-            snap_of(0, 1000, &ring),
-            snap_of(1, 2000, &ring),
-            snap_of(2, 3000, &ring),
-        ];
-        let tl = compute_timeline(&snaps, &ring_matrix(4, 2));
+        let report = report_of(&[ring.clone(), CommMatrix::new(4), ring], 16);
+        let tl = compute_timeline(&report, &ring_matrix(4, 2));
         assert!(tl.phase_boundaries().is_empty());
         assert_eq!(tl.entries[1].windowed.cosine, 0.0, "empty delta window");
+        assert_eq!(tl.entries[1].cumulative, tl.entries[0].cumulative);
     }
 }

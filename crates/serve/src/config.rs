@@ -1,6 +1,6 @@
 //! Server construction parameters, with the zero hazards guarded.
 //!
-//! Mirrors the `ObsConfig` snapshot-period-0 precedent: a nonsensical zero
+//! Mirrors the `ObsConfig` flight-window-0 precedent: a nonsensical zero
 //! is defused at the point of use instead of hanging or panicking deep in
 //! the server. Zero workers or a zero-capacity queue would deadlock every
 //! request, so both clamp to 1; a zero-capacity cache simply disables
@@ -36,14 +36,6 @@ pub struct ServeConfig {
     /// metrics exposition (so `curl`/scrapers work without speaking the
     /// frame protocol).
     pub http_stats: bool,
-    /// Flight-recorder window length in *simulated cycles* for the
-    /// recorder the server reports into. 0 disables the flight recorder
-    /// (the `admin flight` document is `null`).
-    pub flight_window: u64,
-    /// Flight-recorder ring capacity (retained windows). 0 is defused to
-    /// 1 — a zero-capacity ring would drop every window at close,
-    /// silently recording nothing while claiming to be enabled.
-    pub flight_capacity: usize,
     /// Maximum concurrently open streaming sessions; an `open_session`
     /// over the limit is answered `overloaded`. 0 is defused to 1.
     pub max_sessions: usize,
@@ -88,8 +80,6 @@ impl ServeConfig {
             telemetry_slots: 10,
             slow_threshold_us: 0,
             http_stats: true,
-            flight_window: 0,
-            flight_capacity: 64,
             max_sessions: 32,
             session_decay_shift: 2,
             session_drift_threshold_ppm: 800_000,
@@ -143,18 +133,6 @@ impl ServeConfig {
     /// Enable or disable the plain-text HTTP exposition path.
     pub fn with_http_stats(mut self, enabled: bool) -> Self {
         self.http_stats = enabled;
-        self
-    }
-
-    /// Override the flight-recorder window length (0 = recorder off).
-    pub fn with_flight_window(mut self, cycles: u64) -> Self {
-        self.flight_window = cycles;
-        self
-    }
-
-    /// Override the flight-recorder ring capacity (0 is defused to 1).
-    pub fn with_flight_capacity(mut self, windows: usize) -> Self {
-        self.flight_capacity = windows;
         self
     }
 
@@ -229,7 +207,7 @@ impl ServeConfig {
     }
 
     /// Telemetry sizing with the zero hazards removed (mirroring the
-    /// `ObsConfig` snapshot-period-0 guard): a zero-length window could
+    /// `ObsConfig` flight-window-0 guard): a zero-length window could
     /// never hold an observation — every admin snapshot would report empty
     /// quantiles forever — so it is treated as the 10 s default; zero
     /// slots would divide by zero on every observation, so it is treated
@@ -252,25 +230,6 @@ impl ServeConfig {
         } else {
             Some(self.slow_threshold_us)
         }
-    }
-
-    /// Flight-recorder window as an option (0 = recorder disabled),
-    /// mirroring the `ObsConfig::effective_flight_window` guard so a
-    /// zero-length window can never divide the run into infinitely many
-    /// empty windows.
-    pub fn effective_flight_window(&self) -> Option<u64> {
-        if self.flight_window == 0 {
-            None
-        } else {
-            Some(self.flight_window)
-        }
-    }
-
-    /// Flight-recorder ring capacity with the zero hazard removed: a
-    /// zero-capacity ring would drop every closed window on arrival, so
-    /// it is treated as 1 (mirroring `ObsConfig::effective_flight_capacity`).
-    pub fn effective_flight_capacity(&self) -> usize {
-        self.flight_capacity.max(1)
     }
 
     /// Session cap with the zero hazard removed: a zero-session server
@@ -375,39 +334,6 @@ mod tests {
                 .with_slow_threshold_us(250_000)
                 .effective_slow_threshold_us(),
             Some(250_000)
-        );
-    }
-
-    #[test]
-    fn zero_flight_knobs_are_defused() {
-        // Satellite guard: flight window 0 means "recorder off", not an
-        // infinite loop of zero-length windows; ring capacity 0 clamps to
-        // one retained window instead of silently dropping everything.
-        let cfg = ServeConfig::new();
-        assert_eq!(cfg.effective_flight_window(), None);
-        assert_eq!(
-            ServeConfig::new()
-                .with_flight_window(0)
-                .effective_flight_window(),
-            None
-        );
-        assert_eq!(
-            ServeConfig::new()
-                .with_flight_window(5_000)
-                .effective_flight_window(),
-            Some(5_000)
-        );
-        assert_eq!(
-            ServeConfig::new()
-                .with_flight_capacity(0)
-                .effective_flight_capacity(),
-            1
-        );
-        assert_eq!(
-            ServeConfig::new()
-                .with_flight_capacity(16)
-                .effective_flight_capacity(),
-            16
         );
     }
 

@@ -14,7 +14,7 @@
 //! * [`protocol`] — length-prefixed JSON frames, versioned request and
 //!   response schemas, stable error codes.
 //! * [`ServeConfig`] — worker/queue/cache sizing with the zero hazards
-//!   guarded (mirroring `ObsConfig`'s snapshot-period-0 precedent).
+//!   guarded (mirroring `ObsConfig`'s flight-window-0 precedent).
 //! * [`MapCache`]/[`ShardedCache`] — an LRU result cache keyed by the
 //!   matrix [fingerprint](tlbmap_core::CommMatrix::fingerprint) +
 //!   topology, with single-flight coalescing of identical concurrent

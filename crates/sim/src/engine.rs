@@ -64,7 +64,7 @@ pub fn simulate(
 }
 
 /// [`simulate`], additionally feeding engine-level events (TLB misses,
-/// barriers, migrations, ticks) and periodic snapshots into `rec`. Pass
+/// barriers, migrations, ticks) and flight-recorder windows into `rec`. Pass
 /// [`Recorder::disabled`] to observe nothing; every probe then collapses
 /// to a single branch.
 ///
@@ -282,7 +282,7 @@ fn run<const OBSERVED: bool>(
             };
             p += 1;
             // The running core's clock is the global minimum, so it is the
-            // best cycle estimate for events and snapshot scheduling.
+            // best cycle estimate for events and flight-window scheduling.
             if OBSERVED {
                 rec.advance(clk);
             }

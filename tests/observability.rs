@@ -1,18 +1,20 @@
 //! Cross-crate observability guarantees: the recorder must be deterministic
-//! (identical runs produce byte-identical traces) and its periodic snapshots
-//! must fire exactly `floor(total_cycles / period)` times.
+//! (identical runs produce byte-identical traces) and its flight recorder
+//! must close exactly `ceil(total_cycles / window)` windows that tile the
+//! run.
 
 use tlbmap::detect::{SmConfig, SmDetector};
-use tlbmap::obs::{CounterId, Event, Json, ObsConfig, Recorder};
+use tlbmap::obs::{CounterId, Json, ObsConfig, Recorder};
+use tlbmap::prof::FlightReport;
 use tlbmap::sim::{simulate_observed, Mapping, SimConfig, Topology};
 use tlbmap::workloads::synthetic;
 
 /// One observed SM run of a seeded synthetic workload.
-fn observed_run(snapshot_period: Option<u64>) -> (Recorder, tlbmap::sim::RunStats) {
+fn observed_run(flight_window: Option<u64>) -> (Recorder, tlbmap::sim::RunStats) {
     let w = synthetic::ring_neighbors(8, 80, 4);
     let topo = Topology::harpertown();
     let cfg = SimConfig::paper_software_managed(&topo);
-    let rec = Recorder::new(ObsConfig::new(8).with_snapshot_period(snapshot_period));
+    let rec = Recorder::new(ObsConfig::new(8).with_flight_window(flight_window));
     let mut det = SmDetector::new(8, SmConfig::every_miss()).with_recorder(rec.clone());
     let stats = simulate_observed(
         &cfg,
@@ -80,42 +82,44 @@ fn trace_lines_are_valid_json_and_cycle_monotone() {
 }
 
 #[test]
-fn snapshot_count_is_exactly_total_cycles_over_period() {
-    for period in [20_000u64, 50_000, 100_000] {
-        let (rec, stats) = observed_run(Some(period));
-        let expected = stats.total_cycles / period;
+fn flight_window_count_is_total_cycles_over_window_rounded_up() {
+    for window in [20_000u64, 50_000, 100_000] {
+        let (rec, stats) = observed_run(Some(window));
+        let total = stats.total_cycles;
+        let expected = total.div_ceil(window);
         assert!(
-            expected >= 2,
-            "workload too short to exercise period {period}: {} cycles",
-            stats.total_cycles
+            expected >= 3,
+            "workload too short to exercise window {window}: {total} cycles"
         );
-        let snaps = rec.snapshots();
+        let report = FlightReport::from_json(&rec.flight_json()).unwrap();
         assert_eq!(
-            snaps.len() as u64,
-            expected,
-            "period {period} over {} cycles",
-            stats.total_cycles
+            report.windows_closed, expected,
+            "window {window} over {total} cycles"
         );
-        assert_eq!(rec.counter(CounterId::SnapshotsTaken), expected);
-        for (i, s) in snaps.iter().enumerate() {
-            assert_eq!(s.index, i as u64);
-            assert_eq!(s.cycle, (i as u64 + 1) * period);
-            assert_eq!(s.n, 8);
+        assert_eq!(rec.counter(CounterId::FlightWindows), expected);
+        assert_eq!(report.windows_dropped, 0);
+        assert_eq!(report.windows.len() as u64, expected);
+        // Windows end on multiples of the window; the last ends the run.
+        for (k, w) in report.windows.iter().enumerate() {
+            let k = k as u64;
+            assert_eq!(w.index, k);
+            assert_eq!(w.start_cycle, k * window);
+            assert_eq!(w.end_cycle, ((k + 1) * window).min(total));
         }
-        // Snapshots are cumulative: total communication never decreases.
-        let totals: Vec<u64> = snaps.iter().map(|s| s.cells.iter().sum()).collect();
-        assert!(totals.windows(2).all(|w| w[0] <= w[1]));
-        assert!(
-            *totals.last().unwrap() > 0,
-            "ring workload must accumulate communication"
-        );
-        // The Snapshot events in the trace agree with the stored snapshots.
-        let event_snaps = rec
-            .events()
-            .into_iter()
-            .filter(|e| matches!(e, Event::Snapshot { .. }))
-            .count();
-        assert_eq!(event_snaps as u64, expected);
+        assert_eq!(report.windows.last().unwrap().end_cycle, total);
+        // Cumulative volume never falls, and ends at the phases' total.
+        let cumulative: Vec<u64> = report
+            .windows
+            .iter()
+            .scan(0, |acc, w| {
+                *acc += w.cells.iter().sum::<u64>();
+                Some(*acc)
+            })
+            .collect();
+        assert!(cumulative.windows(2).all(|c| c[0] <= c[1]));
+        let volume: u64 = report.phases.iter().map(|p| p.volume).sum();
+        assert_eq!(*cumulative.last().unwrap(), volume);
+        assert!(volume > 0, "ring workload must accumulate communication");
     }
 }
 
