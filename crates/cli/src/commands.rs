@@ -9,7 +9,7 @@ use tlbmap_mapping::{
     baselines, exhaustive_best_mapping, mapping_cost, HierarchicalMapper, Mapping,
     RecursiveBisectionMapper,
 };
-use tlbmap_obs::{Json, ObsConfig, Recorder, COUNTERS, HISTS};
+use tlbmap_obs::{Json, ObsConfig, Recorder};
 use tlbmap_prof::{compute_timeline, FlightReport, Timeline};
 use tlbmap_sim::{simulate, simulate_observed, NoHooks, RunStats, SimConfig, Topology};
 
@@ -307,9 +307,6 @@ pub fn export(o: Options) -> Result<(), String> {
 
 /// `tlbmap report`
 pub fn report(o: Options) -> Result<(), String> {
-    if let Some(path) = &o.from {
-        return report_from(path);
-    }
     let topo = topology(&o);
     let rec = recorder_for(&o, topo.num_cores());
     let workload = o.workload()?;
@@ -337,60 +334,6 @@ pub fn report(o: Options) -> Result<(), String> {
     println!("\nexecution time improvement: {dt:.1}%");
     let tl = accuracy_timeline(&o, &rec)?;
     write_artifacts(&o, &rec, tl.as_ref())
-}
-
-/// `tlbmap report --from <metrics.json>`: pretty-print a recorded run.
-fn report_from(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-
-    println!("== counters ({path}) ==");
-    let counters = doc
-        .get("counters")
-        .ok_or_else(|| format!("{path}: no `counters` object"))?;
-    for c in COUNTERS {
-        if let Some(v) = counters.get(c.as_str()).and_then(Json::as_u64) {
-            println!("{:<28} {v}", c.as_str());
-        }
-    }
-
-    println!("\n== histograms ==");
-    let hists = doc
-        .get("histograms")
-        .ok_or_else(|| format!("{path}: no `histograms` object"))?;
-    for h in HISTS {
-        let Some(hist) = hists.get(h.as_str()) else {
-            continue;
-        };
-        let count = hist.get("count").and_then(Json::as_u64).unwrap_or(0);
-        if count == 0 {
-            println!("{}: empty", h.as_str());
-            continue;
-        }
-        let sum = hist.get("sum").and_then(Json::as_u64).unwrap_or(0);
-        println!(
-            "{}: count {count}, mean {:.1}, min {}, max {}",
-            h.as_str(),
-            sum as f64 / count as f64,
-            hist.get("min").and_then(Json::as_u64).unwrap_or(0),
-            hist.get("max").and_then(Json::as_u64).unwrap_or(0),
-        );
-        if let Some(buckets) = hist.get("buckets").and_then(Json::items) {
-            let peak = buckets
-                .iter()
-                .filter_map(|b| b.get("count").and_then(Json::as_u64))
-                .max()
-                .unwrap_or(1)
-                .max(1);
-            for b in buckets.iter() {
-                let lo = b.get("lo").and_then(Json::as_u64).unwrap_or(0);
-                let n = b.get("count").and_then(Json::as_u64).unwrap_or(0);
-                let bar = "#".repeat(((n * 40).div_ceil(peak)) as usize);
-                println!("  >= {lo:>12} {n:>10} {bar}");
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -489,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn detect_writes_artifacts_and_report_reads_them() {
+    fn detect_writes_artifacts_and_inspect_reads_them() {
         let dir = std::env::temp_dir().join("tlbmap_cli_obs_test");
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("run.jsonl");
@@ -520,7 +463,7 @@ mod tests {
             .unwrap()
             .is_empty());
 
-        // Metrics parse, and `report --from` pretty-prints them.
+        // Metrics parse, and `inspect` reads them.
         let doc = Json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
         assert!(
             doc.get("counters")
@@ -543,9 +486,12 @@ mod tests {
             .is_empty());
         let flight = doc.get("flight").expect("flight section");
         assert!(flight.get("windows_closed").unwrap().as_u64().unwrap() > 0);
-        let mut from = opts(&[]);
-        from.from = Some(metrics.to_string_lossy().into_owned());
-        report(from).unwrap();
+        crate::inspect::inspect(crate::opts::InspectOptions {
+            from: metrics.to_string_lossy().into_owned(),
+            html_out: None,
+            speedscope_out: None,
+        })
+        .unwrap();
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! tlbmap map <APP> [opts]              detect, map, print thread->core
 //! tlbmap simulate <APP> [opts]         run under a mapping, print hardware events
 //! tlbmap report <APP> [opts]           full pipeline: detect, map, before/after
-//! tlbmap analyze --from <metrics.json> accuracy timeline + cycle profile of a run
-//! tlbmap inspect --from <metrics.json> flight-recorder phase explorer of a run
+//! tlbmap inspect --from <metrics.json> read a recorded run: counters, phases,
+//!                                      accuracy timeline, cycle profile
 //! tlbmap diff <a.json> <b.json>        compare two runs, optionally gate regressions
 //! tlbmap serve [opts]                  run the mapping service over TCP
 //! tlbmap client <action> [opts]        one request against a running service
@@ -42,8 +42,7 @@ fn main() -> ExitCode {
         "report" => opts::Options::parse(&args[2..]).and_then(commands::report),
         "stats" => opts::Options::parse(&args[2..]).and_then(commands::stats),
         "export" => opts::Options::parse(&args[2..]).and_then(commands::export),
-        "analyze" => opts::Options::parse(&args[2..]).and_then(analysis::analyze),
-        "inspect" => opts::Options::parse(&args[2..]).and_then(inspect::inspect),
+        "inspect" => opts::InspectOptions::parse(&args[2..]).and_then(inspect::inspect),
         "diff" => opts::DiffOptions::parse(&args[2..]).and_then(analysis::diff),
         "serve" => serve_cmd::ServeOptions::parse(&args[2..]).and_then(serve_cmd::serve),
         "client" => serve_cmd::ClientOptions::parse(&args[2..], true).and_then(serve_cmd::client),

@@ -14,8 +14,6 @@ USAGE:
   tlbmap map      [APP] [--mapper hierarchical|bisect|greedy|exhaustive] [OBS] [COMMON]
   tlbmap simulate [APP] [--mapping identity|scatter|random=<seed>|auto] [OBS] [COMMON]
   tlbmap report   [APP] [OBS] [COMMON]
-  tlbmap report   --from <metrics.json>
-  tlbmap analyze  --from <metrics.json>
   tlbmap inspect  --from <metrics.json> [--html-out <FILE>]
                   [--speedscope-out <FILE>]
   tlbmap diff     [--fail-above <pct>] <a.json> <b.json>
@@ -25,11 +23,10 @@ USAGE:
                   [--deadline-ms D] [--metrics-out <FILE>]
                   [--window-ms W] [--window-buckets B] [--slow-threshold-us T]
                   [--slow-log <FILE>] [--no-http]
-                  [--flight-window CYCLES] [--flight-capacity N]
                   [--max-sessions N] [--session-decay-shift S]
                   [--session-drift-ppm P] [--session-cooldown N]
                   [--session-idle-ms I]
-  tlbmap client   map|session|health|stats|live|trace|flight|shutdown
+  tlbmap client   map|session|health|stats|live|trace|shutdown
                   [--addr HOST:PORT] [--matrix <FILE>] [--topo CxLxK]
                   [--deadline-ms D] [--delay-ms D]
                   [--trace <FILE>] [--batch N]
@@ -63,12 +60,13 @@ COMMON:
   --hm-period <u64>             HM tick period (cycles)   [250000]
 
 ANALYSIS:
-  analyze   accuracy timeline, phase boundaries and cycle profile of a
-            recorded metrics file (detect/map/report with --metrics-out
-            and --flight-window fill in the timeline)
-  inspect   flight-recorder run explorer: phase timeline with drift
-            sparklines, per-phase communication heatmaps, mapping
-            quality and cycle attribution; `--html-out` writes a
+  inspect   read a recorded metrics file (detect/map/simulate/report
+            with --metrics-out): non-zero counters and histograms; with
+            --flight-window, one table of the flight windows (phase,
+            drift, volume and the accuracy timeline's scores), the
+            phase boundaries and per phase a communication heatmap,
+            mapping quality and cycle attribution; then the cycle
+            profile and its collapsed stacks; `--html-out` writes a
             self-contained HTML report with SVG heatmaps,
             `--speedscope-out` a speedscope-importable profile
   diff      per-stat comparison of two metrics JSON files; with
@@ -128,12 +126,6 @@ pub struct Options {
     pub flight_window: Option<u64>,
     /// Flight-recorder ring capacity (retained windows).
     pub flight_capacity: usize,
-    /// Recorded metrics file for `report --from`.
-    pub from: Option<String>,
-    /// HTML report output path for `inspect`.
-    pub html_out: Option<String>,
-    /// Speedscope profile output path for `inspect`.
-    pub speedscope_out: Option<String>,
     /// Machine size: any power of two >= 4 cores (8 = Harpertown).
     pub cores: usize,
     /// Problem scale.
@@ -162,9 +154,6 @@ impl Options {
             metrics_out: None,
             flight_window: None,
             flight_capacity: 64,
-            from: None,
-            html_out: None,
-            speedscope_out: None,
             out: None,
             cores: 8,
             scale: ProblemScale::Workshop,
@@ -231,18 +220,6 @@ impl Options {
                     if o.flight_capacity == 0 {
                         return Err("--flight-capacity must be at least 1".into());
                     }
-                    i += 2;
-                }
-                "--from" => {
-                    o.from = Some(value("--from")?);
-                    i += 2;
-                }
-                "--html-out" => {
-                    o.html_out = Some(value("--html-out")?);
-                    i += 2;
-                }
-                "--speedscope-out" => {
-                    o.speedscope_out = Some(value("--speedscope-out")?);
                     i += 2;
                 }
                 "--out" => {
@@ -360,6 +337,44 @@ impl Options {
             "phased" => Ok(synthetic::phase_shift(n, pages / 2, iters)),
             other => Err(format!("unknown app `{other}`")),
         }
+    }
+}
+
+/// Options of `tlbmap inspect`: a recorded document to read, not a run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InspectOptions {
+    /// The metrics document (`--from`).
+    pub from: String,
+    /// HTML report output path (`--html-out`).
+    pub html_out: Option<String>,
+    /// Speedscope profile output path (`--speedscope-out`).
+    pub speedscope_out: Option<String>,
+}
+
+impl InspectOptions {
+    /// Parse `args` (everything after `inspect`).
+    pub fn parse(args: &[String]) -> Result<InspectOptions, String> {
+        let (mut from, mut html_out, mut speedscope_out) = (None, None, None);
+        let mut i = 0;
+        while i < args.len() {
+            let slot = match args[i].as_str() {
+                "--from" => &mut from,
+                "--html-out" => &mut html_out,
+                "--speedscope-out" => &mut speedscope_out,
+                flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
+                word => return Err(format!("unexpected argument `{word}`")),
+            };
+            let value = args
+                .get(i + 1)
+                .ok_or_else(|| format!("{} needs a value", args[i]))?;
+            *slot = Some(value.clone());
+            i += 2;
+        }
+        Ok(InspectOptions {
+            from: from.ok_or("inspect needs --from <metrics.json>")?,
+            html_out,
+            speedscope_out,
+        })
     }
 }
 
@@ -491,8 +506,11 @@ mod tests {
         assert_eq!(o.chrome_out.as_deref(), Some("run.trace.json"));
         assert_eq!(o.metrics_out.as_deref(), Some("metrics.json"));
         assert!(o.observing());
-        let o = parse(&["--from", "metrics.json"]);
-        assert_eq!(o.unwrap().from.as_deref(), Some("metrics.json"));
+        // The reader's flags belong to `inspect` alone.
+        for flag in ["--from", "--html-out", "--speedscope-out"] {
+            let err = parse(&["SP", flag, "x"]).err().unwrap();
+            assert_eq!(err, format!("unknown flag `{flag}`"));
+        }
     }
 
     #[test]
@@ -513,19 +531,32 @@ mod tests {
     }
 
     #[test]
-    fn parses_inspect_outputs() {
-        let o = parse(&[
-            "--from",
-            "m.json",
+    fn parses_inspect_options_and_refuses_run_flags() {
+        let parse_inspect = |words: &[&str]| {
+            InspectOptions::parse(&words.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        };
+        let o = parse_inspect(&[
             "--html-out",
             "report.html",
+            "--from",
+            "m.json",
             "--speedscope-out",
             "prof.speedscope.json",
         ])
         .unwrap();
-        assert_eq!(o.from.as_deref(), Some("m.json"));
+        assert_eq!(o.from, "m.json");
         assert_eq!(o.html_out.as_deref(), Some("report.html"));
         assert_eq!(o.speedscope_out.as_deref(), Some("prof.speedscope.json"));
+        assert_eq!(
+            parse_inspect(&["--html-out", "r.html"]).unwrap_err(),
+            "inspect needs --from <metrics.json>"
+        );
+        assert!(parse_inspect(&["--from"]).is_err(), "needs a value");
+        assert!(parse_inspect(&["--from", "m.json", "extra"]).is_err());
+        for flag in ["--scale", "--cores", "--metrics-out", "--flight-window"] {
+            let err = parse_inspect(&["--from", "m.json", flag, "1"]).unwrap_err();
+            assert_eq!(err, format!("unknown flag `{flag}`"));
+        }
     }
 
     #[test]

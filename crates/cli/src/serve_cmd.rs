@@ -57,9 +57,6 @@ pub struct ServeOptions {
     pub addr: String,
     /// Server sizing.
     pub cfg: ServeConfig,
-    /// The server's recorder: a 64-event ring, and the flight recorder
-    /// when `--flight-window` is given.
-    pub obs: ObsConfig,
     /// Write the recorder's metrics JSON here after shutdown.
     pub metrics_out: Option<String>,
     /// Append slow requests (over `--slow-threshold-us`) as JSONL here.
@@ -72,7 +69,6 @@ impl ServeOptions {
         let mut o = ServeOptions {
             addr: DEFAULT_ADDR.to_string(),
             cfg: ServeConfig::new(),
-            obs: ObsConfig::new(0).with_ring_capacity(64),
             metrics_out: None,
             slow_log: None,
         };
@@ -111,14 +107,6 @@ impl ServeOptions {
                         parse_u64("--slow-threshold-us", &value("--slow-threshold-us")?)?
                 }
                 "--slow-log" => o.slow_log = Some(value("--slow-log")?),
-                "--flight-window" => {
-                    o.obs.flight_window =
-                        Some(parse_u64("--flight-window", &value("--flight-window")?)?)
-                }
-                "--flight-capacity" => {
-                    o.obs.flight_capacity =
-                        parse_u64("--flight-capacity", &value("--flight-capacity")?)? as usize
-                }
                 "--max-sessions" => {
                     o.cfg.max_sessions =
                         parse_u64("--max-sessions", &value("--max-sessions")?)? as usize
@@ -156,7 +144,9 @@ impl ServeOptions {
 /// `tlbmap serve` — run the mapping service until a client asks it to
 /// shut down, then optionally export metrics.
 pub fn serve(o: ServeOptions) -> Result<(), String> {
-    let rec = Recorder::new(o.obs);
+    // A 64-event ring for the `--metrics-out` document; the server runs
+    // no simulated clock, so it keeps no flight recorder.
+    let rec = Recorder::new(ObsConfig::new(0).with_ring_capacity(64));
     let slow_log: Option<Box<dyn std::io::Write + Send>> = match &o.slow_log {
         Some(path) => {
             let file = std::fs::File::create(path).map_err(|e| format!("{path}: {e}"))?;
@@ -315,6 +305,12 @@ impl ClientOptions {
                 }
                 flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
                 word if positional_action && o.action.is_empty() => {
+                    if !CLIENT_ACTIONS.contains(&word) {
+                        return Err(format!(
+                            "unknown client action `{word}` ({})",
+                            CLIENT_ACTIONS.join(" | ")
+                        ));
+                    }
                     o.action = word.to_string();
                     i += 1;
                     continue;
@@ -324,14 +320,19 @@ impl ClientOptions {
             i += 2;
         }
         if positional_action && o.action.is_empty() {
-            return Err(
-                "client needs an action: map | session | health | stats | live | trace | flight | shutdown"
-                    .into(),
-            );
+            return Err(format!(
+                "client needs an action: {}",
+                CLIENT_ACTIONS.join(" | ")
+            ));
         }
         Ok(o)
     }
 }
+
+/// The actions of `tlbmap client`, checked before it connects.
+const CLIENT_ACTIONS: [&str; 7] = [
+    "map", "session", "health", "stats", "live", "trace", "shutdown",
+];
 
 /// `tlbmap client <action>` — one request against a running server.
 pub fn client(o: ClientOptions) -> Result<(), String> {
@@ -366,10 +367,10 @@ pub fn client(o: ClientOptions) -> Result<(), String> {
             Ok(())
         }
         "session" => {
-            let path = o
-                .trace
-                .as_deref()
-                .ok_or_else(|| "client session needs --trace <FILE> (a JSONL event trace from --trace-out)".to_string())?;
+            let path = o.trace.as_deref().ok_or_else(|| {
+                "client session needs --trace <FILE> (a JSONL event trace from --trace-out)"
+                    .to_string()
+            })?;
             replay_session(&mut client, path, &o)
         }
         "health" => {
@@ -401,23 +402,12 @@ pub fn client(o: ClientOptions) -> Result<(), String> {
             }
             Ok(())
         }
-        "flight" => {
-            let doc = client.admin(AdminKind::Flight).map_err(|e| e.to_string())?;
-            if doc == Json::Null {
-                eprintln!("# flight recorder is disabled (start the server with --flight-window)");
-            } else {
-                println!("{}", doc.render());
-            }
-            Ok(())
-        }
         "shutdown" => {
             client.shutdown().map_err(|e| e.to_string())?;
             println!("shutdown acknowledged");
             Ok(())
         }
-        other => Err(format!(
-            "unknown client action `{other}` (map | session | health | stats | live | trace | flight | shutdown)"
-        )),
+        other => unreachable!("client action `{other}` passed the parse-time check"),
     }
 }
 
@@ -635,32 +625,15 @@ mod tests {
     }
 
     #[test]
-    fn parses_flight_serve_options() {
-        let o = ServeOptions::parse(&words(&[
-            "--flight-window",
-            "5000",
-            "--flight-capacity",
-            "16",
-        ]))
-        .unwrap();
-        assert_eq!(o.obs.flight_window, Some(5000));
-        assert_eq!(o.obs.flight_capacity, 16);
-        // Default: flight recorder off.
-        let d = ServeOptions::parse(&[]).unwrap();
-        assert_eq!(d.obs.effective_flight_window(), None);
-        // A zero window is "off" and a zero ring keeps one window, by the
-        // recorder's own guards.
-        let z = ServeOptions::parse(&words(&["--flight-window", "0", "--flight-capacity", "0"]))
-            .unwrap();
-        assert_eq!(z.obs.effective_flight_window(), None);
-        assert_eq!(z.obs.effective_flight_capacity(), 1);
-    }
-
-    #[test]
     fn rejects_bad_serve_options() {
         assert!(ServeOptions::parse(&words(&["--workers"])).is_err());
         assert!(ServeOptions::parse(&words(&["--workers", "two"])).is_err());
         assert!(ServeOptions::parse(&words(&["--bogus", "1"])).is_err());
+        // The server has no simulated clock to close flight windows.
+        for flag in ["--flight-window", "--flight-capacity"] {
+            let err = ServeOptions::parse(&words(&[flag, "1"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag `{flag}`"));
+        }
     }
 
     #[test]
@@ -674,6 +647,13 @@ mod tests {
         assert_eq!(o.matrix.as_deref(), Some("m.json"));
         assert_eq!(o.topo, Topology::new(2, 4, 2));
         assert!(ClientOptions::parse(&[], true).is_err(), "action required");
+        // Unknown actions are refused before any connection is made; the
+        // server keeps no flight recorder.
+        let err = ClientOptions::parse(&words(&["flight"]), true).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown client action `flight` (map | session | health | stats | live | trace | shutdown)"
+        );
     }
 
     #[test]

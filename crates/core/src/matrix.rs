@@ -85,6 +85,11 @@ impl CommMatrix {
             .sum()
     }
 
+    /// Row-major `n × n` cells.
+    pub fn cells(&self) -> &[u64] {
+        &self.data
+    }
+
     /// Largest cell value.
     pub fn max(&self) -> u64 {
         self.data.iter().copied().max().unwrap_or(0)
@@ -206,6 +211,21 @@ impl CommMatrix {
             .get("rows")
             .and_then(Json::items)
             .ok_or_else(|| err("missing or mistyped field: rows"))?;
+        CommMatrix::from_json_rows(n, rows)
+    }
+
+    /// The checks of [`CommMatrix::from_json`] on an `n` and a `rows`
+    /// array that arrive apart, as in the flight recorder's windows,
+    /// which share one `n`.
+    ///
+    /// # Errors
+    /// Fails on a row count other than `n`, ragged rows, a non-integer
+    /// cell, an asymmetric matrix or a nonzero diagonal.
+    pub fn from_json_rows(n: usize, rows: Items<'_>) -> Result<CommMatrix, JsonError> {
+        let err = |message: &str| JsonError {
+            message: message.to_string(),
+            offset: 0,
+        };
         if rows.len() != n {
             return Err(err("row count does not match n"));
         }

@@ -5,11 +5,11 @@
 //! cache access, detection scans, barriers, migrations, ticks, mapper
 //! rounds). Components form a static stack, so the profile exports as
 //! inclusive/exclusive totals with call counts per `root;...;leaf` path,
-//! which `tlbmap analyze` renders as collapsed-stack/flamegraph text.
+//! which `tlbmap inspect` renders as collapsed-stack/flamegraph text.
 //!
 //! Charging uses *simulated* cycles, not host time, so two identical
 //! seeded runs produce byte-identical profiles — the property the
-//! `tlbmap analyze` / `tlbmap diff` pipeline gates on. The profile lives
+//! `tlbmap inspect` / `tlbmap diff` pipeline gates on. The profile lives
 //! inside the [`crate::Recorder`]; a disabled recorder charges nothing
 //! and the engine's monomorphized probes compile away entirely.
 

@@ -30,15 +30,8 @@ pub struct PhaseWindow {
     pub similarity_ppm: Option<u64>,
     /// TLB misses per core inside the window.
     pub core_activity: Vec<u64>,
-    /// Row-major `n × n` communication delta cells.
-    pub cells: Vec<u64>,
-}
-
-impl PhaseWindow {
-    /// The window's delta as a communication matrix.
-    pub fn matrix(&self, n: usize) -> CommMatrix {
-        CommMatrix::from_rows(n, self.cells.clone())
-    }
+    /// The window's communication delta.
+    pub matrix: CommMatrix,
 }
 
 /// One component row of a phase's cycle attribution (a delta of the
@@ -71,15 +64,8 @@ pub struct PhaseSummary {
     pub core_activity: Vec<u64>,
     /// Per-component cycle attribution (zero rows omitted).
     pub profile: Vec<PhaseComponent>,
-    /// Row-major `n × n` aggregated communication cells.
-    pub cells: Vec<u64>,
-}
-
-impl PhaseSummary {
     /// The phase's aggregated communication matrix.
-    pub fn matrix(&self, n: usize) -> CommMatrix {
-        CommMatrix::from_rows(n, self.cells.clone())
-    }
+    pub matrix: CommMatrix,
 }
 
 /// The parsed `flight` section of a metrics document.
@@ -87,16 +73,12 @@ impl PhaseSummary {
 pub struct FlightReport {
     /// Window length in simulated cycles.
     pub window_cycles: u64,
-    /// Ring capacity (retained windows).
-    pub capacity: u64,
     /// Thread count of the matrices.
     pub n: usize,
     /// Windows closed over the whole run.
     pub windows_closed: u64,
     /// Windows evicted from the ring (aggregates still include them).
     pub windows_dropped: u64,
-    /// Final phase id (so the run saw `phase + 1` phases).
-    pub phase: u64,
     /// Retained windows, oldest first.
     pub windows: Vec<PhaseWindow>,
     /// Exact per-phase aggregates, phase order.
@@ -118,27 +100,15 @@ fn u64s(json: &Json, k: &str) -> Result<Vec<u64>, String> {
         .ok_or_else(|| format!("flight: non-integer entry in `{k}`"))
 }
 
-fn flat_rows(json: &Json, n: usize) -> Result<Vec<u64>, String> {
+/// A window's or phase's `n × n` `rows`, through the checks of
+/// [`CommMatrix::from_json`]: shape before any cell is reserved, then the
+/// diagonal and symmetry.
+fn matrix(json: &Json, n: usize) -> Result<CommMatrix, String> {
     let rows = json
         .get("rows")
         .and_then(Json::items)
         .ok_or("flight: missing `rows`")?;
-    if rows.len() != n {
-        return Err(format!("flight: expected {n} rows, got {}", rows.len()));
-    }
-    let mut cells = Vec::with_capacity(n * n);
-    for row in rows.iter() {
-        let row = row
-            .items()
-            .ok_or("flight: row is not an array")?
-            .u64s()
-            .ok_or("flight: non-integer cell")?;
-        if row.len() != n {
-            return Err(format!("flight: expected {n} columns, got {}", row.len()));
-        }
-        cells.extend_from_slice(&row);
-    }
-    Ok(cells)
+    CommMatrix::from_json_rows(n, rows).map_err(|e| format!("flight: {}", e.message))
 }
 
 impl FlightReport {
@@ -168,7 +138,7 @@ impl FlightReport {
                     phase: u(&w, "phase")?,
                     similarity_ppm: w.get("similarity_ppm").and_then(Json::as_u64),
                     core_activity: u64s(&w, "core_activity")?,
-                    cells: flat_rows(&w, n)?,
+                    matrix: matrix(&w, n)?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -203,17 +173,15 @@ impl FlightReport {
                     volume: u(&p, "volume")?,
                     core_activity: u64s(&p, "core_activity")?,
                     profile,
-                    cells: flat_rows(&p, n)?,
+                    matrix: matrix(&p, n)?,
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(FlightReport {
             window_cycles: u(json, "window_cycles")?,
-            capacity: u(json, "capacity")?,
             n,
             windows_closed: u(json, "windows_closed")?,
             windows_dropped: u(json, "windows_dropped")?,
-            phase: u(json, "phase")?,
             windows,
             phases,
         })
@@ -270,7 +238,6 @@ mod tests {
         assert_eq!(r.n, 4);
         assert_eq!(r.windows_closed, 6);
         assert_eq!(r.windows_dropped, 0);
-        assert_eq!(r.phase, 1, "one phase change");
         assert_eq!(r.phase_count(), 2);
         assert_eq!(r.windows.len(), 6);
         // The divergent window (index 3) opens the new phase.
@@ -281,9 +248,9 @@ mod tests {
         // Exact per-phase aggregates: volumes and matrices.
         assert_eq!(r.phases[0].volume, 120, "3 windows × 2 pairs × 10 × sym");
         assert_eq!(r.phases[1].volume, 120);
-        assert_eq!(r.phases[0].matrix(r.n).get(0, 1), 30);
-        assert_eq!(r.phases[1].matrix(r.n).get(0, 2), 30);
-        assert_eq!(r.phases[0].matrix(r.n).get(0, 2), 0);
+        assert_eq!(r.phases[0].matrix.get(0, 1), 30);
+        assert_eq!(r.phases[1].matrix.get(0, 2), 30);
+        assert_eq!(r.phases[0].matrix.get(0, 2), 0);
 
         // Per-core activity split: core 0 active in phase A, core 2 in B.
         assert_eq!(r.phases[0].core_activity[0], 3);
@@ -310,5 +277,39 @@ mod tests {
         assert!(err.contains('n'), "{err}");
         let truncated = Json::parse(r#"{"flight":{"n":2,"windows":[{"index":0}]}}"#).unwrap();
         assert!(FlightReport::from_metrics(&truncated).is_err());
+    }
+
+    /// The golden run's metrics document.
+    fn golden() -> Json {
+        Json::parse(include_str!("../../../results/golden_metrics.json")).unwrap()
+    }
+
+    /// The value at `path` in `json`: object keys, or array indices.
+    fn at<'a>(json: &'a mut Json, path: &[&str]) -> &'a mut Json {
+        path.iter().fold(json, |json, key| match json {
+            Json::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            Json::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+            other => panic!("no `{key}` in {other:?}"),
+        })
+    }
+
+    #[test]
+    fn hostile_rows_are_refused_before_any_cell_is_reserved() {
+        assert!(FlightReport::from_metrics(&golden()).unwrap().is_some());
+        // 100,000 empty rows claim 10^10 cells in a few hundred KB.
+        let mut doc = golden();
+        *at(&mut doc, &["flight", "n"]) = Json::U64(100_000);
+        *at(&mut doc, &["flight", "windows", "0", "rows"]) =
+            Json::Arr(vec![Json::Arr(Vec::new()); 100_000]);
+        let err = FlightReport::from_metrics(&doc).unwrap_err();
+        assert_eq!(err, "flight: ragged row");
+        // One phase cell off by one breaks symmetry.
+        let mut doc = golden();
+        match at(&mut doc, &["flight", "phases", "0", "rows", "1"]) {
+            Json::U64s(row) => row[0] += 1,
+            other => panic!("packed row expected, got {other:?}"),
+        }
+        let err = FlightReport::from_metrics(&doc).unwrap_err();
+        assert_eq!(err, "flight: matrix not symmetric");
     }
 }

@@ -86,16 +86,6 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    /// Indices of entries flagged as phase boundaries.
-    pub fn phase_boundaries(&self) -> Vec<usize> {
-        self.entries
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.phase_boundary)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// JSON export (the metrics document's `timeline` section).
     pub fn to_json(&self) -> Json {
         let entries: Vec<Json> = self
@@ -171,7 +161,7 @@ pub fn compute_timeline(report: &FlightReport, truth: &CommMatrix) -> Timeline {
     if n == truth.num_threads() {
         let mut cumulative = vec![0u64; n * n];
         for phase in &report.phases {
-            for (acc, &c) in cumulative.iter_mut().zip(&phase.cells) {
+            for (acc, &c) in cumulative.iter_mut().zip(phase.matrix.cells()) {
                 *acc = acc.saturating_add(c);
             }
         }
@@ -181,10 +171,10 @@ pub fn compute_timeline(report: &FlightReport, truth: &CommMatrix) -> Timeline {
                 index: w.index,
                 cycle: w.end_cycle,
                 cumulative: Scores::of(&CommMatrix::from_rows(n, cumulative.clone()), truth),
-                windowed: Scores::of(&w.matrix(n), truth),
+                windowed: Scores::of(&w.matrix, truth),
                 phase_boundary: boundaries.contains(&w.start_cycle),
             });
-            for (acc, &c) in cumulative.iter_mut().zip(&w.cells) {
+            for (acc, &c) in cumulative.iter_mut().zip(w.matrix.cells()) {
                 *acc = acc.saturating_sub(c);
             }
         }
@@ -245,7 +235,7 @@ mod tests {
             assert!(e.cumulative.nmse < 1e-12);
             assert!(!e.phase_boundary);
         }
-        assert!(tl.phase_boundaries().is_empty());
+        assert!(tl.entries.iter().all(|e| !e.phase_boundary));
     }
 
     #[test]
@@ -259,7 +249,8 @@ mod tests {
         let report = report_of(&[ring.clone(), ring, pairs], 16);
         assert_eq!(report.boundary_cycles(), vec![200]);
         let tl = compute_timeline(&report, &ring_matrix(4, 3));
-        assert_eq!(tl.phase_boundaries(), vec![2]);
+        let flagged: Vec<bool> = tl.entries.iter().map(|e| e.phase_boundary).collect();
+        assert_eq!(flagged, [false, false, true]);
         // The windowed score of the new phase is far from the ring truth.
         assert!(tl.entries[2].windowed.cosine < 0.5);
         assert!(tl.entries[1].windowed.cosine > 0.99);
@@ -316,7 +307,7 @@ mod tests {
         let ring = ring_matrix(4, 1);
         let report = report_of(&[ring.clone(), CommMatrix::new(4), ring], 16);
         let tl = compute_timeline(&report, &ring_matrix(4, 2));
-        assert!(tl.phase_boundaries().is_empty());
+        assert!(tl.entries.iter().all(|e| !e.phase_boundary));
         assert_eq!(tl.entries[1].windowed.cosine, 0.0, "empty delta window");
         assert_eq!(tl.entries[1].cumulative, tl.entries[0].cumulative);
     }

@@ -22,7 +22,7 @@
 //! | `map`           | `matrix` (CommMatrix JSON), `topology` (optional, default 2×2×2), `deadline_ms` (optional), `delay_ms` (optional, testing/loadgen) |
 //! | `health`        | —                                                                 |
 //! | `stats`         | —                                                                 |
-//! | `admin`         | `kind`: `stats` (live telemetry snapshot), `health` (liveness + uptime), `trace` (slow-request log), `flight` (flight-recorder windows + phases), `sessions` (streaming-session registry) |
+//! | `admin`         | `kind`: `stats` (live telemetry snapshot), `health` (liveness + uptime), `trace` (slow-request log), `sessions` (streaming-session registry) |
 //! | `open_session`  | `topology` (optional, default 2×2×2, at most [`MAX_SESSION_THREADS`] cores), `decay_shift` / `drift_threshold_ppm` / `cooldown_deltas` (optional per-session overrides) |
 //! | `delta`         | `session`, `n` (thread count, at most [`MAX_SESSION_THREADS`]), `cells` (sparse upper-triangle `[i, j, amount]` triples) |
 //! | `close_session` | `session`                                                         |
@@ -105,9 +105,6 @@ pub enum AdminKind {
     Health,
     /// The slow-request log (most recent entries, oldest first).
     Trace,
-    /// The flight recorder: retained windows, phase timeline, per-phase
-    /// aggregates (`null` when the recorder is disabled).
-    Flight,
     /// The streaming-session registry: per-session control-loop state
     /// plus the aggregate session counters.
     Sessions,
@@ -120,7 +117,6 @@ impl AdminKind {
             AdminKind::Stats => "stats",
             AdminKind::Health => "health",
             AdminKind::Trace => "trace",
-            AdminKind::Flight => "flight",
             AdminKind::Sessions => "sessions",
         }
     }
@@ -131,7 +127,6 @@ impl AdminKind {
             "stats" => AdminKind::Stats,
             "health" => AdminKind::Health,
             "trace" => AdminKind::Trace,
-            "flight" => AdminKind::Flight,
             "sessions" => AdminKind::Sessions,
             _ => return None,
         })
@@ -366,7 +361,7 @@ impl Request {
                     .ok_or_else(|| {
                         format!(
                             "unknown admin kind `{kind}` \
-                             (stats | health | trace | flight | sessions)"
+                             (stats | health | trace | sessions)"
                         )
                     }),
                 None => Err("admin request: missing or mistyped field `kind`".to_string()),
@@ -829,9 +824,6 @@ mod tests {
                 kind: AdminKind::Trace,
             },
             Request::Admin {
-                kind: AdminKind::Flight,
-            },
-            Request::Admin {
                 kind: AdminKind::Sessions,
             },
             Request::OpenSession {
@@ -979,13 +971,12 @@ mod tests {
         // Satellite 3: the unknown-frame-kind error path. An `admin` frame
         // whose `kind` is unrecognized (or absent) must decode to a
         // descriptive error, which the server surfaces as `bad_request`.
-        let json = Json::parse(r#"{"v":1,"req":"admin","kind":"flamegraph"}"#).unwrap();
-        let err = Request::from_json(&json).unwrap_err();
-        assert!(err.contains("flamegraph"), "{err}");
-        assert!(
-            err.contains("stats | health | trace | flight | sessions"),
-            "{err}"
-        );
+        for kind in ["flamegraph", "flight"] {
+            let text = format!(r#"{{"v":1,"req":"admin","kind":"{kind}"}}"#);
+            let err = Request::from_json(&Json::parse(&text).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("`{kind}`")), "{err}");
+            assert!(err.contains("(stats | health | trace | sessions)"), "{err}");
+        }
 
         let missing = Json::parse(r#"{"v":1,"req":"admin"}"#).unwrap();
         let err = Request::from_json(&missing).unwrap_err();
@@ -1004,7 +995,6 @@ mod tests {
             AdminKind::Stats,
             AdminKind::Health,
             AdminKind::Trace,
-            AdminKind::Flight,
             AdminKind::Sessions,
         ] {
             assert_eq!(AdminKind::from_wire(kind.as_str()), Some(kind));

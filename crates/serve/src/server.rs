@@ -1086,7 +1086,6 @@ fn handle_frame(
                 AdminKind::Stats => admin_stats_doc(shared),
                 AdminKind::Health => admin_health_doc(shared),
                 AdminKind::Trace => admin_trace_doc(shared),
-                AdminKind::Flight => admin_flight_doc(shared),
                 AdminKind::Sessions => admin_sessions_doc(shared),
             };
             reply(Handled::inline(
@@ -1399,13 +1398,6 @@ fn admin_health_doc(shared: &Shared) -> Json {
 /// The `admin trace` document: the slow-request ring, oldest first.
 fn admin_trace_doc(shared: &Shared) -> Json {
     Json::Arr(shared.slow_ring.lock().unwrap().iter().cloned().collect())
-}
-
-/// The `admin flight` document: the recorder's flight section (retained
-/// windows, phase timeline, per-phase aggregates), or `null` when the
-/// flight recorder is disabled.
-fn admin_flight_doc(shared: &Shared) -> Json {
-    shared.rec.flight_json()
 }
 
 /// Render the plain-text exposition: one `tlbmap_<key> <value>` line per

@@ -368,30 +368,27 @@ fn admin_frames_answer_over_loopback() {
     let trace = c.admin(AdminKind::Trace).unwrap();
     assert_eq!(trace.as_array().map(<[Json]>::len), Some(0));
 
-    // flight: the recorder has no flight window configured, so the
-    // document is null (disabled), not an empty object.
-    let flight = c.admin(AdminKind::Flight).unwrap();
-    assert_eq!(flight, Json::Null);
-
-    // Unknown admin kind over the real wire: bad_request, with the
-    // connection intact afterwards.
-    let payload = br#"{"v":1,"req":"admin","kind":"flamegraph"}"#;
-    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
-    frame.extend_from_slice(payload);
-    client_send_expect_bad_request(&mut c, &frame);
-    c.health().unwrap();
-    assert_eq!(handle.recorder().counter(CounterId::ServeBadRequests), 1);
+    // Unknown admin kinds over the real wire: bad_request, with the
+    // connection intact afterwards. The server keeps no flight recorder.
+    for kind in ["flamegraph", "flight"] {
+        let payload = format!(r#"{{"v":1,"req":"admin","kind":"{kind}"}}"#);
+        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(payload.as_bytes());
+        client_send_expect_bad_request(&mut c, &frame, kind);
+        c.health().unwrap();
+    }
+    assert_eq!(handle.recorder().counter(CounterId::ServeBadRequests), 2);
 
     c.shutdown().unwrap();
     handle.join();
 }
 
-fn client_send_expect_bad_request(c: &mut Client, frame: &[u8]) {
+fn client_send_expect_bad_request(c: &mut Client, frame: &[u8], names: &str) {
     c.send_raw(frame).unwrap();
     match c.read_response().unwrap() {
         tlbmap_serve::Response::Error { code, message } => {
             assert_eq!(code, ErrorCode::BadRequest);
-            assert!(message.contains("flamegraph"), "{message}");
+            assert!(message.contains(&format!("`{names}`")), "{message}");
         }
         other => panic!("expected a bad_request error, got {other:?}"),
     }
@@ -495,36 +492,6 @@ fn http_get_is_refused_when_exposition_is_disabled() {
     assert!(response.is_empty(), "disabled exposition must just close");
 
     let mut c = Client::connect(&addr).unwrap();
-    c.shutdown().unwrap();
-    handle.join();
-}
-
-#[test]
-fn admin_flight_serves_the_recorder_document() {
-    // A server whose recorder has the flight recorder on answers `admin
-    // flight` with the structured document (even before any simulated
-    // cycles have closed a window).
-    let rec = Recorder::new(
-        ObsConfig::new(0)
-            .with_ring_capacity(64)
-            .with_flight_window(Some(1_000))
-            .with_flight_capacity(8),
-    );
-    let handle =
-        Server::start("127.0.0.1:0", ServeConfig::new(), rec).expect("bind loopback server");
-    let addr = handle.addr().to_string();
-    let mut c = Client::connect(&addr).unwrap();
-
-    let flight = c.admin(AdminKind::Flight).unwrap();
-    assert_ne!(flight, Json::Null, "flight recorder is enabled");
-    assert_eq!(
-        flight.get("window_cycles").and_then(Json::as_u64),
-        Some(1_000)
-    );
-    assert_eq!(flight.get("capacity").and_then(Json::as_u64), Some(8));
-    assert_eq!(flight.get("windows_closed").and_then(Json::as_u64), Some(0));
-    assert_eq!(flight.get("phase").and_then(Json::as_u64), Some(0));
-
     c.shutdown().unwrap();
     handle.join();
 }

@@ -112,7 +112,7 @@ fn flight_window_count_is_total_cycles_over_window_rounded_up() {
             .windows
             .iter()
             .scan(0, |acc, w| {
-                *acc += w.cells.iter().sum::<u64>();
+                *acc += w.matrix.cells().iter().sum::<u64>();
                 Some(*acc)
             })
             .collect();
